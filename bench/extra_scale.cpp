@@ -15,14 +15,6 @@
 //   * p50/p99_ms   — percentiles of *simulated* per-query latency, which
 //                    is host-independent and bit-identical across runs
 //
-// The largest point's query phase then re-runs under the sharded event
-// core (MLIGHT_SIM_SHARDS=4 equivalent) and reports the wall-clock ratio
-// vs the serial executor.  Simulated counts are identical either way —
-// the executor contract (docs/THEORY.md, "Sharded time-window
-// execution") — so the ratio isolates pure host-side effect.  On a
-// single-CPU host expect ~1x: the parallel phase only covers wire
-// decode, and there are no spare cores to run it on.
-//
 // Output: a table plus machine-greppable lines
 //     ##SCALE <key> <number>
 // which scripts/run_benches.sh folds into BENCH_PERF.json next to the
@@ -63,8 +55,6 @@ struct QueryPhase {
   double wallS = 0.0;
   double p50Ms = 0.0;
   double p99Ms = 0.0;
-  double meanLookups = 0.0;
-  std::size_t resultRecords = 0;  // sum over queries; cross-run check
 };
 
 QueryPhase runQueries(core::MLightIndex& ml,
@@ -72,18 +62,13 @@ QueryPhase runQueries(core::MLightIndex& ml,
   QueryPhase out;
   std::vector<double> latencies;
   latencies.reserve(queries.size());
-  double lookups = 0.0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& q : queries) {
-    const auto res = ml.rangeQuery(q);
-    out.resultRecords += res.records.size();
-    latencies.push_back(res.stats.latencyMs);
-    lookups += static_cast<double>(res.stats.cost.lookups);
+    latencies.push_back(ml.rangeQuery(q).stats.latencyMs);
   }
   out.wallS = secondsSince(t0);
   out.p50Ms = percentile(latencies, 0.50);
   out.p99Ms = percentile(latencies, 0.99);
-  out.meanLookups = lookups / static_cast<double>(queries.size());
   return out;
 }
 
@@ -106,7 +91,6 @@ int main(int argc, char** argv) {
                                            {4096, 1000000},
                                            {10240, 2000000}};
   const std::size_t queryCount = args.queries;
-  const std::size_t shardedN = 4;
 
   std::printf("\n%7s %9s %11s %9s %10s %9s %9s %10s\n", "peers", "records",
               "construct_s", "insert_s", "insert_rps", "qps", "p50_ms",
@@ -134,45 +118,18 @@ int main(int argc, char** argv) {
     for (const auto& r : data) ml.insert(r);
     const double insertS = secondsSince(ti);
 
-    const QueryPhase serial = runQueries(ml, queries);
-    const double qps =
-        static_cast<double>(queries.size()) / serial.wallS;
+    const QueryPhase phase = runQueries(ml, queries);
+    const double qps = static_cast<double>(queries.size()) / phase.wallS;
 
     std::printf("%7zu %9zu %11.3f %9.1f %10.0f %9.2f %9.1f %10.1f\n",
                 pt.peers, pt.records, constructS, insertS,
-                static_cast<double>(pt.records) / insertS, qps, serial.p50Ms,
-                serial.p99Ms);
+                static_cast<double>(pt.records) / insertS, qps, phase.p50Ms,
+                phase.p99Ms);
     std::printf("##SCALE peers%zu_construct_s %.3f\n", pt.peers, constructS);
     std::printf("##SCALE peers%zu_insert_s %.1f\n", pt.peers, insertS);
     std::printf("##SCALE peers%zu_qps %.2f\n", pt.peers, qps);
-    std::printf("##SCALE peers%zu_p50_ms %.1f\n", pt.peers, serial.p50Ms);
-    std::printf("##SCALE peers%zu_p99_ms %.1f\n", pt.peers, serial.p99Ms);
-
-    // Sharded executor A/B on the largest point: same queries, same
-    // simulated counts (verified below), wall-clock ratio reported.
-    // The cold-cache phase above doubles as warm-up; both sides of the
-    // A/B run against steady hint-cache state.
-    if (p + 1 == sweep.size()) {
-      const QueryPhase steady = runQueries(ml, queries);
-      net.setSimShards(shardedN);
-      const QueryPhase sharded = runQueries(ml, queries);
-      net.setSimShards(1);
-      if (sharded.resultRecords != steady.resultRecords) {
-        std::fprintf(stderr,
-                     "RESULT MISMATCH under sharding: %zu vs %zu records\n",
-                     sharded.resultRecords, steady.resultRecords);
-        return 1;
-      }
-      const double ratio = steady.wallS / sharded.wallS;
-      std::printf(
-          "\nsharded executor A/B (N=%zu vs N=1, %zu-peer point): "
-          "%.2fs vs %.2fs -> %.2fx\n",
-          shardedN, pt.peers, sharded.wallS, steady.wallS, ratio);
-      std::printf("##SCALE shard%zu_query_s %.3f\n", shardedN,
-                  sharded.wallS);
-      std::printf("##SCALE shard1_query_s %.3f\n", steady.wallS);
-      std::printf("##SCALE shard%zu_speedup %.2f\n", shardedN, ratio);
-    }
+    std::printf("##SCALE peers%zu_p50_ms %.1f\n", pt.peers, phase.p50Ms);
+    std::printf("##SCALE peers%zu_p99_ms %.1f\n", pt.peers, phase.p99Ms);
   }
   return 0;
 }

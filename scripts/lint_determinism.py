@@ -28,13 +28,14 @@ so this is a purpose-built lexical lint over ``src/``:
   DET-E  mutable static-storage data (function-local ``static``,
          ``static``/``inline`` namespace-scope variables, static data
          members — anything neither const nor constexpr).  Such state is
-         shared across the sharded executor's worker threads yet never
-         appears in a lambda's capture list, so a handler or prep stage
-         can reach it invisibly: a data race under parallel prep, and a
-         cross-run ordering leak even when serial.  Per-run state
-         belongs on the owning object (Network/SimScheduler/index);
-         ``thread_local`` is flagged too, since worker identity is not
-         simulation state.
+         shared by every thread in the process — the TCP transport's
+         ``TcpPeerServer`` poll loops and the ``extra_wire`` client
+         threads run handler code concurrently — yet never appears in a
+         lambda's capture list, so a handler can reach it invisibly: a
+         data race on the socket path, and a cross-run ordering leak in
+         the serial simulator.  Per-run state belongs on the owning
+         object (Network/SimScheduler/index); ``thread_local`` is
+         flagged too, since thread identity is not simulation state.
 
 Suppression: a ``// DET-ALLOW(reason)`` comment on the flagged line or
 the line directly above waives every rule for that line.  The reason is
@@ -320,9 +321,10 @@ def scan_file(scan: FileScan, unordered_names: set[str],
         # --- DET-E: mutable static-storage data -----------------------
         if STATIC_MUTABLE_RE.search(line):
             flag("DET-E",
-                 "mutable static-storage variable (shared across shard "
-                 "workers and invisible to lambda capture lists; hang "
-                 "per-run state off the owning object instead)")
+                 "mutable static-storage variable (shared across "
+                 "transport threads and invisible to lambda capture "
+                 "lists; hang per-run state off the owning object "
+                 "instead)")
 
         # --- DET-D: float accumulation under hash order ---------------
         if loop_stack:

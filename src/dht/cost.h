@@ -100,7 +100,7 @@ struct CostMeter {
 /// every RPC envelope addressed to that peer — i.e. requests the peer
 /// must serve, including retransmissions.  Counters are commutative sums
 /// bumped at envelope issue time, so the meter is digest-stable under
-/// tie-break shuffling and shard counts like every CostMeter field.
+/// tie-break shuffling like every CostMeter field.
 class PeerLoadMeter {
  public:
   /// One more request addressed to physical peer `peer`.

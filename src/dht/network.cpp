@@ -4,31 +4,14 @@
 #include <memory>
 #include <set>
 #include <cassert>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/invariants.h"
 
 namespace mlight::dht {
 
 std::uint64_t faultSeedFromEnv(std::uint64_t fallback) {
-  const char* raw = std::getenv("MLIGHT_FAULT_SEED");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  // Strict decimal: strtoull alone would accept "17x" (trailing garbage),
-  // " 17", "-1" (wraps), and saturate on overflow — all silent wrong-seed
-  // runs.  Only an exact digit string parses.
-  for (const char* p = raw; *p != '\0'; ++p) {
-    MLIGHT_CHECK(*p >= '0' && *p <= '9',
-                 "MLIGHT_FAULT_SEED must be a plain decimal integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  MLIGHT_CHECK(end != raw && *end == '\0',
-               "MLIGHT_FAULT_SEED must be a plain decimal integer");
-  MLIGHT_CHECK(errno != ERANGE, "MLIGHT_FAULT_SEED overflows 64 bits");
-  return static_cast<std::uint64_t>(value);
+  return strictDecimalEnv("MLIGHT_FAULT_SEED", fallback);
 }
 
 std::string toString(RingId id) {
@@ -37,17 +20,6 @@ std::string toString(RingId id) {
                 static_cast<unsigned long long>(id.value));
   return buf;
 }
-
-namespace {
-/// splitmix64 finalizer — the shard hash over a physical peer's anchor
-/// vnode.  Deterministic and join-order independent (the anchor id is
-/// itself a pure function of the peer's name).
-std::uint64_t mixShard(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 Network::Network(std::size_t peerCount, std::uint64_t seed,
                  std::size_t vnodesPerPeer, LatencyModel latency)
@@ -62,7 +34,6 @@ Network::Network(std::size_t peerCount, std::uint64_t seed,
   // 64-finger constant).
   peers_.reserve(peerCount * vnodesPerPeer);
   physicalNames_.reserve(peerCount);
-  physicalFirstVnode_.reserve(peerCount);
   struct Vnode {
     RingId id;
     std::size_t physical;
@@ -76,7 +47,6 @@ Network::Network(std::size_t peerCount, std::uint64_t seed,
     for (std::size_t v = 0; v < vnodesPerPeer_; ++v) {
       const RingId id = keyId("peer-id:" + name + "#" + std::to_string(v));
       vnodes.push_back(Vnode{id, physical});
-      if (v == 0) physicalFirstVnode_.push_back(id);
     }
   }
   std::sort(vnodes.begin(), vnodes.end(),
@@ -94,26 +64,6 @@ Network::Network(std::size_t peerCount, std::uint64_t seed,
     vnodeToPhysical_[v.id] = v.physical;
   }
   rebuildFingers();
-  setSimShards(simShardsFromEnv());
-  sched_.setLookaheadMs(latency_.minMs);
-}
-
-void Network::setSimShards(std::size_t n) {
-  if (n == 0) n = 1;
-  sched_.setShardCount(n);
-  sched_.setLookaheadMs(latency_.minMs);
-  physicalShard_.clear();
-  physicalShard_.reserve(physicalFirstVnode_.size());
-  for (const RingId anchor : physicalFirstVnode_) {
-    physicalShard_.push_back(
-        static_cast<std::uint32_t>(mixShard(anchor.value) % n));
-  }
-}
-
-std::uint32_t Network::shardOfVnode(RingId vnode) const noexcept {
-  const auto it = vnodeToPhysical_.find(vnode);
-  if (it == vnodeToPhysical_.end()) return 0;
-  return physicalShard_[it->second];
 }
 
 std::size_t Network::livePhysicalCount() const {
@@ -226,39 +176,6 @@ std::uint32_t Network::allocDeliverySlot() {
   return slot;
 }
 
-void Network::prepSlot(std::uint32_t slot) {
-  // Shard-worker stage: a pure decode of the slot's immutable wire
-  // image into the slot's staging envelope.  The wire bytes are fixed
-  // at schedule time, the slot belongs to exactly this event until its
-  // apply, and the coordinator is blocked at the window barrier — so
-  // this touches no state shared with any other thread.  No pooled
-  // buffers here either (the pool is coordinator-only); the payload
-  // allocates on the worker and is recycled into the pool at apply.
-  DeliverySlot& s = deliverySlots_[slot];
-  common::Reader r(s.wire);
-  s.prepped.payload.clear();
-  s.prepped.deserializeFrom(r);
-  if (!r.atEnd()) {
-    std::abort();  // corrupt self-serialized envelope: unreachable
-  }
-  s.hasPrepped = true;
-}
-
-void Network::scheduleSlotDelivery(std::uint32_t slot, RingId to,
-                                   double arrival) {
-  // Serial mode skips both the shard resolution (everything is shard 0)
-  // and the prep stage (events are popped and applied directly, never
-  // window-batched, so a prep closure would just be carried and
-  // dropped).
-  if (sched_.shardCount() == 1) {
-    sched_.scheduleOn(0, arrival, [this, slot]() { deliverSlot(slot); });
-    return;
-  }
-  sched_.scheduleOn(shardOfVnode(to), arrival,
-                    [this, slot]() { deliverSlot(slot); },
-                    [this, slot]() { prepSlot(slot); });
-}
-
 void Network::deliverSlot(std::uint32_t slot) {
   // Move the slot's contents to locals and free the slot *before* the
   // handler runs: handlers routinely issue follow-up RPCs, which
@@ -269,24 +186,14 @@ void Network::deliverSlot(std::uint32_t slot) {
   const double departure = deliverySlots_[slot].departure;
   RpcHandler handler = std::move(deliverySlots_[slot].handler);
   std::shared_ptr<RpcFlight> flight = std::move(deliverySlots_[slot].flight);
-  const bool hasPrepped = deliverySlots_[slot].hasPrepped;
-  RpcEnvelope prepped;
-  if (hasPrepped) {
-    prepped = std::move(deliverySlots_[slot].prepped);
-    deliverySlots_[slot].hasPrepped = false;
-  }
   freeDeliverySlots_.push_back(slot);
 
   RpcDelivery d;
-  if (hasPrepped) {
-    d.env = std::move(prepped);
-  } else {
-    common::Reader r(wire);
-    d.env.payload = bufferPool_.acquire();  // reused by deserializeFrom
-    d.env.deserializeFrom(r);
-    if (!r.atEnd()) {
-      throw common::SerdeError("rpc: trailing bytes after envelope");
-    }
+  common::Reader r(wire);
+  d.env.payload = bufferPool_.acquire();  // reused by deserializeFrom
+  d.env.deserializeFrom(r);
+  if (!r.atEnd()) {
+    throw common::SerdeError("rpc: trailing bytes after envelope");
   }
 
   if (flight != nullptr) {
@@ -378,9 +285,9 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
   if (!lost) {
     const double jitter =
         faults_.jitterMs > 0.0 ? draws.uniform() * faults_.jitterMs : 0.0;
-    // Guarded delivery through a pooled slot, like the fault-free path:
-    // shard-tagged with the addressee and window-preppable.  The ghost
-    // check and timeout suppression live in deliverSlot (flight set).
+    // Guarded delivery through a pooled slot, like the fault-free path.
+    // The ghost check and timeout suppression live in deliverSlot
+    // (flight set).
     const std::uint32_t slot = allocDeliverySlot();
     DeliverySlot& s = deliverySlots_[slot];
     s.wire = std::move(w).take();
@@ -388,15 +295,16 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
     s.departure = departure;
     s.handler = handler;
     s.flight = flight;
-    scheduleSlotDelivery(slot, env.to, departure + route.ms + jitter);
+    sched_.schedule(departure + route.ms + jitter,
+                    [this, slot]() { deliverSlot(slot); });
   } else {
     bufferPool_.release(std::move(w).take());
   }
 
-  // The timeout executes "at" the sender (its shard), like the
-  // retransmission it triggers.
-  flight->timeoutSeq = sched_.scheduleOn(
-      shardOfVnode(env.from), departure + rpcTimeoutMs(attempt, route.ms),
+  // The timeout executes "at" the sender, like the retransmission it
+  // triggers.
+  flight->timeoutSeq = sched_.schedule(
+      departure + rpcTimeoutMs(attempt, route.ms),
       [this, key, env = std::move(env), handler = std::move(handler),
        onFail = std::move(onFail), attempt, flight]() mutable {
         if (flight->delivered) return;
@@ -461,7 +369,7 @@ RouteResult Network::sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
   s.route = route;
   s.departure = departure;
   s.handler = std::move(handler);
-  scheduleSlotDelivery(slot, env.to, arrival);
+  sched_.schedule(arrival, [this, slot]() { deliverSlot(slot); });
   return route;
 }
 
@@ -496,9 +404,6 @@ RingId Network::addPeer(std::string_view name) {
     vnodeToPhysical_[id] = physical;
     if (v == 0) first = id;
   }
-  physicalFirstVnode_.push_back(first);
-  physicalShard_.push_back(static_cast<std::uint32_t>(
-      mixShard(first.value) % sched_.shardCount()));
   rebuildFingers();
   const MembershipChange change{MembershipChange::Kind::kJoin, {}};
   for (const auto& [handle, fn] : stores_) fn(change);

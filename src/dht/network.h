@@ -248,36 +248,6 @@ class Network {
     d.feed(sched_.now());
   }
 
-  // --- Sharded execution ------------------------------------------------
-  //
-  // Peers are partitioned into N shards by a deterministic hash of the
-  // physical peer's first vnode RingId (all vnodes of one physical peer
-  // share a shard, so co-located zero-latency links never cross a shard
-  // boundary).  Every scheduled event is tagged with the shard of the
-  // peer it executes at — deliveries with the addressee's shard,
-  // timeouts with the sender's — and the scheduler's window executor
-  // preps each shard's events on its own worker thread before applying
-  // everything in canonical global order (see sim.h).  N=1 (the
-  // default) is the serial executor; any N is bit-identical to it.
-
-  /// Installs the shard count (reads MLIGHT_SIM_SHARDS at construction;
-  /// this setter lets tests and benches sweep programmatically).  Call
-  /// on a quiet network, before issuing traffic.
-  void setSimShards(std::size_t n);
-  std::size_t simShards() const noexcept { return sched_.shardCount(); }
-
-  /// Shard owning the physical peer of ring position `vnode` (0 when
-  /// the vnode has left the ring — the executor only needs a stable tag
-  /// at schedule time).
-  std::uint32_t shardOfVnode(RingId vnode) const noexcept;
-
-  /// Windows the sharded executor has run / prep stages executed on
-  /// shard workers (witnesses for the shard matrix test and TSan CI).
-  std::uint64_t simWindowCount() const noexcept { return sched_.windowCount(); }
-  std::uint64_t simParallelPreps() const noexcept {
-    return sched_.parallelPreps();
-  }
-
   /// Marks the start of a measured operation: drains messages still in
   /// flight from prior operations, clears per-sender send backlogs, and
   /// resets the round high-water mark.  Returns now() — the operation's
@@ -457,29 +427,17 @@ class Network {
   /// In-flight state of one message, parked in a pooled slot so the
   /// scheduled closure captures only {this, slot} — small enough for
   /// std::function's inline buffer, which keeps the scheduler's event
-  /// nodes allocation-free (see SimScheduler::schedule).  `prepped`
-  /// holds the envelope decoded off the wire by the shard worker during
-  /// a window's prep phase; when the event fires unprepped (serial mode,
-  /// or scheduled into an already-open window) the decode happens
-  /// inline at apply time instead.
+  /// nodes allocation-free (see SimScheduler::schedule).
   struct DeliverySlot {
     std::vector<std::uint8_t> wire;
     RouteResult route{};
     double departure = 0.0;
     RpcHandler handler;
-    RpcEnvelope prepped;
-    bool hasPrepped = false;
     std::shared_ptr<RpcFlight> flight;  // null on the fault-free path
   };
   std::uint32_t allocDeliverySlot();
+  /// Decodes the slot's wire image and runs its handler at the owner.
   void deliverSlot(std::uint32_t slot);
-  /// Window prep stage for slot deliveries: decodes the slot's wire
-  /// image into `prepped`.  Runs on the owning shard's worker thread;
-  /// touches nothing but the slot (see SimScheduler::PrepFn).
-  void prepSlot(std::uint32_t slot);
-  /// Schedules the slot's delivery at `arrival`, tagged with the
-  /// addressee's shard and carrying the prep stage.
-  void scheduleSlotDelivery(std::uint32_t slot, RingId to, double arrival);
   /// One transmission attempt under fault injection (attempt 0 = the
   /// original send); schedules the guarded delivery plus its timeout.
   void transmitWithFaults(RingId key, const RouteResult& route,
@@ -498,12 +456,6 @@ class Network {
   std::vector<std::vector<RingId>> fingersByIdx_;
   std::map<RingId, std::size_t> vnodeToPhysical_;   // vnode -> peer index
   std::vector<std::string> physicalNames_;          // by peer index
-  /// First (v == 0) vnode of each physical peer, by peer index — the
-  /// stable anchor the shard hash keys on.
-  std::vector<RingId> physicalFirstVnode_;
-  /// Shard of each physical peer, by peer index; rebuilt whenever the
-  /// shard count changes, appended on join.
-  std::vector<std::uint32_t> physicalShard_;
   std::size_t vnodesPerPeer_ = 1;
   LatencyModel latency_;
   std::vector<std::pair<std::uint64_t, RebalanceFn>> stores_;

@@ -1,48 +1,34 @@
 #include "dht/sim.h"
 
-#include <cassert>
 #include <cerrno>
 #include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 
 namespace mlight::dht {
 
-namespace {
-/// Strict decimal parse shared by the scheduler env knobs: strtoull alone
-/// would accept "17x" (trailing garbage), " 17", "-1" (wraps), and
-/// saturate on overflow — all silent wrong-config runs.  Mirrors the
-/// MLIGHT_FAULT_SEED fix: only an exact digit string parses, anything
-/// else fails loudly instead of silently running the fallback config.
-std::uint64_t strictDecimalEnv(const char* raw, const char* what) {
+std::uint64_t strictDecimalEnv(const char* name, std::uint64_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  // strtoull alone would accept "17x" (trailing garbage), " 17", "-1"
+  // (wraps), and saturate on overflow — all silent wrong-config runs.
   for (const char* p = raw; *p != '\0'; ++p) {
-    MLIGHT_CHECK(*p >= '0' && *p <= '9', what);
+    MLIGHT_CHECK(*p >= '0' && *p <= '9',
+                 std::string(name) + " must be a plain decimal integer");
   }
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(raw, &end, 10);
-  MLIGHT_CHECK(end != raw && *end == '\0', what);
-  MLIGHT_CHECK(errno != ERANGE, what);
+  MLIGHT_CHECK(end != raw && *end == '\0',
+               std::string(name) + " must be a plain decimal integer");
+  MLIGHT_CHECK(errno != ERANGE, std::string(name) + " overflows 64 bits");
   return static_cast<std::uint64_t>(value);
 }
-}  // namespace
 
 std::uint64_t schedShuffleSeedFromEnv(std::uint64_t fallback) {
-  const char* raw = std::getenv("MLIGHT_SCHED_SHUFFLE_SEED");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  return strictDecimalEnv(
-      raw, "MLIGHT_SCHED_SHUFFLE_SEED must be a plain decimal integer");
-}
-
-std::size_t simShardsFromEnv(std::size_t fallback) {
-  const char* raw = std::getenv("MLIGHT_SIM_SHARDS");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const std::uint64_t value = strictDecimalEnv(
-      raw, "MLIGHT_SIM_SHARDS must be a plain decimal integer");
-  // 0 shards is not a sharding choice, it is a typo: fail like any other
-  // malformed value instead of silently running the fallback executor.
-  MLIGHT_CHECK(value != 0, "MLIGHT_SIM_SHARDS must be >= 1");
-  return value > 64 ? 64 : static_cast<std::size_t>(value);
+  return strictDecimalEnv("MLIGHT_SCHED_SHUFFLE_SEED", fallback);
 }
 
 namespace {
@@ -57,240 +43,44 @@ std::uint64_t mixTie(std::uint64_t seed, std::uint64_t seq) noexcept {
 }
 }  // namespace
 
-std::uint64_t SimScheduler::scheduleOn(std::uint32_t shard, double at, Fn fn,
-                                       PrepFn prep) {
+std::uint64_t SimScheduler::schedule(double at, Fn fn) {
   const std::uint64_t seq = nextSeq_++;
   const std::uint64_t tie =
       shuffleSeed_ == 0 ? seq : mixTie(shuffleSeed_, seq);
-  std::vector<Event>& heap =
-      shardHeaps_[shard < shardHeaps_.size() ? shard : 0];
   // Skip the initial capacity ramp (1, 2, 4, ...): even a single RPC
   // schedules a handful of events, and the heap never shrinks, so one
   // up-front block makes steady-state scheduling allocation-free.
-  if (heap.capacity() == 0) heap.reserve(64);
-  heap.push_back(Event{std::max(at, clock_.now()), tie, seq, std::move(fn),
-                       std::move(prep)});
-  std::push_heap(heap.begin(), heap.end(), Later{});
+  if (heap_.capacity() == 0) heap_.reserve(64);
+  heap_.push_back(Event{std::max(at, clock_.now()), tie, seq, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return seq;
 }
 
-void SimScheduler::setShardCount(std::size_t n) {
-  if (n == 0) n = 1;
-  if (n == shardHeaps_.size()) return;
-  assert(pending() == 0 && "setShardCount needs a quiet scheduler");
-  stopWorkers();
-  shardHeaps_.assign(n, {});
-  batches_.assign(n, {});
-  applyQueue_.clear();
-  applyQueueHead_ = 0;
-  if (n > 1) startWorkers();
-}
-
-void SimScheduler::startWorkers() {
-  poolStop_ = false;
-  workers_.reserve(shardHeaps_.size() - 1);
-  for (std::size_t s = 1; s < shardHeaps_.size(); ++s) {
-    workers_.emplace_back([this, s] { workerLoop(s); });
-  }
-}
-
-void SimScheduler::stopWorkers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(poolMutex_);
-    poolStop_ = true;
-  }
-  poolStart_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-}
-
-void SimScheduler::workerLoop(std::size_t shard) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(poolMutex_);
-      poolStart_.wait(lk,
-                      [&] { return poolStop_ || poolGeneration_ != seen; });
-      if (poolStop_) return;
-      seen = poolGeneration_;
+bool SimScheduler::runOne() {
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    // The cancellation set is empty in fault-free runs; skip the
+    // per-event hash probes entirely then (empty() is a size load).
+    if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
+      continue;  // discarded, clock untouched
     }
-    drainShardWindow(shard);
-    {
-      std::lock_guard<std::mutex> lk(poolMutex_);
-      --pendingWorkers_;
+    // A reorderable tie: another live event with the same timestamp is
+    // still pending, so the tie-break genuinely chose between the two.
+    // (An event scheduled *by* an earlier handler at the same timestamp
+    // is causally ordered — it never coexisted with its parent in the
+    // heap — and does not count: shuffling cannot reorder causality.)
+    if (!heap_.empty() && heap_.front().at == ev.at &&
+        (cancelled_.empty() ||
+         cancelled_.find(heap_.front().seq) == cancelled_.end())) {
+      ++tieDeliveries_;
     }
-    poolDone_.notify_one();
-  }
-}
-
-void SimScheduler::drainShardWindow(std::size_t shard) {
-  std::vector<Event>& heap = shardHeaps_[shard];
-  Batch& batch = batches_[shard];
-  while (!heap.empty() && heap.front().at < windowEnd_) {
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    Event ev = std::move(heap.back());
-    heap.pop_back();
-    // Prep runs even for events later discarded as cancelled: the
-    // cancelled set is coordinator state and off-limits here, and prep
-    // stages are pure (wasted work at worst).
-    if (ev.prep) {
-      ev.prep();
-      ev.prep = nullptr;
-      ++batch.preps;
-    }
-    batch.events.push_back(std::move(ev));
-  }
-}
-
-void SimScheduler::refillWindow() {
-  // Globally earliest pending time across the shard queues.
-  bool any = false;
-  double start = 0.0;
-  for (const auto& heap : shardHeaps_) {
-    if (heap.empty()) continue;
-    if (!any || heap.front().at < start) start = heap.front().at;
-    any = true;
-  }
-  if (!any) return;
-  windowEnd_ = start + lookaheadMs_;
-  ++windowCount_;
-
-  // Parallel prep phase: shard 0 on this (coordinator) thread, the rest
-  // on their workers.  Workers touch only shardHeaps_[s]/batches_[s];
-  // the coordinator blocks until every shard reports done, so the apply
-  // phase below observes all batches with a happens-before edge.
-  {
-    std::lock_guard<std::mutex> lk(poolMutex_);
-    pendingWorkers_ = shardHeaps_.size() - 1;
-    ++poolGeneration_;
-  }
-  poolStart_.notify_all();
-  drainShardWindow(0);
-  {
-    std::unique_lock<std::mutex> lk(poolMutex_);
-    poolDone_.wait(lk, [&] { return pendingWorkers_ == 0; });
-  }
-
-  // Barrier merge: the shard batches are each ascending; merge them
-  // into the apply queue in canonical global (time, tie, seq) order.
-  // refillWindow() only runs with the previous window fully consumed.
-  applyQueue_.clear();
-  applyQueueHead_ = 0;
-  for (Batch& b : batches_) {
-    for (Event& ev : b.events) applyQueue_.push_back(std::move(ev));
-    b.events.clear();
-  }
-  std::sort(applyQueue_.begin(), applyQueue_.end(),
-            [](const Event& a, const Event& b) { return firesBefore(a, b); });
-}
-
-bool SimScheduler::popNext(Event& out) {
-  for (;;) {
-    // Candidate: the window batch cursor vs every shard heap front —
-    // a heap can hold an event that sorts before the batched ones when
-    // an applied handler scheduled into the open window (the serial
-    // executor would have run it first, so we must too).
-    const Event* best = nullptr;
-    std::size_t bestShard = shardHeaps_.size();  // sentinel: from batch
-    if (applyQueueHead_ < applyQueue_.size()) {
-      best = &applyQueue_[applyQueueHead_];
-    }
-    for (std::size_t s = 0; s < shardHeaps_.size(); ++s) {
-      const auto& heap = shardHeaps_[s];
-      if (heap.empty()) continue;
-      if (best == nullptr || firesBefore(heap.front(), *best)) {
-        best = &heap.front();
-        bestShard = s;
-      }
-    }
-    if (best == nullptr) return false;
-    if (bestShard == shardHeaps_.size()) {
-      out = std::move(applyQueue_[applyQueueHead_]);
-      ++applyQueueHead_;
-    } else {
-      auto& heap = shardHeaps_[bestShard];
-      std::pop_heap(heap.begin(), heap.end(), Later{});
-      out = std::move(heap.back());
-      heap.pop_back();
-    }
-    if (!cancelled_.empty() && cancelled_.erase(out.seq) > 0) {
-      continue;  // discarded
-    }
+    clock_.advanceTo(ev.at);
+    ev.fn();
     return true;
   }
-}
-
-bool SimScheduler::runOne() {
-  // Serial fast path: one shard, no staged batch — the legacy executor,
-  // byte-identical behavior and cost.
-  if (shardHeaps_.size() == 1 && applyQueue_.size() == applyQueueHead_) {
-    std::vector<Event>& heap = shardHeaps_[0];
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), Later{});
-      Event ev = std::move(heap.back());
-      heap.pop_back();
-      // The cancellation set is empty in fault-free runs; skip the
-      // per-event hash probes entirely then (empty() is a size load).
-      if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
-        continue;  // discarded, clock untouched
-      }
-      // A reorderable tie: another live event with the same timestamp is
-      // still pending, so the tie-break genuinely chose between the two.
-      // (An event scheduled *by* an earlier handler at the same timestamp
-      // is causally ordered — it never coexisted with its parent in the
-      // heap — and does not count: shuffling cannot reorder causality.)
-      if (!heap.empty() && heap.front().at == ev.at &&
-          (cancelled_.empty() ||
-           cancelled_.find(heap.front().seq) == cancelled_.end())) {
-        ++tieDeliveries_;
-      }
-      clock_.advanceTo(ev.at);
-      ev.fn();
-      return true;
-    }
-    return false;
-  }
-
-  Event ev;
-  if (!popNext(ev)) return false;
-  // Same reorderable-tie witness as the serial path, against the next
-  // live pending event wherever it sits (batch cursor or a shard heap).
-  const Event* next = nullptr;
-  if (applyQueueHead_ < applyQueue_.size()) {
-    next = &applyQueue_[applyQueueHead_];
-  }
-  for (const auto& heap : shardHeaps_) {
-    if (heap.empty()) continue;
-    if (next == nullptr || firesBefore(heap.front(), *next)) {
-      next = &heap.front();
-    }
-  }
-  if (next != nullptr && next->at == ev.at &&
-      (cancelled_.empty() ||
-       cancelled_.find(next->seq) == cancelled_.end())) {
-    ++tieDeliveries_;
-  }
-  clock_.advanceTo(ev.at);
-  ev.fn();
-  return true;
-}
-
-void SimScheduler::run() {
-  if (shardHeaps_.size() == 1) {
-    while (runOne()) {
-    }
-    return;
-  }
-  // Conservative time-window executor: batch + prep a window in
-  // parallel whenever the staged queue runs dry, then apply in global
-  // order.  Re-entrant like the serial loop — an applied handler that
-  // calls run() drains the staged queue itself and the outer loop ends
-  // on an empty scheduler.
-  for (;;) {
-    if (applyQueueHead_ == applyQueue_.size()) refillWindow();
-    if (!runOne()) return;
-  }
+  return false;
 }
 
 }  // namespace mlight::dht

@@ -25,44 +25,13 @@
 // bit-identical across shuffle seeds; tests/determinism/ enforces it.
 // Seed 0 (the default) disables the shuffle and is byte-identical to a
 // build without this mechanism.
-//
-// Sharded execution (MLIGHT_SIM_SHARDS / setShardCount): peers are
-// partitioned into N shards and each shard owns a local (time, tie, seq)
-// ordered queue.  run() becomes a conservative time-window executor:
-// it picks the globally earliest pending time T, opens the window
-// [T, T+Δ) (Δ = the lookahead installed via setLookaheadMs, normally the
-// latency model's minimum link latency), and lets one worker thread per
-// shard drain its own queue up to the window end — running each event's
-// *prep* stage (wire decode, a pure function of bytes fixed at schedule
-// time) in parallel.  At the window barrier the shard batches are merged
-// in the canonical global (time, tie, seq) order and *applied* one by
-// one on the coordinator thread.  Events scheduled during application
-// (every handler runs during application) are posted to the owning
-// shard's queue — the mailbox — and the executor re-checks the queue
-// fronts before every apply, so a late event that sorts before the next
-// batched one runs first, exactly as it would have serially.
-//
-// Because the sequence counter is only ever advanced on the coordinator
-// (scheduling happens at issue time or inside applied handlers, never in
-// a prep worker), the global (time, tie, seq) apply order is the *same
-// total order for every shard count* — N=1 and N=8 are bit-identical,
-// not merely digest-equal.  The digest-equality matrix in
-// tests/determinism/ certifies the observable half of that claim; the
-// DET-E lint rule (scripts/lint_determinism.py) guards the structural
-// half (no cross-shard shared mutable state reachable from handler
-// code outside this mailbox protocol).  See docs/THEORY.md,
-// "Sharded execution model".
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 namespace mlight::dht {
@@ -78,37 +47,28 @@ class SimClock {
   double now_ = 0.0;
 };
 
-/// Priority event queue + clock.  The apply path is single-threaded by
-/// contract (the coordinator); only the window prep phase fans out to
-/// shard workers, and those never touch simulation state.
+/// Reads the environment variable `name` as a strict decimal uint64,
+/// falling back to `fallback` when unset/empty.  Only an exact digit
+/// string parses: trailing garbage ("17x"), whitespace, signs, "0x",
+/// decimals and values past 2^64-1 throw common::CheckFailure naming the
+/// variable — a CI matrix cell that typos its value must go red, not
+/// green-under-the-fallback.  Shared by every seed knob
+/// (MLIGHT_FAULT_SEED, MLIGHT_SCHED_SHUFFLE_SEED).
+std::uint64_t strictDecimalEnv(const char* name, std::uint64_t fallback);
+
 /// Reads `MLIGHT_SCHED_SHUFFLE_SEED` from the environment (strict
-/// decimal), falling back to `fallback` (0 = shuffle off) when
-/// unset/empty — how the determinism CI job perturbs every scheduler in
-/// a test binary without touching code.  Malformed values throw
-/// common::CheckFailure (same contract as dht::faultSeedFromEnv) instead
-/// of silently running the unshuffled schedule.
+/// decimal, see strictDecimalEnv), falling back to `fallback` (0 =
+/// shuffle off) when unset/empty — how the determinism CI job perturbs
+/// every scheduler in a test binary without touching code.
 std::uint64_t schedShuffleSeedFromEnv(std::uint64_t fallback = 0);
 
-/// Reads `MLIGHT_SIM_SHARDS` from the environment (strict decimal,
-/// clamped to [1, 64]), falling back to `fallback` when unset/empty —
-/// how CI runs the whole suite under the sharded executor without
-/// touching code.  Malformed values and 0 throw common::CheckFailure
-/// instead of silently running the serial executor.
-std::size_t simShardsFromEnv(std::size_t fallback = 1);
-
+/// Single-threaded priority event queue + clock: one (time, tie, seq)
+/// min-heap.
 class SimScheduler {
  public:
   using Fn = std::function<void()>;
-  /// Window prep stage: runs on the owning shard's worker thread during
-  /// the parallel phase of a window.  Must be a pure function of state
-  /// fixed at schedule time (e.g. decoding an immutable wire image into
-  /// a per-event staging area) — it must not read or write any
-  /// simulation-visible state shared with another shard.
-  using PrepFn = std::function<void()>;
 
-  SimScheduler()
-      : shardHeaps_(1), shuffleSeed_(schedShuffleSeedFromEnv()), batches_(1) {}
-  ~SimScheduler() { stopWorkers(); }
+  SimScheduler() : shuffleSeed_(schedShuffleSeedFromEnv()) {}
 
   SimScheduler(const SimScheduler&) = delete;
   SimScheduler& operator=(const SimScheduler&) = delete;
@@ -128,49 +88,20 @@ class SimScheduler {
   /// workload, otherwise shuffling proved nothing.
   std::uint64_t tieDeliveries() const noexcept { return tieDeliveries_; }
 
-  // --- Sharding ---------------------------------------------------------
-
-  /// Partitions the event queue into `n` shards (1 = the serial
-  /// executor, the default) and spawns one prep worker thread per extra
-  /// shard.  Call on a quiet scheduler, before traffic; the Network
-  /// forwards MLIGHT_SIM_SHARDS here and maps peers to shards.
-  void setShardCount(std::size_t n);
-  std::size_t shardCount() const noexcept { return shardHeaps_.size(); }
-
-  /// Conservative window width Δ for the sharded executor (ms); the
-  /// Network installs its latency model's minimum link latency.  Values
-  /// <= 0 fall back to 1 ms.  Any positive Δ is *correct* (apply order
-  /// is globally merged regardless); Δ only controls how much prep work
-  /// a window can batch.
-  void setLookaheadMs(double delta) noexcept {
-    lookaheadMs_ = delta > 0.0 ? delta : 1.0;
-  }
-  double lookaheadMs() const noexcept { return lookaheadMs_; }
-
-  /// Schedules `fn` to run at simulated time `at` (clamped to `now`) on
-  /// shard 0.  Returns the event's sequence number (global issue order).
+  /// Schedules `fn` to run at simulated time `at` (clamped to `now`).
+  /// Returns the event's sequence number (global issue order).
   ///
-  /// Event nodes live in reused vector-backed heaps, so scheduling is
-  /// allocation-free once a heap has grown — *provided the closure
+  /// Event nodes live in a reused vector-backed heap, so scheduling is
+  /// allocation-free once the heap has grown — *provided the closure
   /// fits std::function's inline buffer* (two pointers on libstdc++).
   /// Hot paths keep to that budget by parking their per-event state in
   /// pooled slots and capturing only an owner pointer plus a slot index
   /// (see Network's delivery slots); cold paths (fault injection) may
   /// capture freely.
-  std::uint64_t schedule(double at, Fn fn) {
-    return scheduleOn(0, at, std::move(fn), nullptr);
-  }
+  std::uint64_t schedule(double at, Fn fn);
 
-  /// Shard-aware schedule: the event executes at a peer owned by shard
-  /// `shard` (the mailbox post).  `prep` optionally stages decode work
-  /// for the parallel window phase; it may be dropped (never run) when
-  /// the event fires before a window batches it, so correctness must
-  /// not depend on it running.
-  std::uint64_t scheduleOn(std::uint32_t shard, double at, Fn fn,
-                           PrepFn prep = nullptr);
-
-  /// Delivers the next event in global (time, tie, seq) order, advancing
-  /// the clock to its timestamp.  Returns false when the queue is empty.
+  /// Delivers the next event in (time, tie, seq) order, advancing the
+  /// clock to its timestamp.  Returns false when the queue is empty.
   bool runOne();
 
   /// Cancels a still-pending event by its sequence number.  A cancelled
@@ -183,31 +114,18 @@ class SimScheduler {
 
   /// Pumps the queue dry.  Re-entrant: a callback may itself call run()
   /// (the synchronous store facade does) — the inner call drains the
-  /// queue (windowed batch included) and the outer loop simply finds it
-  /// empty.  With more than one shard this is the conservative
-  /// time-window executor described in the header comment.
-  void run();
+  /// queue and the outer loop simply finds it empty.
+  void run() {
+    while (runOne()) {
+    }
+  }
 
   std::size_t pending() const noexcept {
-    std::size_t n = applyQueue_.size() - applyQueueHead_;
-    for (const auto& h : shardHeaps_) n += h.size();
-    return n - cancelled_.size();
+    return heap_.size() - cancelled_.size();
   }
 
   /// Total events ever scheduled (timeline fingerprint for replay tests).
   std::uint64_t scheduledCount() const noexcept { return nextSeq_; }
-
-  /// Windows the sharded executor has opened (0 under the serial path) —
-  /// a witness that the parallel machinery actually engaged.
-  std::uint64_t windowCount() const noexcept { return windowCount_; }
-  /// Prep stages executed by shard workers during window phases,
-  /// summed in shard order (worker-thread work witness for the TSan CI
-  /// job and the shard matrix test).
-  std::uint64_t parallelPreps() const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& b : batches_) n += b.preps;
-    return n;
-  }
 
  private:
   struct Event {
@@ -217,7 +135,6 @@ class SimScheduler {
     std::uint64_t tie = 0;
     std::uint64_t seq = 0;
     Fn fn;
-    PrepFn prep;
   };
   /// std::push_heap keeps the *greatest* element on top, so "greater"
   /// here means "fires later": min-(time, tie, seq) ends up at the
@@ -230,63 +147,13 @@ class SimScheduler {
       return a.seq > b.seq;
     }
   };
-  /// True when a sorts strictly before b in apply order.
-  static bool firesBefore(const Event& a, const Event& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.tie != b.tie) return a.tie < b.tie;
-    return a.seq < b.seq;
-  }
-
-  /// Per-shard window batch: events popped by this shard's worker for
-  /// the current window, ascending in (at, tie, seq).
-  struct Batch {
-    std::vector<Event> events;
-    std::uint64_t preps = 0;
-    // False sharing between adjacent batches is tolerable: workers
-    // touch their batch only during the prep phase, the coordinator
-    // only after the barrier.
-  };
-
-  /// Picks the next live event in global order (shard heap fronts +
-  /// window batch cursors), pops it, and returns true; false when empty.
-  bool popNext(Event& out);
-  void refillWindow();
-  void startWorkers();
-  void stopWorkers();
-  void workerLoop(std::size_t shard);
-  /// Drains shard `s`'s heap into its batch up to `windowEnd_`, running
-  /// prep stages.  Called on the shard's worker (shard 0: coordinator).
-  void drainShardWindow(std::size_t shard);
 
   SimClock clock_;
-  std::vector<std::vector<Event>> shardHeaps_;  // one min-heap per shard
+  std::vector<Event> heap_;
   std::unordered_set<std::uint64_t> cancelled_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t shuffleSeed_ = 0;
   std::uint64_t tieDeliveries_ = 0;
-
-  // Window executor state (coordinator-owned outside the prep phase).
-  std::vector<Batch> batches_;
-  // Legacy-compat apply staging: merged batch events awaiting apply
-  // when shardCount() > 1.  Kept globally sorted; head index avoids
-  // front erases.
-  std::vector<Event> applyQueue_;
-  std::size_t applyQueueHead_ = 0;
-  double lookaheadMs_ = 1.0;
-  double windowEnd_ = 0.0;
-  std::uint64_t windowCount_ = 0;
-
-  // Worker pool (only with shardCount() > 1).  The coordinator bumps
-  // `generation` and waits for `pendingWorkers` to hit zero; workers
-  // drain exactly their own shard.  All simulation state other than
-  // shardHeaps_[s]/batches_[s] is off-limits inside the prep phase.
-  std::vector<std::thread> workers_;
-  std::mutex poolMutex_;
-  std::condition_variable poolStart_;
-  std::condition_variable poolDone_;
-  std::uint64_t poolGeneration_ = 0;
-  std::size_t pendingWorkers_ = 0;
-  bool poolStop_ = false;
 };
 
 }  // namespace mlight::dht

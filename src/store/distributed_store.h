@@ -856,7 +856,7 @@ class DistributedStore {
 
   /// Least-loaded copy by the peer-load meter; ties break toward the
   /// lowest replica index (strict < keeps the first minimum), which is
-  /// the deterministic rule the shuffle/shard matrices rely on.
+  /// the deterministic rule the shuffle-seed suites rely on.
   std::size_t pickLeastLoadedSalt(
       const std::vector<CopyTarget>& copies) const {
     std::size_t bestSalt = 0;

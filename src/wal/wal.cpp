@@ -116,7 +116,7 @@ void PeerWal::truncate(std::size_t bytes) {
 std::string WalSet::filePathFor(std::string_view peerName) const {
   // <dir>/<seed as 16 hex digits>/<sanitized peer name>.wal — a pure
   // function of constructor arguments and the name, so the layout is
-  // identical across shard counts, shuffle seeds, and re-runs.
+  // identical across shuffle seeds and re-runs.
   static constexpr char kHex[] = "0123456789abcdef";
   std::string path = dir_;
   path += '/';

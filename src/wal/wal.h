@@ -13,7 +13,7 @@
 // In sim mode nothing touches the filesystem — the image lives in
 // memory, but its *layout* (frame format and the per-peer file path,
 // derived from the layout seed and the peer name alone) is deterministic,
-// so replay is bit-identical across shard counts and shuffle seeds.
+// so replay is bit-identical across shuffle seeds.
 //
 // Frame wire format (little-endian, common/serde):
 //

@@ -2,9 +2,9 @@
 //
 // The determinism contract (docs/THEORY.md, "Determinism contract")
 // claims that no simulation-visible state depends on the relative
-// execution order of same-time events.  Before the scheduler can be
-// sharded (ROADMAP item 1) that claim needs teeth: a parallel scheduler
-// is exactly a machine for permuting same-time ties.
+// execution order of same-time events — ties stand for messages that
+// are concurrent on a real overlay, whose arrival order no peer
+// controls.  That claim needs teeth.
 //
 // These tests ARE the teeth.  Each workload runs once with the legacy
 // FIFO tie order (shuffle seed 0) and once per nonzero shuffle seed
