@@ -91,7 +91,7 @@ void BM_OverlayRouting(benchmark::State& state) {
         net.lookup(net.peers()[rng.below(peers)], dht::RingId{rng.next()}));
   }
 }
-BENCHMARK(BM_OverlayRouting)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_OverlayRouting)->Arg(16)->Arg(128)->Arg(1024)->Arg(10240);
 
 // --- Hot-path memory microbenches ------------------------------------
 //

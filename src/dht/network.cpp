@@ -1,11 +1,12 @@
 #include "dht/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
-#include <set>
 #include <cassert>
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/invariants.h"
 
 namespace mlight::dht {
@@ -59,44 +60,55 @@ Network::Network(std::size_t peerCount, std::uint64_t seed,
   for (std::size_t k = 1; k < vnodes.size(); ++k) {
     if (vnodes[k].id == vnodes[k - 1].id) vnodes[k].id.value += 1;
   }
+  physicalOfIdx_.reserve(vnodes.size());
   for (const Vnode& v : vnodes) {
     peers_.push_back(v.id);
-    vnodeToPhysical_[v.id] = v.physical;
+    physicalOfIdx_.push_back(static_cast<std::uint32_t>(v.physical));
   }
   rebuildFingers();
 }
 
 std::size_t Network::livePhysicalCount() const {
-  std::set<std::size_t> live;
-  for (const auto& [vnode, physical] : vnodeToPhysical_) live.insert(physical);
-  return live.size();
+  std::vector<bool> live(physicalNames_.size(), false);
+  std::size_t count = 0;
+  for (const std::uint32_t physical : physicalOfIdx_) {
+    if (!live[physical]) {
+      live[physical] = true;
+      ++count;
+    }
+  }
+  return count;
+}
+
+std::size_t Network::ringIndexOf(RingId id) const noexcept {
+  const auto it = std::lower_bound(peers_.begin(), peers_.end(), id);
+  if (it == peers_.end() || *it != id) return peers_.size();
+  return static_cast<std::size_t>(it - peers_.begin());
+}
+
+std::uint32_t Network::ownerIndexOf(RingId h) const noexcept {
+  assert(!peers_.empty());
+  // Greatest peer id <= h; wrap to the overall greatest if h precedes all.
+  const auto it = std::upper_bound(peers_.begin(), peers_.end(), h);
+  const auto above = static_cast<std::size_t>(it - peers_.begin());
+  return static_cast<std::uint32_t>((above == 0 ? peers_.size() : above) - 1);
 }
 
 std::size_t Network::physicalOf(RingId vnode) const {
-  const auto it = vnodeToPhysical_.find(vnode);
-  assert(it != vnodeToPhysical_.end());
-  return it->second;
+  const std::size_t idx = ringIndexOf(vnode);
+  MLIGHT_CHECK(idx < peers_.size(),
+               "physicalOf: " + toString(vnode) + " is not a live vnode");
+  return physicalOfIdx_[idx];
 }
 
 RingId Network::responsible(RingId h) const noexcept {
-  assert(!peers_.empty());
-  // Greatest peer id <= h; wrap to the overall greatest if h precedes all.
-  auto it = std::upper_bound(peers_.begin(), peers_.end(), h);
-  if (it == peers_.begin()) return peers_.back();
-  return *std::prev(it);
+  return peers_[ownerIndexOf(h)];
 }
 
-double Network::linkMs(RingId a, RingId b) const noexcept {
-  if (a == b) return 0.0;
-  {
-    const auto ia = vnodeToPhysical_.find(a);
-    const auto ib = vnodeToPhysical_.find(b);
-    if (ia != vnodeToPhysical_.end() && ib != vnodeToPhysical_.end() &&
-        ia->second == ib->second) {
-      return 0.0;  // co-located virtual nodes
-    }
-  }
-  // Deterministic symmetric draw from [minMs, maxMs].
+namespace {
+
+// Deterministic symmetric draw from [minMs, maxMs] for the link a <-> b.
+double drawLinkMs(const LatencyModel& latency, RingId a, RingId b) noexcept {
   const std::uint64_t lo = std::min(a.value, b.value);
   const std::uint64_t hi = std::max(a.value, b.value);
   std::uint64_t h = lo * 0x9E3779B97F4A7C15ull ^ (hi + 0xD1B54A32D192ED03ull);
@@ -105,46 +117,65 @@ double Network::linkMs(RingId a, RingId b) const noexcept {
   h ^= h >> 29;
   const double unit =
       static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-  return latency_.minMs + (latency_.maxMs - latency_.minMs) * unit;
+  return latency.minMs + (latency.maxMs - latency.minMs) * unit;
 }
 
-Network::Path Network::routePath(RingId from, RingId target) const noexcept {
+}  // namespace
+
+double Network::linkMs(RingId a, RingId b) const noexcept {
+  if (a == b) return 0.0;
+  const std::size_t ia = ringIndexOf(a);
+  const std::size_t ib = ringIndexOf(b);
+  if (ia < peers_.size() && ib < peers_.size() &&
+      physicalOfIdx_[ia] == physicalOfIdx_[ib]) {
+    return 0.0;  // co-located virtual nodes
+  }
+  return drawLinkMs(latency_, a, b);
+}
+
+double Network::hopMs(std::uint32_t a, std::uint32_t b) const noexcept {
+  if (physicalOfIdx_[a] == physicalOfIdx_[b]) return 0.0;  // also a == b
+  return drawLinkMs(latency_, peers_[a], peers_[b]);
+}
+
+Network::Path Network::routePath(std::uint32_t from,
+                                 std::uint32_t target) const noexcept {
+  const std::uint32_t n = static_cast<std::uint32_t>(peers_.size());
+  const std::uint64_t targetId = peers_[target].value;
   std::size_t hops = 0;
   double ms = 0.0;
-  RingId cur = from;
+  std::uint32_t cur = from;
   while (cur != target) {
     // Greedy Chord step: jump to the contact that gets clockwise-closest
-    // to the target without passing it; the successor (finger[0] covers
+    // to the target without passing it.  Fingers are stored in strictly
+    // increasing clockwise distance, so the last one before the first
+    // overshoot is the unique maximum.  The successor (finger[0] covers
     // +1, but we keep an explicit fallback) guarantees progress.
-    const auto curIt = std::lower_bound(peers_.begin(), peers_.end(), cur);
-    assert(curIt != peers_.end() && *curIt == cur);
-    const auto& table = fingersByIdx_[static_cast<std::size_t>(
-        curIt - peers_.begin())];
-    const std::uint64_t want = clockwise(cur, target);
-    RingId next = cur;
-    std::uint64_t best = 0;
-    for (RingId f : table) {
-      const std::uint64_t d = clockwise(cur, f);
-      if (d != 0 && d <= want && d > best) {
-        best = d;
-        next = f;
-      }
-    }
+    const std::uint64_t curId = peers_[cur].value;
+    const std::uint64_t want = targetId - curId;  // clockwise, mod 2^64
+    std::uint32_t next = cur;
+    const Finger* f = fingers_.data() + fingerStart_[cur];
+    const Finger* const end = fingers_.data() + fingerStart_[cur + 1];
+    for (; f != end && f->id - curId <= want; ++f) next = f->ringIdx;
     if (next == cur) {
       // All fingers overshoot; step to the immediate successor.
-      auto it = std::upper_bound(peers_.begin(), peers_.end(), cur);
-      next = (it == peers_.end()) ? peers_.front() : *it;
+      next = cur + 1 == n ? 0 : cur + 1;
     }
-    ms += linkMs(cur, next);
+    ms += hopMs(cur, next);
     cur = next;
     ++hops;
   }
   return Path{hops, ms};
 }
 
-RouteResult Network::lookup(RingId initiator, RingId key) {
-  const RingId owner = responsible(key);
-  const Path path = routePath(initiator, owner);
+RouteResult Network::routeKey(RingId initiator, RingId key,
+                              std::uint32_t& ownerIdx) {
+  const std::size_t from = ringIndexOf(initiator);
+  MLIGHT_CHECK(from < peers_.size(), "lookup: initiator " +
+                                         toString(initiator) +
+                                         " is not a live vnode");
+  ownerIdx = ownerIndexOf(key);
+  const Path path = routePath(static_cast<std::uint32_t>(from), ownerIdx);
   maxHops_ = std::max(maxHops_, path.hops);
   total_.lookups += 1;
   total_.hops += path.hops;
@@ -152,7 +183,12 @@ RouteResult Network::lookup(RingId initiator, RingId key) {
     meter_->lookups += 1;
     meter_->hops += path.hops;
   }
-  return RouteResult{owner, path.hops, path.ms};
+  return RouteResult{peers_[ownerIdx], path.hops, path.ms};
+}
+
+RouteResult Network::lookup(RingId initiator, RingId key) {
+  std::uint32_t ownerIdx = 0;
+  return routeKey(initiator, key, ownerIdx);
 }
 
 void Network::shipPayload(RingId from, RingId to, std::size_t bytes,
@@ -201,7 +237,7 @@ void Network::deliverSlot(std::uint32_t slot) {
     // addressee's vnode left the ring after departure, nobody is there
     // to run the handler — drop the delivery and let the timeout retry
     // against the current ring.
-    if (vnodeToPhysical_.find(d.env.to) == vnodeToPhysical_.end()) {
+    if (!std::binary_search(peers_.begin(), peers_.end(), d.env.to)) {
       ++ghostDrops_;
       bufferPool_.release(std::move(d.env.payload));
       bufferPool_.release(std::move(wire));
@@ -308,7 +344,12 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
       [this, key, env = std::move(env), handler = std::move(handler),
        onFail = std::move(onFail), attempt, flight]() mutable {
         if (flight->delivered) return;
-        if (attempt + 1 >= faults_.maxAttempts) {
+        // A sender that left the ring takes its timers with it: there is
+        // nobody left to retransmit (or to route from), so the envelope
+        // dead-letters now.
+        const bool senderLive =
+            std::binary_search(peers_.begin(), peers_.end(), env.from);
+        if (!senderLive || attempt + 1 >= faults_.maxAttempts) {
           deadLetterRing_.record(DeadLetter{env.id, env.kind, env.from,
                                             env.to, attempt + 1,
                                             sched_.now()});
@@ -320,9 +361,10 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
         // lookup plus one retry tick.
         total_.retries += 1;
         if (meter_ != nullptr) meter_->retries += 1;
-        const RouteResult retryRoute = lookup(env.from, key);
+        std::uint32_t ownerIdx = 0;
+        const RouteResult retryRoute = routeKey(env.from, key, ownerIdx);
         env.to = retryRoute.owner;
-        peerLoads_.note(physicalOf(retryRoute.owner));
+        peerLoads_.note(physicalOfIdx_[ownerIdx]);
         transmitWithFaults(key, retryRoute, std::move(env),
                            std::move(handler), std::move(onFail),
                            attempt + 1);
@@ -335,12 +377,13 @@ RouteResult Network::sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
   // resolutions an operation performs is determined by index structure,
   // not delivery timing, so counts stay bit-identical to the old
   // synchronous call sequence.
-  const RouteResult route = lookup(env.from, key);
+  std::uint32_t ownerIdx = 0;
+  const RouteResult route = routeKey(env.from, key, ownerIdx);
   env.to = route.owner;
   env.id = nextRpcId_++;
   total_.messages += 1;
   if (meter_ != nullptr) meter_->messages += 1;
-  peerLoads_.note(physicalOf(route.owner));
+  peerLoads_.note(physicalOfIdx_[ownerIdx]);
 
   if (faults_.enabled) {
     transmitWithFaults(key, route, std::move(env), std::move(handler),
@@ -390,7 +433,7 @@ RingId Network::randomPeer() {
 }
 
 RingId Network::addPeer(std::string_view name) {
-  const std::size_t physical = physicalNames_.size();
+  const auto physical = static_cast<std::uint32_t>(physicalNames_.size());
   physicalNames_.emplace_back(name);
   RingId first{};
   for (std::size_t v = 0; v < vnodesPerPeer_; ++v) {
@@ -400,8 +443,10 @@ RingId Network::addPeer(std::string_view name) {
     while (std::binary_search(peers_.begin(), peers_.end(), id)) {
       id.value += 1;
     }
-    peers_.insert(std::upper_bound(peers_.begin(), peers_.end(), id), id);
-    vnodeToPhysical_[id] = physical;
+    const auto pos = std::upper_bound(peers_.begin(), peers_.end(), id);
+    physicalOfIdx_.insert(physicalOfIdx_.begin() + (pos - peers_.begin()),
+                          physical);
+    peers_.insert(pos, id);
     if (v == 0) first = id;
   }
   rebuildFingers();
@@ -411,29 +456,29 @@ RingId Network::addPeer(std::string_view name) {
 }
 
 bool Network::dropPhysicalPeer(RingId id, MembershipChange::Kind kind) {
-  const auto mapIt = vnodeToPhysical_.find(id);
-  if (mapIt == vnodeToPhysical_.end()) return false;
-  const std::size_t physical = mapIt->second;
-  bool othersLive = false;
-  for (const auto& [vnode, owner] : vnodeToPhysical_) {
-    (void)vnode;
-    if (owner != physical) {
-      othersLive = true;
-      break;
-    }
-  }
+  const std::size_t idx = ringIndexOf(id);
+  if (idx == peers_.size()) return false;
+  const std::uint32_t physical = physicalOfIdx_[idx];
+  const bool othersLive =
+      std::any_of(physicalOfIdx_.begin(), physicalOfIdx_.end(),
+                  [physical](std::uint32_t p) { return p != physical; });
   if (!othersLive) return false;  // last physical peer
   MembershipChange change;
   change.kind = kind;
-  for (const auto& [vnode, owner] : vnodeToPhysical_) {
-    if (owner == physical) change.removedVnodes.push_back(vnode);
+  // Compact both ring-aligned arrays in one pass; removed vnodes come
+  // out in ring order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    if (physicalOfIdx_[i] == physical) {
+      change.removedVnodes.push_back(peers_[i]);
+    } else {
+      peers_[kept] = peers_[i];
+      physicalOfIdx_[kept] = physicalOfIdx_[i];
+      ++kept;
+    }
   }
-  std::erase_if(peers_, [&](RingId p) {
-    const auto it = vnodeToPhysical_.find(p);
-    return it != vnodeToPhysical_.end() && it->second == physical;
-  });
-  std::erase_if(vnodeToPhysical_,
-                [&](const auto& e) { return e.second == physical; });
+  peers_.resize(kept);
+  physicalOfIdx_.resize(kept);
   rebuildFingers();
   for (const auto& [handle, fn] : stores_) fn(change);
   return true;
@@ -457,27 +502,39 @@ void Network::rebuildFingers() {
     for (const RingId p : peers_) positions.push_back(p.value);
     mlight::common::auditRingOrder(positions);
   }
-  // Tables are indexed by ring position; inner vectors keep their
-  // capacity across rebuilds (churn rebuilds fingers on every
-  // membership change).
-  fingersByIdx_.resize(peers_.size());
+  MLIGHT_CHECK(64 * peers_.size() < UINT32_MAX &&
+                   physicalNames_.size() < UINT32_MAX,
+               "ring, finger and physical-peer indices are 32-bit");
+  // One flat array for every table (the vectors keep their capacity
+  // across rebuilds; churn rebuilds fingers on every membership change).
+  // A table holds about log2 n distinct fingers; reserving that up front
+  // spares the growth copies, which would otherwise set peak RSS.
+  fingers_.clear();
+  fingers_.reserve(peers_.size() * std::bit_width(peers_.size()));
+  fingerStart_.resize(peers_.size() + 1);
   for (std::size_t i = 0; i < peers_.size(); ++i) {
+    fingerStart_[i] = static_cast<std::uint32_t>(fingers_.size());
     const RingId p = peers_[i];
-    std::vector<RingId>& table = fingersByIdx_[i];
-    table.clear();
-    table.reserve(64);
-    RingId last{p.value};  // sentinel: skip duplicate fingers
+    // finger[k] = first peer at or clockwise-after p + 2^k, duplicates
+    // dropped.  Probes move clockwise with k, so one that does not pass
+    // the last finger found maps to it again (skipped without a search),
+    // and once a probe wraps past every other peer back to p, all later
+    // ones do too.
+    std::uint64_t lastDist = 0;  // clockwise distance p -> last finger
     for (int k = 0; k < 64; ++k) {
-      const RingId probe{p.value + (std::uint64_t{1} << k)};
-      // First peer at or clockwise-after `probe`.
-      auto it = std::lower_bound(peers_.begin(), peers_.end(), probe);
-      const RingId f = (it == peers_.end()) ? peers_.front() : *it;
-      if (f != last && f != p) {
-        table.push_back(f);
-        last = f;
-      }
+      const std::uint64_t dist = std::uint64_t{1} << k;
+      if (dist <= lastDist) continue;
+      const auto it = std::lower_bound(peers_.begin(), peers_.end(),
+                                       RingId{p.value + dist});
+      const std::size_t fi =
+          it == peers_.end() ? 0 : static_cast<std::size_t>(it - peers_.begin());
+      if (fi == i) break;
+      fingers_.push_back(
+          Finger{peers_[fi].value, static_cast<std::uint32_t>(fi)});
+      lastDist = clockwise(p, peers_[fi]);
     }
   }
+  fingerStart_[peers_.size()] = static_cast<std::uint32_t>(fingers_.size());
 }
 
 }  // namespace mlight::dht

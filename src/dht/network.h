@@ -138,7 +138,7 @@ class Network {
   const std::vector<RingId>& peers() const noexcept { return peers_; }
 
   /// Index of the physical peer owning ring position `vnode` (which must
-  /// be a live position).  Stable across churn of *other* peers.
+  /// be a live position — checked).  Stable across churn of *other* peers.
   std::size_t physicalOf(RingId vnode) const;
 
   /// Name of the physical peer owning ring position `vnode` (which must
@@ -157,8 +157,8 @@ class Network {
     return responsible(keyId(key));
   }
 
-  /// Routes a lookup for `key` from `initiator`; meters one DHT-lookup
-  /// and the hops taken.
+  /// Routes a lookup for `key` from `initiator` (which must be a live
+  /// ring position — checked); meters one DHT-lookup and the hops taken.
   RouteResult lookup(RingId initiator, RingId key);
   RouteResult lookupKey(RingId initiator, std::string_view key) {
     return lookup(initiator, keyId(key));
@@ -198,7 +198,10 @@ class Network {
   /// *current* ring (fresh metered lookup + one CostMeter::retries) and
   /// retransmitted with exponential backoff.  After FaultModel::
   /// maxAttempts the envelope is recorded as a dead letter and `onFail`
-  /// (if any) runs instead of `handler`.
+  /// (if any) runs instead of `handler`.  A sender that left the ring
+  /// takes its timers with it: a timeout that fires after env.from's
+  /// vnode is gone dead-letters the envelope at once instead of
+  /// retransmitting.
   RouteResult sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
                       RpcFailFn onFail = nullptr);
 
@@ -411,11 +414,19 @@ class Network {
  private:
   void rebuildFingers();
   bool dropPhysicalPeer(RingId id, MembershipChange::Kind kind);
+  /// Ring index of live vnode `id`, or peers_.size() if it is not live.
+  std::size_t ringIndexOf(RingId id) const noexcept;
+  /// Ring index of the peer owning position `h` (see responsible()).
+  std::uint32_t ownerIndexOf(RingId h) const noexcept;
+  /// lookup() that also hands back the owner's ring index.
+  RouteResult routeKey(RingId initiator, RingId key, std::uint32_t& ownerIdx);
   struct Path {
     std::size_t hops;
     double ms;
   };
-  Path routePath(RingId from, RingId target) const noexcept;
+  Path routePath(std::uint32_t from, std::uint32_t target) const noexcept;
+  /// linkMs() between two live ring slots.
+  double hopMs(std::uint32_t a, std::uint32_t b) const noexcept;
 
   /// Reliable-send bookkeeping shared by one attempt's delivery and
   /// timeout events (fault injection only).
@@ -448,13 +459,22 @@ class Network {
   /// (capped exponential backoff).
   double rpcTimeoutMs(std::size_t attempt, double routeMs) const noexcept;
 
+  /// One finger-table entry: the contact's ring id (scanned on every
+  /// hop) next to its ring index (where the walk continues).
+  struct Finger {
+    std::uint64_t id;
+    std::uint32_t ringIdx;
+  };
+
   std::vector<RingId> peers_;                       // vnodes, ring order
-  /// Finger tables aligned with peers_ (fingersByIdx_[i] belongs to
-  /// peers_[i]) — index lookup is one lower_bound on the sorted ring,
-  /// cheaper and cache-friendlier than the former RingId-keyed map on
-  /// the routePath hot loop.
-  std::vector<std::vector<RingId>> fingersByIdx_;
-  std::map<RingId, std::size_t> vnodeToPhysical_;   // vnode -> peer index
+  /// Physical peer of each ring slot, aligned with peers_ — the only
+  /// vnode -> peer mapping; kept in lockstep by every membership change.
+  std::vector<std::uint32_t> physicalOfIdx_;
+  /// Flat (CSR) finger tables: peers_[i]'s fingers are
+  /// fingers_[fingerStart_[i] .. fingerStart_[i + 1]), in increasing
+  /// clockwise distance from peers_[i].  Rebuilt on membership change.
+  std::vector<Finger> fingers_;
+  std::vector<std::uint32_t> fingerStart_;
   std::vector<std::string> physicalNames_;          // by peer index
   std::size_t vnodesPerPeer_ = 1;
   LatencyModel latency_;

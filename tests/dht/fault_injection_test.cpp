@@ -250,6 +250,48 @@ TEST(FaultInjection, CrashInFlightSuppressesGhostDelivery) {
   EXPECT_EQ(net.deadLetterCount(), 0u);
 }
 
+// A crashed peer's timers die with it: when the sender of a lost
+// envelope leaves the ring before its timeout fires, there is nobody to
+// retransmit (and no ring position to route from), so the envelope
+// dead-letters on the spot instead of re-routing.
+TEST(FaultInjection, CrashedSenderDeadLettersInsteadOfRetransmitting) {
+  Network net(16);
+  FaultModel faults;
+  faults.enabled = true;
+  faults.lossProbability = 1.0;  // the first attempt never arrives
+  faults.maxAttempts = 6;
+  net.setFaultModel(faults);
+  const RingId key = keyId("faults/orphaned-sender");
+  RingId sender{};
+  for (const RingId p : net.peers()) {
+    if (p != net.responsible(key)) {
+      sender = p;
+      break;
+    }
+  }
+  int delivered = 0;
+  int failed = 0;
+  std::size_t reportedAttempts = 0;
+  net.sendRpc(
+      key, makeEnv(sender), [&](const RpcDelivery&) { ++delivered; },
+      [&](const RpcEnvelope& env, std::size_t attempts) {
+        EXPECT_EQ(env.from, sender);
+        ++failed;
+        reportedAttempts = attempts;
+      });
+  ASSERT_TRUE(net.crashPeer(sender));
+  net.run();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(reportedAttempts, 1u);
+  EXPECT_EQ(net.deadLetterCount(), 1u);
+  ASSERT_EQ(net.deadLetterLog().size(), 1u);
+  EXPECT_EQ(net.deadLetterLog()[0].from, sender);
+  EXPECT_EQ(net.deadLetterLog()[0].attempts, 1u);
+  EXPECT_EQ(net.totalCost().retries, 0u);
+  EXPECT_EQ(net.totalCost().lookups, 1u);  // only the original send
+}
+
 TEST(FaultInjection, SameSeedSameOutcomeDifferentSeedLikelyDiffers) {
   const auto runOnce = [](std::uint64_t seed) {
     Network net(16);

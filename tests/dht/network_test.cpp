@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace mlight::dht {
@@ -199,6 +200,16 @@ TEST(Network, RebalanceCallbackFiresOnMembershipChange) {
   net.unregisterStore(handle);
   net.addPeer("y");
   EXPECT_EQ(calls, 2);
+}
+
+TEST(Network, LookupFromDepartedInitiatorFailsCheck) {
+  Network net(16);
+  const RingId gone = net.peers()[5];
+  ASSERT_TRUE(net.crashPeer(gone));
+  EXPECT_THROW(net.lookup(gone, keyId("k")), mlight::common::CheckFailure);
+  EXPECT_THROW(net.lookup(RingId{gone.value + 1}, keyId("k")),
+               mlight::common::CheckFailure);
+  EXPECT_EQ(net.totalCost().lookups, 0u);
 }
 
 TEST(Network, SinglePeerNetworkRoutesTrivially) {
