@@ -313,6 +313,42 @@ void BM_MLightKnnQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MLightKnnQuery)->Arg(1)->Arg(10)->Arg(50);
 
+// Point query on a read-hot key with query-load balancing on: every
+// query first refreshes the frozen read route of each boosted leaf, so
+// this tracks the per-operation cost of that refresh at the hot-leaf cap
+// (64 leaves, 16 copies each) on a 128x8-vnode ring.
+void BM_HotPointQuery(benchmark::State& state) {
+  dht::Network net(128, 13, /*vnodesPerPeer=*/8);
+  core::MLightConfig cfg;
+  cfg.thetaSplit = 16;
+  cfg.thetaMerge = 8;
+  cfg.cache.enabled = true;
+  cfg.loadBalance.enabled = true;
+  cfg.loadBalance.promoteReads = 16;
+  cfg.loadBalance.boostCopies = 15;
+  cfg.loadBalance.windowMs = 1e9;
+  core::MLightIndex idx(net, cfg);
+  const auto data = workload::northeastDataset(30000, 14);
+  idx.bulkLoad(data);
+  // Warm-up: read a stride of keys until the hot-leaf cap is reached.
+  const std::size_t cap = cfg.loadBalance.maxHotLeaves;
+  for (std::size_t k = 0; idx.store().boostedLeafCount() < cap &&
+                          k < data.size();
+       k += 97) {
+    for (std::uint32_t r = 0; r < cfg.loadBalance.promoteReads; ++r) {
+      idx.pointQuery(data[k].key);
+    }
+  }
+  if (idx.store().boostedLeafCount() < cap) {
+    state.SkipWithError("warm-up did not reach the hot-leaf cap");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(idx.pointQuery(data[0].key));
+  }
+}
+BENCHMARK(BM_HotPointQuery);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -141,6 +141,21 @@ class Network {
   /// be a live position — checked).  Stable across churn of *other* peers.
   std::size_t physicalOf(RingId vnode) const;
 
+  /// physicalOf() through a caller-held ring-slot cache (any initial
+  /// value is safe).  While `slotHint` still names `vnode`'s slot this is
+  /// one array read — ring positions are unique, so the slot test is
+  /// itself an exact liveness check.  Once churn has shifted the slot it
+  /// falls back to the checked physicalOf() (a departed vnode still
+  /// fails) and repairs the hint.
+  std::size_t physicalOf(RingId vnode, std::uint32_t& slotHint) const {
+    if (slotHint < peers_.size() && peers_[slotHint] == vnode) {
+      return physicalOfIdx_[slotHint];
+    }
+    const std::size_t physical = physicalOf(vnode);
+    slotHint = static_cast<std::uint32_t>(ringIndexOf(vnode));
+    return physical;
+  }
+
   /// Name of the physical peer owning ring position `vnode` (which must
   /// be a live position).  Names are stable across crash/rejoin — a peer
   /// re-added under the same name reclaims the same ring positions — so

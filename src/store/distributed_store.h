@@ -113,6 +113,10 @@ class DistributedStore {
   struct CopyTarget {
     RingId holder;
     std::size_t salt = 0;
+    /// Host-side cache of `holder`'s ring slot for the hinted
+    /// Network::physicalOf (see refreshReadRouting).  Never digested or
+    /// compared; a stale value only costs one ring search.
+    mutable std::uint32_t slotHint = 0;
   };
 
   /// `ns` namespaces this index's keys inside the shared DHT key space
@@ -166,7 +170,6 @@ class DistributedStore {
         pendingDemotions_.end());
     for (const Label& label : pendingDemotions_) {
       if (boost_.erase(label) == 0) continue;
-      frozenReadSalt_.erase(label);
       auto it = entries_.find(label);
       if (it == entries_.end()) continue;
       // Shedding copies is free: the enlarged set simply stops being
@@ -185,7 +188,7 @@ class DistributedStore {
       if (boost_.find(label) != boost_.end()) continue;
       auto it = entries_.find(label);
       if (it == entries_.end()) continue;
-      boost_.emplace(label, loadBalance_.boostCopies);
+      boost_.emplace(label, Boost{loadBalance_.boostCopies});
       // Ship the bucket to the new holders from the primary — the same
       // metered repair primitive crash recovery uses.
       ensureReplicated(label, it->second, it->second.copies[0].holder);
@@ -200,14 +203,16 @@ class DistributedStore {
   /// the copy-target walk).  Handlers issuing reads mid-operation
   /// consult only this frozen table — never the live counters — so the
   /// routing decision is identical under any same-time delivery order.
+  /// Runs before every read, so it only overwrites boost_ in place and
+  /// reads each copy's load through its cached ring slot: no ring
+  /// search and no allocation in steady state.
   void refreshReadRouting() {
     if (!loadBalance_.enabled) return;
-    frozenReadSalt_.clear();
-    for (const auto& [label, extra] : boost_) {
+    for (auto& [label, boost] : boost_) {
       const auto it = entries_.find(label);
-      if (it == entries_.end()) continue;
-      frozenReadSalt_.emplace(label,
-                              pickLeastLoadedSalt(it->second.copies));
+      boost.routed = it != entries_.end();
+      boost.readSalt =
+          boost.routed ? pickLeastLoadedSalt(it->second.copies) : 0;
     }
   }
 
@@ -228,7 +233,8 @@ class DistributedStore {
     const auto& loads = net_->peerLoads();
     for (const CopyTarget& t : it->second.copies) {
       out.salts.push_back(static_cast<std::uint32_t>(t.salt));
-      const std::uint64_t load = loads.countOf(net_->physicalOf(t.holder));
+      const std::uint64_t load =
+          loads.countOf(net_->physicalOf(t.holder, t.slotHint));
       out.loads.push_back(static_cast<std::uint32_t>(
           std::min<std::uint64_t>(load, 0xFFFFFFFFu)));
     }
@@ -785,9 +791,11 @@ class DistributedStore {
     // feed through a sorted+deduped copy (exactly the view the drain
     // will consume).
     d.feed(boost_.size());
-    for (const auto& [label, extra] : boost_) {
+    std::size_t routed = 0;
+    for (const auto& [label, boost] : boost_) {
       d.feed(label);
-      d.feed(extra);
+      d.feed(boost.extra);
+      routed += boost.routed;
     }
     d.feed(heat_.size());
     for (const auto& [label, h] : heat_) {
@@ -795,10 +803,11 @@ class DistributedStore {
       d.feed(h.startMs);
       d.feed(h.reads);
     }
-    d.feed(frozenReadSalt_.size());
-    for (const auto& [label, salt] : frozenReadSalt_) {
+    d.feed(routed);
+    for (const auto& [label, boost] : boost_) {
+      if (!boost.routed) continue;
       d.feed(label);
-      d.feed(salt);
+      d.feed(boost.readSalt);
     }
     const auto feedPendingSorted = [&d](std::vector<Label> pending) {
       std::sort(pending.begin(), pending.end());
@@ -842,28 +851,35 @@ class DistributedStore {
   std::size_t boostOf(const Label& label) const {
     if (boost_.empty()) return 0;
     const auto it = boost_.find(label);
-    return it == boost_.end() ? 0 : it->second;
+    return it == boost_.end() ? 0 : it->second.extra;
   }
 
   /// The frozen read route for `label` (see refreshReadRouting): 0 —
   /// the primary — unless a refresh chose a less-loaded copy.  Safe to
-  /// call from RPC handlers: the table is only written at quiescence.
+  /// call from RPC handlers: the route is only written at quiescence.
   std::size_t frozenSaltFor(const Label& label) const {
-    if (frozenReadSalt_.empty()) return 0;
-    const auto it = frozenReadSalt_.find(label);
-    return it == frozenReadSalt_.end() ? 0 : it->second;
+    if (boost_.empty()) return 0;
+    const auto it = boost_.find(label);
+    return it == boost_.end() ? 0 : it->second.readSalt;
   }
 
   /// Least-loaded copy by the peer-load meter; ties break toward the
   /// lowest replica index (strict < keeps the first minimum), which is
-  /// the deterministic rule the shuffle-seed suites rely on.
+  /// the deterministic rule the shuffle-seed suites rely on.  Paranoid
+  /// audits cross-check every slot-hinted holder against a ring search.
   std::size_t pickLeastLoadedSalt(
       const std::vector<CopyTarget>& copies) const {
     std::size_t bestSalt = 0;
     std::uint64_t bestLoad = ~std::uint64_t{0};
     const auto& loads = net_->peerLoads();
+    const bool paranoid =
+        mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid);
     for (const CopyTarget& t : copies) {
-      const std::uint64_t load = loads.countOf(net_->physicalOf(t.holder));
+      const std::size_t physical = net_->physicalOf(t.holder, t.slotHint);
+      MLIGHT_CHECK(!paranoid || physical == net_->physicalOf(t.holder),
+                   "slot hint resolved " + mlight::dht::toString(t.holder) +
+                       " to the wrong physical peer");
+      const std::uint64_t load = loads.countOf(physical);
       if (load < bestLoad) {
         bestLoad = load;
         bestSalt = t.salt;
@@ -1160,12 +1176,17 @@ class DistributedStore {
   /// Ordered maps on purpose: digestState and drain/refresh walk them,
   /// and sorted iteration keeps those walks schedule-independent.
   std::map<Label, HeatWindow> heat_;
-  /// label -> extra copies currently granted (promotion installs,
-  /// demotion erases).
-  std::map<Label, std::size_t> boost_;
-  /// label -> salt of the least-loaded copy, frozen at the last
-  /// refreshReadRouting() (read-only between quiescent points).
-  std::map<Label, std::size_t> frozenReadSalt_;
+  /// A boosted label's state: promotion installs it, demotion erases
+  /// it.  `readSalt` is the salt of the least-loaded copy, frozen by
+  /// the last refreshReadRouting() (read-only between quiescent
+  /// points); `routed` is false until a refresh has seen the label's
+  /// entry, and such labels read from the primary (salt 0).
+  struct Boost {
+    std::size_t extra = 0;  // extra copies granted
+    std::size_t readSalt = 0;
+    bool routed = false;
+  };
+  std::map<Label, Boost> boost_;
   /// Decisions queued by noteHeat (handler context), applied by
   /// drainLoadBalance (quiescence) in sorted order.
   std::vector<Label> pendingPromotions_;

@@ -226,6 +226,56 @@ TEST(LoadBalance, DigestStableAcrossShuffleSeeds) {
   }
 }
 
+// Read routing caches each copy holder's ring slot; membership churn
+// shifts slots under those caches.  Promote hot leaves, then interleave
+// joins, graceful leaves and crashes with more hot reads.  Leaving or
+// crashing the peer that owns the lowest ring position shifts every
+// surviving slot, so every cached slot goes stale at least once.  The
+// answers must stay exact, and the digests are pinned: slot caching is
+// host-side only and must not move a single routing decision.
+TEST(LoadBalance, ReadRoutingDigestPinnedAcrossChurn) {
+  Network net(32, 13, /*vnodesPerPeer=*/4);
+  core::MLightConfig cfg = balancedConfig();
+  cfg.replication = 2;
+  core::MLightIndex index(net, cfg);
+  const auto data = workload::northeastDataset(300, 9);
+  for (const auto& r : data) index.insert(r);
+
+  std::size_t wrong = 0;
+  std::size_t reads = 0;
+  const auto hotReads = [&](std::size_t n) {
+    for (std::size_t q = 0; q < n; ++q, ++reads) {
+      wrong += !queryOk(index, data[(reads * 7) % 5].key);
+    }
+  };
+  while (index.store().hotPromotions() == 0 && reads < 400) hotReads(1);
+  ASSERT_GE(index.store().hotPromotions(), 1u);
+  hotReads(40);
+
+  const auto dropLowest = [&](bool crash) {
+    const dht::RingId lowest = net.peers().front();
+    ASSERT_TRUE(crash ? net.crashPeer(lowest) : net.removePeer(lowest));
+  };
+  net.addPeer("joiner:1");
+  hotReads(40);
+  dropLowest(/*crash=*/false);
+  hotReads(40);
+  dropLowest(/*crash=*/true);
+  hotReads(40);
+  net.addPeer("joiner:2");
+  hotReads(40);
+  dropLowest(/*crash=*/true);
+  hotReads(40);
+
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_GE(index.store().boostedLeafCount(), 1u);
+  index.checkInvariants();
+  common::Digest nd;
+  net.digestState(nd);
+  EXPECT_EQ(index.stateDigest(), 0xdb04003f8ce92f2cull);
+  EXPECT_EQ(nd.value(), 0xdafaea4607a27b4bull);
+}
+
 // Eviction metering: a tiny hint cache under a wide key set must churn,
 // and the churn must surface as CostMeter::hintEvictions, with the
 // occupancy gauge (HintCacheSet::totalHints) bounded by capacity.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -210,6 +211,55 @@ TEST(Network, LookupFromDepartedInitiatorFailsCheck) {
   EXPECT_THROW(net.lookup(RingId{gone.value + 1}, keyId("k")),
                mlight::common::CheckFailure);
   EXPECT_EQ(net.totalCost().lookups, 0u);
+}
+
+TEST(Network, SlotHintedPhysicalOfSurvivesSlotShifts) {
+  Network net(32, 3, /*vnodesPerPeer=*/4);
+  // Hints learned on the initial ring, one per live vnode.
+  std::map<RingId, std::uint32_t> hints;
+  for (std::size_t i = 0; i < net.peers().size(); ++i) {
+    const RingId v = net.peers()[i];
+    std::uint32_t hint = 0;
+    EXPECT_EQ(net.physicalOf(v, hint), net.physicalOf(v));
+    EXPECT_EQ(hint, i);
+    EXPECT_EQ(net.physicalOf(v, hint), net.physicalOf(v));  // hint hit
+    hints[v] = hint;
+  }
+
+  // Each change removes or inserts ring positions below some surviving
+  // vnodes, shifting their slots under the cached hints.
+  std::map<RingId, std::uint32_t> departedHints;
+  const auto dropOwnerOf = [&](RingId victim, bool crash) {
+    const std::size_t gone = net.physicalOf(victim);
+    for (const auto& [v, hint] : hints) {
+      if (departedHints.count(v) == 0 && net.physicalOf(v) == gone) {
+        departedHints[v] = hint;
+      }
+    }
+    ASSERT_TRUE(crash ? net.crashPeer(victim) : net.removePeer(victim));
+  };
+  net.addPeer("joiner:1");
+  dropOwnerOf(net.peers().front(), /*crash=*/false);
+  dropOwnerOf(net.peers()[net.peers().size() / 2], /*crash=*/true);
+
+  std::size_t stale = 0;
+  for (auto& [v, hint] : hints) {
+    if (departedHints.count(v) != 0) continue;
+    const std::uint32_t before = hint;
+    const std::size_t slot = static_cast<std::size_t>(
+        std::lower_bound(net.peers().begin(), net.peers().end(), v) -
+        net.peers().begin());
+    stale += before != slot;
+    EXPECT_EQ(net.physicalOf(v, hint), net.physicalOf(v));
+    EXPECT_EQ(hint, slot) << "stale hint was not repaired";
+  }
+  EXPECT_GT(stale, 0u);
+
+  // A departed vnode fails the liveness check whatever hint it carries.
+  ASSERT_FALSE(departedHints.empty());
+  for (auto [v, hint] : departedHints) {
+    EXPECT_THROW(net.physicalOf(v, hint), mlight::common::CheckFailure);
+  }
 }
 
 TEST(Network, SinglePeerNetworkRoutesTrivially) {
