@@ -282,20 +282,58 @@ void BM_MLightInsertBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MLightInsertBatch);
 
-void BM_MLightRangeQuery(benchmark::State& state) {
-  dht::Network net(128, 9);
-  core::MLightConfig cfg;
-  cfg.thetaSplit = 100;
-  cfg.thetaMerge = 50;
-  core::MLightIndex idx(net, cfg);
-  for (const auto& r : workload::northeastDataset(20000, 10)) idx.insert(r);
-  const auto queries = workload::uniformRangeQueries(64, 2, 0.05, 11);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.rangeQuery(queries[i++ % queries.size()]));
+// Range harvest over one fixed seeded layout: 20k NE records on 128
+// peers, 64 square queries of area state.range(0) x 1e-4.  Area 1 hits a
+// leaf or two, 100 mixes covered and partial leaves, 500 and 2500 are
+// dominated by fully covered leaves.  The query and count variants scan
+// identical buckets, so their gap is the cost of shipping records.
+struct RangeBench {
+  explicit RangeBench(const benchmark::State& state)
+      : net(128, 9), idx(net, config()) {
+    for (const auto& r : workload::northeastDataset(20000, 10)) idx.insert(r);
+    queries = workload::uniformRangeQueries(
+        64, 2, 1e-4 * static_cast<double>(state.range(0)), 11);
   }
+
+  static core::MLightConfig config() {
+    core::MLightConfig cfg;
+    cfg.thetaSplit = 100;
+    cfg.thetaMerge = 50;
+    return cfg;
+  }
+
+  dht::Network net;
+  core::MLightIndex idx;
+  std::vector<common::Rect> queries;
+};
+
+void BM_MLightRangeQuery(benchmark::State& state) {
+  RangeBench bench(state);
+  std::size_t i = 0;
+  std::size_t records = 0;
+  for (auto _ : state) {
+    const auto res = bench.idx.rangeQuery(
+        bench.queries[i++ % bench.queries.size()]);
+    records += res.records.size();
+    benchmark::DoNotOptimize(res);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
-BENCHMARK(BM_MLightRangeQuery);
+BENCHMARK(BM_MLightRangeQuery)->Arg(1)->Arg(100)->Arg(500)->Arg(2500);
+
+void BM_MLightRangeCount(benchmark::State& state) {
+  RangeBench bench(state);
+  std::size_t i = 0;
+  std::size_t records = 0;
+  for (auto _ : state) {
+    const auto res =
+        bench.idx.rangeCount(bench.queries[i++ % bench.queries.size()]);
+    records += res.count;
+    benchmark::DoNotOptimize(res);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_MLightRangeCount)->Arg(1)->Arg(100)->Arg(500)->Arg(2500);
 
 void BM_MLightKnnQuery(benchmark::State& state) {
   dht::Network net(128, 9);

@@ -26,14 +26,6 @@ Rect Rect::unit(std::size_t dims) {
   return Rect(lo, hi);
 }
 
-bool Rect::contains(const Point& p) const noexcept {
-  assert(p.dims() == dims());
-  for (std::size_t i = 0; i < dims(); ++i) {
-    if (p[i] < lo_[i] || p[i] >= hi_[i]) return false;
-  }
-  return true;
-}
-
 bool Rect::containsRect(const Rect& other) const noexcept {
   assert(other.dims() == dims());
   for (std::size_t i = 0; i < dims(); ++i) {

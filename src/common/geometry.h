@@ -1,7 +1,8 @@
-// Points and axis-aligned rectangles in the unit hypercube [0,1]^m.
+// Points and axis-aligned rectangles in the unit hypercube [0,1)^m.
 //
 // m-LIGHT assumes every data key is an m-dimensional vector with each
-// coordinate in [0,1] (paper §3.1).  The kd-tree always halves a region
+// coordinate in [0,1] (paper §3.1); this library uses the half-open
+// [0,1), matching its half-open cells.  The kd-tree always halves a region
 // exactly in the middle of one dimension ("space partitioning"), so regions
 // are representable as dyadic boxes; we keep plain doubles for generality
 // and because query rectangles are arbitrary.
@@ -63,9 +64,10 @@ class Point {
 
 /// Axis-aligned box [lo, hi).  The half-open convention matches binary
 /// space partitioning: halving [0,1) at 0.5 yields [0,0.5) and [0.5,1),
-/// which tile the space with no point belonging to two cells.  The global
-/// domain treats coordinate 1.0 as belonging to the upper cell chain; data
-/// generators produce values in [0,1).
+/// which tile the space with no point belonging to two cells.  Data keys
+/// therefore live in [0,1)^m: MLightIndex rejects a coordinate of 1.0 (or
+/// anything else outside the unit cube), since no query clipped to the
+/// unit cube could ever return it.
 class Rect {
  public:
   Rect() = default;
@@ -83,7 +85,15 @@ class Rect {
   Point& lo() noexcept { return lo_; }
   Point& hi() noexcept { return hi_; }
 
-  bool contains(const Point& p) const noexcept;
+  /// Half-open containment; inline because range harvests call it once
+  /// per scanned record.
+  bool contains(const Point& p) const noexcept {
+    assert(p.dims() == dims());
+    for (std::size_t i = 0; i < dims(); ++i) {
+      if (p[i] < lo_[i] || p[i] >= hi_[i]) return false;
+    }
+    return true;
+  }
 
   /// True iff `other` is fully inside *this.
   bool containsRect(const Rect& other) const noexcept;

@@ -278,6 +278,18 @@ void auditCacheCoherence(const BitString& cachedLeaf,
   detail::passAudit();
 }
 
+void auditStableStorage(const void* dataAtHarvest, std::size_t sizeAtHarvest,
+                        const void* dataNow, std::size_t sizeNow) {
+  detail::beginAudit();
+  if (dataAtHarvest != dataNow || sizeAtHarvest != sizeNow) {
+    detail::failAudit("auditStableStorage",
+                      "harvested records moved or resized before the copy: " +
+                          std::to_string(sizeAtHarvest) + " -> " +
+                          std::to_string(sizeNow) + " records");
+  }
+  detail::passAudit();
+}
+
 void auditLookupSearchBounds(std::size_t lo, std::size_t hi) {
   detail::beginAudit();
   if (lo > hi) {

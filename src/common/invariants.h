@@ -154,6 +154,15 @@ void auditRecordPlacement(const Rect& region, const Records& records,
   detail::passAudit();
 }
 
+// --- Range harvest: gathered hits stay valid ----------------------------
+//
+// Range queries gather hits as pointers into the owners' record storage
+// and copy them once the cascade quiesces.  Every harvested bucket's
+// storage must be exactly where it was at harvest time: same data
+// pointer, same record count.  O(1); call sites gate on kParanoid.
+void auditStableStorage(const void* dataAtHarvest, std::size_t sizeAtHarvest,
+                        const void* dataNow, std::size_t sizeNow);
+
 // --- Store layer: replica placement --------------------------------------
 //
 // Copy-holders of one bucket must be pairwise distinct (failure

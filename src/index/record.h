@@ -1,8 +1,9 @@
 // Data records indexed by the over-DHT schemes.
 //
-// A record couples an m-dimensional data key δ (paper §3.1: every δ_i in
-// [0,1]) with an opaque payload (e.g. the postal address text in the
-// paper's dataset).  Serialized size drives the data-movement accounting.
+// A record couples an m-dimensional data key δ (every δ_i in [0,1), the
+// half-open form of the paper's §3.1 domain) with an opaque payload (e.g.
+// the postal address text in the paper's dataset).  Serialized size
+// drives the data-movement accounting.
 #pragma once
 
 #include <cstddef>

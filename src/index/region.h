@@ -27,6 +27,10 @@ class QueryRegion {
 
   /// True iff the region fully covers the cell (must be exact or
   /// under-approximate: claiming coverage skips per-record filtering).
+  /// Range harvests ask it twice per bucket — of the leaf cell, to take
+  /// the bucket whole, and of the cell clipped to the task scope, to
+  /// filter on the clip box alone — so an over-approximation returns
+  /// records outside the region.
   virtual bool covers(const mlight::common::Rect& cell) const = 0;
 
   /// True iff the point is inside the region (exact; final filter).

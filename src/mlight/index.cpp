@@ -379,10 +379,21 @@ MLightIndex::LookupResult MLightIndex::lookup(const Point& key) {
   return out;
 }
 
-void MLightIndex::insert(const Record& record) {
-  if (record.key.dims() != config_.dims) {
-    throw std::invalid_argument("insert: wrong dimensionality");
+void MLightIndex::requireIndexableKey(const Point& key,
+                                      const char* op) const {
+  if (key.dims() != config_.dims) {
+    throw std::invalid_argument(std::string(op) + ": wrong dimensionality");
   }
+  for (std::size_t i = 0; i < key.dims(); ++i) {
+    if (!(0.0 <= key[i] && key[i] < 1.0)) {
+      throw std::invalid_argument(std::string(op) +
+                                  ": key outside [0,1)^m: " + key.toString());
+    }
+  }
+}
+
+void MLightIndex::insert(const Record& record) {
+  requireIndexableKey(record.key, "insert");
   const auto initiator = randomPeer();
   const Located loc = locateCached(initiator, record.key);
   if (loc.leaf.empty()) {

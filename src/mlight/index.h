@@ -347,6 +347,13 @@ class MLightIndex final : public mlight::index::IndexBase {
 
   mlight::dht::RingId randomPeer();
 
+  /// Write-path key check shared by insert/insertBatched/bulkLoad:
+  /// throws std::invalid_argument ("<op>: ...") unless the key has the
+  /// index's dimensionality and every coordinate x satisfies
+  /// 0 <= x < 1 (NaN fails).  Range harvests rely on every record lying
+  /// in its half-open leaf cell.
+  void requireIndexableKey(const Point& key, const char* op) const;
+
   void thresholdSplitLoop(Label key);
   void dataAwareAdjust(const Label& key);
   void thresholdMergeLoop(Label key);

@@ -53,11 +53,7 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
     std::vector<std::uint64_t>* ackedIds) {
   MLIGHT_CHECK(batchSize > 0, "insertBatched: batchSize must be positive");
   const std::size_t m = config_.dims;
-  for (const Record& r : records) {
-    if (r.key.dims() != m) {
-      throw std::invalid_argument("insertBatched: wrong dimensionality");
-    }
-  }
+  for (const Record& r : records) requireIndexableKey(r.key, "insertBatched");
   BatchResult out;
 
   struct Group {

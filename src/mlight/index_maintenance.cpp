@@ -47,11 +47,7 @@ void MLightIndex::bulkLoad(std::span<const Record> records) {
   if (size_ != 0) {
     throw std::logic_error("bulkLoad requires an empty index");
   }
-  for (const Record& r : records) {
-    if (r.key.dims() != config_.dims) {
-      throw std::invalid_argument("bulkLoad: wrong dimensionality");
-    }
-  }
+  for (const Record& r : records) requireIndexableKey(r.key, "bulkLoad");
   const Label root = rootLabel(config_.dims);
   std::vector<PlanLeaf> leaves;
   if (config_.strategy == SplitStrategy::kThreshold) {

@@ -9,28 +9,13 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/invariants.h"
 
 #include "mlight/kdspace.h"
 #include "mlight/naming.h"
 #include "mlight/split.h"
 
 namespace mlight::core {
-
-namespace {
-
-/// Collects bucket records inside both the task's rectangular scope
-/// (which keeps parallel tasks disjoint) and the query region's shape.
-void collectInRegion(const LeafBucket& bucket, const Rect& scope,
-                     const mlight::index::QueryRegion& region,
-                     std::vector<mlight::index::Record>& out) {
-  for (const auto& r : bucket.records) {
-    if (scope.contains(r.key) && region.contains(r.key)) {
-      out.push_back(r);
-    }
-  }
-}
-
-}  // namespace
 
 void MLightIndex::enqueueForward(std::vector<Task>& wave,
                                  const Rect& subRange, const Label& branch,
@@ -142,24 +127,75 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
   // evictions and traffic — depend on tie-break order.
   std::vector<Label> learnedLeaves;
 
+  // Hits are gathered as pointers into the owners' buckets and copied
+  // into `out.records` once, after the cascade quiesces.  The pointers
+  // stay valid: the cascade starts on an idle network and issues only
+  // kGet reads, whose handler mutates no bucket (heat and read-repair
+  // touch counters and copy lists), and `entries_` is node-based.  The
+  // paranoid audit re-checks every harvested bucket's storage before
+  // the copy.
+  std::vector<const Record*> hits;
+  struct Harvested {
+    const LeafBucket* bucket;
+    const Record* data;
+    std::size_t size;
+  };
+  std::vector<Harvested> harvested;
+  const bool paranoid =
+      mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid);
+
   // Collects from one visited bucket and ships the result (full records
   // or an 8-byte count) from the bucket's owner back to the initiator.
+  // A bucket's records lie in its half-open leaf cell, so a cell inside
+  // both the scope and the region is taken whole, and a cell the region
+  // covers after clipping to the scope needs only the clip box test.
   const auto harvest = [&](const LeafBucket& bucket, const Rect& scopeRect,
                            mlight::dht::RingId owner) {
     if (config_.cache.enabled) {
       learnedLeaves.push_back(bucket.label);
     }
-    std::vector<mlight::index::Record> hits;
-    collectInRegion(bucket, scopeRect, region, hits);
-    countOut += hits.size();
+    const std::vector<Record>& records = bucket.records;
+    const Rect cell = labelRegion(bucket.label, config_.dims);
+    const std::size_t before = hits.size();
+    std::size_t matched = 0;
+    if (scopeRect.containsRect(cell) && region.covers(cell)) {
+      if (paranoid) {
+        mlight::common::auditRecordPlacement(
+            cell, records,
+            [](const Record& r) -> const Point& { return r.key; });
+      }
+      matched = records.size();
+      if (collectRecords) {
+        for (const Record& r : records) hits.push_back(&r);
+      }
+    } else {
+      const auto take = [&](const Record& r) {
+        ++matched;
+        if (collectRecords) hits.push_back(&r);
+      };
+      const Rect clip = scopeRect.intersection(cell);
+      if (region.covers(clip)) {
+        for (const Record& r : records) {
+          if (clip.contains(r.key)) take(r);
+        }
+      } else {
+        for (const Record& r : records) {
+          if (scopeRect.contains(r.key) && region.contains(r.key)) take(r);
+        }
+      }
+    }
+    countOut += matched;
     if (collectRecords) {
       std::size_t bytes = 0;
-      for (const auto& r : hits) bytes += r.byteSize();
-      net_->shipPayload(owner, initiator, bytes, hits.size());
-      out.records.insert(out.records.end(),
-                         std::make_move_iterator(hits.begin()),
-                         std::make_move_iterator(hits.end()));
-    } else if (!hits.empty()) {
+      for (std::size_t i = before; i < hits.size(); ++i) {
+        bytes += hits[i]->byteSize();
+      }
+      net_->shipPayload(owner, initiator, bytes, matched);
+      if (paranoid) {
+        harvested.push_back(
+            Harvested{&bucket, records.data(), records.size()});
+      }
+    } else if (matched != 0) {
       net_->shipPayload(owner, initiator, 8, 0);  // the count only
     }
   };
@@ -284,6 +320,13 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
 
   // Drive the cascade to quiescence; stats fall out of the timeline.
   net_->run();
+  for (const Harvested& h : harvested) {
+    mlight::common::auditStableStorage(h.data, h.size,
+                                       h.bucket->records.data(),
+                                       h.bucket->records.size());
+  }
+  out.records.reserve(hits.size());
+  for (const Record* r : hits) out.records.push_back(*r);
   store_.drainLoadBalance();
   if (config_.cache.enabled && !learnedLeaves.empty()) {
     std::sort(learnedLeaves.begin(), learnedLeaves.end());

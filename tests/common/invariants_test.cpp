@@ -196,6 +196,24 @@ TEST_F(InvariantsTest, RecordPlacementDetectsEscapedRecord) {
       AuditFailure);
 }
 
+// --- auditStableStorage --------------------------------------------------
+
+TEST_F(InvariantsTest, StableStorageDetectsMovedOrResizedRecords) {
+  std::vector<Record> records(4);
+  const Record* data = records.data();
+  EXPECT_NO_THROW(
+      auditStableStorage(data, 4, records.data(), records.size()));
+  std::vector<Record> elsewhere(4);
+  EXPECT_THROW(
+      auditStableStorage(data, 4, elsewhere.data(), elsewhere.size()),
+      AuditFailure);
+  records.pop_back();
+  EXPECT_THROW(auditStableStorage(data, 4, records.data(), records.size()),
+               AuditFailure);
+  EXPECT_EQ(auditCounters().passed, 1u);
+  EXPECT_EQ(auditCounters().failed, 2u);
+}
+
 // --- auditReplicaHolders -------------------------------------------------
 
 TEST_F(InvariantsTest, ReplicaHoldersDetectsDuplicateHolder) {
@@ -305,6 +323,33 @@ TEST_F(InvariantsTest, CorruptedBucketRegionTripsRecordPlacementAudit) {
   });
   ASSERT_TRUE(corrupted);
   EXPECT_THROW(index.checkInvariants(), AuditFailure);
+}
+
+TEST_F(InvariantsTest, CoveredRangeHarvestTripsPlacementAuditAtParanoid) {
+  // A range harvest takes a fully covered leaf whole, trusting that its
+  // records lie in its cell; at paranoid it re-audits that placement.
+  dht::Network net(16, 5);
+  core::MLightIndex index(net, tinyConfig());
+  fill(index, 64);
+  const auto& store = index.store();
+  bool corrupted = false;
+  store.forEach([&](const BitString&, const core::LeafBucket& b,
+                    mlight::dht::RingId) {
+    if (corrupted || b.records.empty()) return;
+    const Rect region = core::labelRegion(b.label, 2);
+    if (region.volume() >= 1.0) return;
+    auto& bucket = const_cast<core::LeafBucket&>(b);
+    bucket.records[0].key = Point{1.0 - (region.lo()[0] + region.hi()[0]) / 2,
+                                  1.0 - (region.lo()[1] + region.hi()[1]) / 2};
+    corrupted = true;
+  });
+  ASSERT_TRUE(corrupted);
+  {
+    const ScopedLevel level(AuditLevel::kBoundaries);
+    EXPECT_NO_THROW(index.rangeQuery(Rect::unit(2)));
+  }
+  const ScopedLevel level(AuditLevel::kParanoid);
+  EXPECT_THROW(index.rangeQuery(Rect::unit(2)), AuditFailure);
 }
 
 TEST_F(InvariantsTest, DroppedBucketTripsSpaceTilingAudit) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "index/oracle.h"
@@ -190,6 +192,45 @@ TEST(MLightIndex, RangeOutsideUnitCubeIsClipped) {
   const auto empty =
       index.rangeQuery(Rect(Point{2.0, 2.0}, Point{3.0, 3.0}));
   EXPECT_TRUE(empty.records.empty());
+}
+
+TEST(MLightIndex, RejectsKeysOutsideUnitCube) {
+  // Keys live in [0,1)^m: a coordinate of 1.0 would sit outside every
+  // half-open leaf cell, where no clipped range query could return it.
+  Network net(16);
+  MLightIndex index(net, smallConfig());
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    index.insert(rec(0.05 * static_cast<double>(i), 0.5, i));
+  }
+  const std::size_t sizeBefore = index.size();
+  const CostMeter before = net.totalCost();
+  const double bad[] = {1.0, 1.5, -1e-300,
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : bad) {
+    for (const Record& r : {rec(v, 0.5, 100), rec(0.5, v, 100)}) {
+      EXPECT_THROW(index.insert(r), std::invalid_argument);
+      // The good record ahead of the bad one must not slip in either:
+      // the whole batch is checked before anything is routed.
+      const std::vector<Record> batch = {rec(0.2, 0.2, 101), r};
+      EXPECT_THROW(index.insertBatched(batch), std::invalid_argument);
+      Network freshNet(16);
+      MLightIndex fresh(freshNet, smallConfig());
+      EXPECT_THROW(fresh.bulkLoad(batch), std::invalid_argument);
+      EXPECT_EQ(fresh.size(), 0u);
+      EXPECT_EQ(freshNet.totalCost().lookups, 0u);
+      EXPECT_EQ(freshNet.totalCost().bytesMoved, 0u);
+    }
+  }
+  EXPECT_EQ(index.size(), sizeBefore);
+  const CostMeter after = net.totalCost();
+  EXPECT_EQ(after.lookups, before.lookups);
+  EXPECT_EQ(after.hops, before.hops);
+  EXPECT_EQ(after.messages, before.messages);
+  EXPECT_EQ(after.bytesMoved, before.bytesMoved);
+  EXPECT_EQ(after.recordsMoved, before.recordsMoved);
+  // The largest coordinate below 1.0 and 0.0 itself are valid keys.
+  EXPECT_NO_THROW(index.insert(rec(std::nextafter(1.0, 0.0), 0.0, 200)));
+  EXPECT_EQ(index.rangeQuery(Rect::unit(2)).records.size(), sizeBefore + 1);
 }
 
 TEST(MLightIndex, EraseRemovesAndMerges) {
