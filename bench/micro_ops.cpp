@@ -7,7 +7,9 @@
 
 #include <span>
 #include <unordered_map>
+#include <vector>
 
+#include "cache/hint_cache.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "common/sha1.h"
@@ -386,6 +388,64 @@ void BM_HotPointQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HotPointQuery);
+
+// --- Lookup hint cache ----------------------------------------------------
+//
+// One peer's LabelHintCache holding n hints of 57-bit leaf labels (a
+// D=28, m=2 tree's depth), probed with 120-bit point paths.  The hit
+// series finds a covering hint on every probe; the miss series probes
+// paths no hint covers.
+
+std::vector<common::BitString> hintLabels(std::size_t n,
+                                          std::uint64_t seed) {
+  std::vector<common::BitString> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(randomLabel(57, seed + i));
+  }
+  return out;
+}
+
+void BM_HintCacheFindCovering(benchmark::State& state, bool hit) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  cache::CachePolicy policy;
+  policy.enabled = true;
+  policy.perDimCapacity = n;
+  cache::LabelHintCache hints(1, policy);
+  const auto labels = hintLabels(n, 1000);
+  for (const auto& l : labels) hints.learn(l, 28);
+  std::vector<common::BitString> paths;
+  for (std::size_t i = 0; i < n; ++i) {
+    common::BitString p = hit ? labels[(i * 7919) % n] : randomLabel(57, ~i);
+    p.appendBits(randomLabel(63, 50000 + i));
+    paths.push_back(std::move(p));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hints.findCovering(paths[i++ % n]));
+  }
+}
+BENCHMARK_CAPTURE(BM_HintCacheFindCovering, hit, true)->Arg(1024)->Arg(8192);
+BENCHMARK_CAPTURE(BM_HintCacheFindCovering, miss, false)
+    ->Arg(1024)
+    ->Arg(8192);
+
+// A full cache fed labels it does not hold: every learn evicts the LRU
+// victim (the labels cycle through twice the capacity).
+void BM_HintCacheLearnEvict(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  cache::CachePolicy policy;
+  policy.enabled = true;
+  policy.perDimCapacity = n;
+  cache::LabelHintCache hints(1, policy);
+  const auto labels = hintLabels(2 * n, 3000);
+  std::size_t i = 0;
+  for (; i < n; ++i) hints.learn(labels[i], 28);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hints.learn(labels[i++ % labels.size()], 28));
+  }
+}
+BENCHMARK(BM_HintCacheLearnEvict)->Arg(8192);
 
 }  // namespace
 

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -74,7 +73,7 @@ struct LabelHint {
     h.leaf = r.readBitString();
     h.depth = r.readU32();
     if (!r.atEnd()) {
-      const std::uint32_t n = r.readU32();
+      const std::uint32_t n = r.readCount(8);
       h.replicaSalts.reserve(n);
       h.replicaLoads.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -115,6 +114,23 @@ struct CachePolicy {
 /// candidate prefix lengths deepest-first, skipping lengths for which
 /// the cache holds no hint at all (a per-length occupancy count), so a
 /// miss costs O(distinct hint lengths), not O(path length) hash lookups.
+///
+/// Layout (docs/COST_MODEL.md "Lookup cache (hints)"): one flat arena
+/// per peer, a few words per hint and no per-hint allocation.
+///  * slots_ holds one Slot per hint — u32 LRU links (prev/next, with
+///    head_ the most recently used), depth, label length and a replica
+///    block reference.  Freed slots chain through `next` from freeSlot_
+///    and are reused before the arena grows;
+///  * labels_ holds each slot's label words at labels_[slot * stride_],
+///    tail bits zeroed.  stride_ is the word count of the longest label
+///    ever learned; a longer label re-strides the whole pool (rare — a
+///    tree's depth bound fixes it after the first few learns);
+///  * index_ is open addressing with linear probing over slot+1 (0 =
+///    empty), load ≤ ½, deletion by backward shift (no tombstones).
+///    Nothing iterates it: digestState walks the LRU links, so hash
+///    order never reaches a digest;
+///  * replica salts/loads live in a side vector of blocks (with a free
+///    list) that only hints for boosted leaves reference.
 class LabelHintCache {
  public:
   using Label = mlight::common::BitString;
@@ -122,12 +138,13 @@ class LabelHintCache {
   LabelHintCache(std::size_t dims, const CachePolicy& policy)
       : capacity_(policy.perDimCapacity * dims) {}
 
-  std::size_t size() const noexcept { return lru_.size(); }
+  std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Deepest cached hint covering `fullPath` (nullptr on miss).  Touches
-  /// the hint's LRU position.  The pointer is invalidated by the next
-  /// learn/forget call — callers copy the hint before repairing.
+  /// the hint's LRU position.  The pointer refers to a per-cache copy
+  /// that the next findCovering/learn/forget call may overwrite —
+  /// callers copy the hint before repairing.
   const LabelHint* findCovering(const Label& fullPath);
 
   /// Records (or refreshes) the hint for `leaf`; evicts the
@@ -151,33 +168,63 @@ class LabelHintCache {
   /// Test hook: inject a hint verbatim (poisoned-hint negative tests).
   void poison(const Label& leaf, std::uint32_t depth) { learn(leaf, depth); }
 
+  /// Bytes held by the cache's arrays (vector capacities, not sizes) —
+  /// a read-only gauge next to size(), not a cost meter.
+  std::size_t memoryBytes() const noexcept;
+
   /// Feeds the cached hints *in LRU order* into `d`.  Recency order is
   /// part of the fingerprint on purpose: it decides future evictions and
   /// therefore future cache-hit traffic, so two runs that are
   /// digest-equal here will also meter identically from now on.
-  void digestState(mlight::common::Digest& d) const {
-    d.feed(lru_.size());
-    for (const LabelHint& h : lru_) {
-      d.feed(h.leaf);
-      d.feed(h.depth);
-      d.feed(h.replicaSalts.size());
-      for (const std::uint32_t s : h.replicaSalts) d.feed(s);
-      for (const std::uint32_t l : h.replicaLoads) d.feed(l);
-    }
-  }
+  void digestState(mlight::common::Digest& d) const;
 
  private:
-  std::size_t capacity_;
-  /// Most-recently-used at the front.
-  std::list<LabelHint> lru_;
-  std::unordered_map<Label, std::list<LabelHint>::iterator,
-                     mlight::common::BitStringHash>
-      byLeaf_;
-  /// lengthCount_[len] = number of cached hints with leaf.size() == len.
-  std::vector<std::uint32_t> lengthCount_;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  void bumpLength(std::size_t len);
-  void dropLength(std::size_t len);
+  struct Slot {
+    std::uint32_t prev;
+    std::uint32_t next;
+    std::uint32_t depth;
+    std::uint32_t len;      ///< label length in bits
+    std::uint32_t replica;  ///< replicas_ index + 1; 0 = no replica block
+  };
+  struct ReplicaBlock {
+    std::vector<std::uint32_t> salts;
+    std::vector<std::uint32_t> loads;
+  };
+
+  std::size_t capacity_;
+  std::size_t size_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint64_t> labels_;
+  std::size_t stride_ = 0;
+  std::vector<std::uint32_t> index_;
+  std::uint32_t head_ = kNil;  ///< most recently used
+  std::uint32_t tail_ = kNil;  ///< least recently used
+  std::uint32_t freeSlot_ = kNil;
+  std::vector<ReplicaBlock> replicas_;
+  std::vector<std::uint32_t> freeReplicas_;
+  /// lengthCount_[len] = number of cached hints with a len-bit label.
+  std::vector<std::uint32_t> lengthCount_;
+  /// findCovering's masked probe key, reused across calls.
+  std::vector<std::uint64_t> key_;
+  /// findCovering's result, refilled on every hit.
+  LabelHint hit_;
+
+  const std::uint64_t* labelOf(std::uint32_t slot) const noexcept {
+    return labels_.data() + slot * stride_;
+  }
+  std::size_t homeOf(const std::uint64_t* words,
+                     std::uint32_t len) const noexcept;
+  std::size_t find(const std::uint64_t* words, std::uint32_t len) const;
+  void eraseAt(std::size_t pos);
+  void rehash(std::size_t tableSize);
+  void restride(std::size_t words);
+  void unlink(std::uint32_t slot) noexcept;
+  void pushFront(std::uint32_t slot) noexcept;
+  void dropSlot(std::uint32_t slot);
+  void setReplica(std::uint32_t slot, std::vector<std::uint32_t>&& salts,
+                  std::vector<std::uint32_t>&& loads);
 };
 
 /// Per-peer hint caches: hints belong to the *initiating* peer of the
@@ -205,6 +252,14 @@ class HintCacheSet {
     std::size_t n = 0;
     // DET-ALLOW(commutative sum of sizes; feeds introspection only)
     for (const auto& [peer, cache] : caches_) n += cache.size();
+    return n;
+  }
+  /// Bytes held by every peer's cache arrays (introspection; see
+  /// LabelHintCache::memoryBytes).
+  std::size_t memoryBytes() const noexcept {
+    std::size_t n = 0;
+    // DET-ALLOW(commutative sum of sizes; feeds introspection only)
+    for (const auto& [peer, cache] : caches_) n += cache.memoryBytes();
     return n;
   }
   std::size_t peerCount() const noexcept { return caches_.size(); }

@@ -114,6 +114,11 @@ class Reader {
   }
   BitString readBitString() {
     const std::uint32_t nbits = readU32();
+    // Each 64-bit word must actually be on the wire before its storage
+    // is reserved: a forged length may not drive the allocation.
+    if ((static_cast<std::size_t>(nbits) + 63) / 64 > remaining() / 8) {
+      throw SerdeError("serde: bit-string length exceeds remaining bytes");
+    }
     BitString out;
     out.reserveBits(nbits);
     for (std::size_t done = 0; done < nbits; done += 64) {

@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <list>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bitstring.h"
+#include "common/digest.h"
 #include "common/invariants.h"
+#include "common/rng.h"
 #include "common/serde.h"
 
 namespace mlight::cache {
@@ -103,6 +108,201 @@ TEST(LabelHintCache, ForgetUnshadowsShallowerHint) {
   EXPECT_EQ(hit->leaf, bits("0010"));
 }
 
+// --- arena vs. list model ------------------------------------------------
+
+// The node-based LabelHintCache this arena replaced (a std::list in LRU
+// order plus a BitString-keyed unordered_map), kept verbatim as the
+// oracle: the arena must agree with it on every hit, size, eviction and
+// digest.
+class ReferenceHintCache {
+ public:
+  explicit ReferenceHintCache(std::size_t capacity) : capacity_(capacity) {}
+
+  std::size_t size() const noexcept { return lru_.size(); }
+
+  const LabelHint* findCovering(const BitString& fullPath) {
+    const std::size_t maxLen =
+        std::min(fullPath.size() + 1, lengthCount_.size());
+    for (std::size_t len = maxLen; len-- > 0;) {
+      if (lengthCount_[len] == 0) continue;
+      auto it = byLeaf_.find(fullPath.prefix(len));
+      if (it == byLeaf_.end()) continue;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return &*it->second;
+    }
+    return nullptr;
+  }
+
+  bool learn(const BitString& leaf, std::uint32_t depth,
+             std::vector<std::uint32_t> replicaSalts,
+             std::vector<std::uint32_t> replicaLoads) {
+    if (capacity_ == 0) return false;
+    auto it = byLeaf_.find(leaf);
+    if (it != byLeaf_.end()) {
+      it->second->depth = depth;
+      it->second->replicaSalts = std::move(replicaSalts);
+      it->second->replicaLoads = std::move(replicaLoads);
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return false;
+    }
+    bool evicted = false;
+    if (lru_.size() >= capacity_) {
+      const LabelHint& victim = lru_.back();
+      --lengthCount_[victim.leaf.size()];
+      byLeaf_.erase(victim.leaf);
+      lru_.pop_back();
+      evicted = true;
+    }
+    lru_.push_front(LabelHint{leaf, depth, std::move(replicaSalts),
+                              std::move(replicaLoads)});
+    byLeaf_.emplace(leaf, lru_.begin());
+    if (leaf.size() >= lengthCount_.size()) {
+      lengthCount_.resize(leaf.size() + 1, 0);
+    }
+    ++lengthCount_[leaf.size()];
+    return evicted;
+  }
+
+  void forget(const BitString& leaf) {
+    auto it = byLeaf_.find(leaf);
+    if (it == byLeaf_.end()) return;
+    --lengthCount_[leaf.size()];
+    lru_.erase(it->second);
+    byLeaf_.erase(it);
+  }
+
+  void digestState(mlight::common::Digest& d) const {
+    d.feed(lru_.size());
+    for (const LabelHint& h : lru_) {
+      d.feed(h.leaf);
+      d.feed(h.depth);
+      d.feed(h.replicaSalts.size());
+      for (const std::uint32_t s : h.replicaSalts) d.feed(s);
+      for (const std::uint32_t l : h.replicaLoads) d.feed(l);
+    }
+  }
+
+ private:
+  std::size_t capacity_;
+  std::list<LabelHint> lru_;
+  std::unordered_map<BitString, std::list<LabelHint>::iterator,
+                     mlight::common::BitStringHash>
+      byLeaf_;
+  std::vector<std::uint32_t> lengthCount_;
+};
+
+template <typename Cache>
+std::uint64_t digestOf(const Cache& cache) {
+  mlight::common::Digest d;
+  cache.digestState(d);
+  return d.value();
+}
+
+void expectSameHit(const LabelHint* got, const LabelHint* want) {
+  ASSERT_EQ(got == nullptr, want == nullptr);
+  if (got == nullptr) return;
+  EXPECT_EQ(got->leaf, want->leaf);
+  EXPECT_EQ(got->depth, want->depth);
+  EXPECT_EQ(got->replicaSalts, want->replicaSalts);
+  EXPECT_EQ(got->replicaLoads, want->replicaLoads);
+}
+
+// Seeded random learn / refresh / forget / findCovering sequences over
+// labels of 0-300 bits — across the 64- and 128-bit word boundaries and
+// BitString's 256-bit inline limit, so the arena re-strides mid-run.
+// Labels are prefixes (some with the last bit flipped) of a few fixed
+// paths, so coverage queries hit, shadow and miss in every mix.
+TEST(LabelHintCache, MatchesListModel) {
+  for (const std::size_t capacity : {1, 2, 7, 64}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                   std::to_string(seed));
+      mlight::common::Rng rng(seed * 1000 + capacity);
+      std::vector<BitString> paths(3);
+      for (BitString& p : paths) {
+        for (int i = 0; i < 300; ++i) p.pushBack(rng.chance(0.5));
+      }
+      auto randomPrefix = [&] {
+        const BitString& p = paths[rng.below(paths.size())];
+        // Short labels dominate early so the first long one re-strides.
+        return p.prefix(rng.below(rng.chance(0.5) ? 70 : p.size() + 1));
+      };
+      auto randomLabel = [&] {
+        BitString l = randomPrefix();
+        if (!l.empty() && rng.chance(0.3)) l.flipBack();
+        return l;
+      };
+      LabelHintCache arena(1, onPolicy(capacity));
+      ReferenceHintCache model(capacity);
+      std::vector<BitString> learned;
+      for (int op = 0; op < 1500; ++op) {
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 4 || (kind < 6 && learned.empty())) {
+          // learn a (probably) new label, or refresh a known one
+          const BitString leaf =
+              kind < 3 || learned.empty() ? randomLabel()
+                                          : learned[rng.below(learned.size())];
+          const auto depth = static_cast<std::uint32_t>(rng.below(100));
+          std::vector<std::uint32_t> salts;
+          std::vector<std::uint32_t> loads;
+          if (rng.chance(0.3)) {
+            const std::size_t n = 1 + rng.below(4);
+            for (std::size_t i = 0; i < n; ++i) {
+              salts.push_back(static_cast<std::uint32_t>(rng.below(16)));
+              if (!rng.chance(0.1)) {
+                loads.push_back(static_cast<std::uint32_t>(rng.next()));
+              }
+            }
+          }
+          const bool gotEvict = arena.learn(leaf, depth, salts, loads);
+          const bool wantEvict = model.learn(leaf, depth, salts, loads);
+          EXPECT_EQ(gotEvict, wantEvict);
+          learned.push_back(leaf);
+        } else if (kind < 6) {
+          const BitString leaf = rng.chance(0.8)
+                                     ? learned[rng.below(learned.size())]
+                                     : randomLabel();
+          arena.forget(leaf);
+          model.forget(leaf);
+        } else {
+          BitString path = randomPrefix();
+          if (!path.empty() && rng.chance(0.2)) path.flipBack();
+          expectSameHit(arena.findCovering(path), model.findCovering(path));
+        }
+        ASSERT_EQ(arena.size(), model.size()) << "op " << op;
+        ASSERT_EQ(digestOf(arena), digestOf(model)) << "op " << op;
+      }
+    }
+  }
+}
+
+TEST(LabelHintCache, CompactFootprint) {
+  constexpr std::size_t kHints = 8192;
+  LabelHintCache cache(1, onPolicy(kHints));
+  mlight::common::Rng rng(57);
+  std::vector<BitString> labels;
+  for (std::size_t i = 0; i < kHints; ++i) {
+    BitString l;
+    l.appendWordBits(rng.next(), 57);
+    labels.push_back(l);
+    if (i % 1024 == 0) {
+      cache.learn(l, 28, {1, 2, 3, 4}, {0, 5, 9, 2});
+    } else {
+      cache.learn(l, 28);
+    }
+  }
+  ASSERT_EQ(cache.size(), kHints);
+  EXPECT_LE(cache.memoryBytes() / cache.size(), 64u)
+      << cache.memoryBytes() << " bytes for " << cache.size() << " hints";
+  // Every hint is still reachable (a footprint bought with lost entries
+  // would be no saving).
+  for (const BitString& l : labels) {
+    const LabelHint* hit = cache.findCovering(l);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->leaf, l);
+  }
+}
+
 // --- LabelHint serde -----------------------------------------------------
 
 TEST(LabelHint, SerdeRoundTrip) {
@@ -127,6 +327,9 @@ TEST(HintCacheSet, KeepsIndependentPerPeerCaches) {
   EXPECT_NE(set.forPeer(7).findCovering(bits("0010")), nullptr);
   EXPECT_EQ(set.peerCount(), 2u);
   EXPECT_EQ(set.totalHints(), 1u);
+  EXPECT_EQ(set.memoryBytes(),
+            set.forPeer(7).memoryBytes() + set.forPeer(9).memoryBytes());
+  EXPECT_GT(set.forPeer(7).memoryBytes(), 0u);
 }
 
 // --- MLIGHT_CACHE environment switch -------------------------------------

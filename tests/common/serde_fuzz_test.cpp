@@ -2,6 +2,7 @@
 // bytes with SerdeError — never crash, hang, or allocate unboundedly.
 #include <gtest/gtest.h>
 
+#include "cache/hint_cache.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "dst/dst_index.h"
@@ -122,6 +123,47 @@ TEST(SerdeFuzz, HugeCountIsRejectedNotAllocated) {
   w.writeU32(0xFFFFFFFFu);  // record count
   Reader r(w.bytes());
   EXPECT_THROW((void)mlight::core::LeafBucket::deserialize(r), SerdeError);
+}
+
+TEST(SerdeFuzz, LabelHintDecoderNeverCrashes) {
+  // The hint rides the hint-probe RPC, so its decoder faces the wire.
+  mlight::cache::LabelHint hint;
+  hint.leaf = BitString::fromString("0010110101110010110");
+  hint.depth = 9;
+  hint.replicaSalts = {0, 3, 7};
+  hint.replicaLoads = {12, 0, 5};
+  Writer w;
+  hint.serialize(w);
+  fuzzDecoder<mlight::cache::LabelHint>(29, w.bytes(), [](Reader& r) {
+    return mlight::cache::LabelHint::deserialize(r);
+  });
+}
+
+TEST(SerdeFuzz, HugeReplicaCountIsRejectedNotAllocated) {
+  // A forged replica block claiming 4 billion copies must throw, not
+  // reserve 2 x 16 GB.
+  Writer w;
+  w.writeBitString(BitString::fromString("0010"));
+  w.writeU32(3);            // depth
+  w.writeU32(0xFFFFFFFFu);  // replica count
+  w.writeU32(1);
+  w.writeU32(2);
+  Reader r(w.bytes());
+  EXPECT_THROW((void)mlight::cache::LabelHint::deserialize(r), SerdeError);
+}
+
+TEST(SerdeFuzz, HugeBitStringLengthIsRejectedNotAllocated) {
+  // A 4-byte frame claiming a 4-gigabit label must throw before any
+  // storage is reserved; so must a length one word past the input.
+  Writer w;
+  w.writeU32(0xFFFFFFFFu);
+  Reader r(w.bytes());
+  EXPECT_THROW((void)r.readBitString(), SerdeError);
+  Writer w2;
+  w2.writeU32(65);  // two words needed, one present
+  w2.writeU64(1);
+  Reader r2(w2.bytes());
+  EXPECT_THROW((void)r2.readBitString(), SerdeError);
 }
 
 TEST(SerdeFuzz, BadRecordDimensionalityRejected) {
