@@ -44,13 +44,19 @@ void BM_NamingFunction(benchmark::State& state) {
 }
 BENCHMARK(BM_NamingFunction)->Arg(2)->Arg(4);
 
+// Cycles through 4,096 pre-drawn points, as inserts do: re-interleaving
+// one point would let the branch predictor learn its path.
 void BM_Interleave(benchmark::State& state) {
   const auto dims = static_cast<std::size_t>(state.range(0));
   common::Rng rng(2);
-  common::Point p(dims);
-  for (std::size_t d = 0; d < dims; ++d) p[d] = rng.uniform();
+  std::vector<common::Point> points(4096, common::Point(dims));
+  for (common::Point& p : points) {
+    for (std::size_t d = 0; d < dims; ++d) p[d] = rng.uniform();
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(common::interleave(p, 28));
+    benchmark::DoNotOptimize(
+        common::interleave(points[i++ % points.size()], 28));
   }
 }
 BENCHMARK(BM_Interleave)->Arg(2)->Arg(4);
@@ -94,6 +100,20 @@ void BM_OverlayRouting(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OverlayRouting)->Arg(16)->Arg(128)->Arg(1024)->Arg(10240);
+
+// The key -> owner slot search every RPC starts with (responsible()).
+void BM_OwnerIndexOf(benchmark::State& state) {
+  const auto peers = static_cast<std::size_t>(state.range(0));
+  dht::Network net(peers, 5);
+  common::Rng rng(7);
+  std::vector<dht::RingId> keys(4096);
+  for (dht::RingId& key : keys) key = dht::RingId{rng.next()};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.responsible(keys[i++ % keys.size()]));
+  }
+}
+BENCHMARK(BM_OwnerIndexOf)->Arg(128)->Arg(10240);
 
 // --- Hot-path memory microbenches ------------------------------------
 //

@@ -265,6 +265,42 @@ void auditRingOrder(std::span<const std::uint64_t> ringPositions) {
   detail::passAudit();
 }
 
+void auditRingDirectory(std::span<const std::uint64_t> ringPositions,
+                        std::span<const std::uint32_t> directory,
+                        unsigned shift) {
+  detail::beginAudit();
+  const std::size_t n = ringPositions.size();
+  const std::size_t buckets =
+      shift != 0 && shift < 64 ? std::size_t{1} << (64 - shift) : 0;
+  if (buckets == 0 || directory.size() != buckets + 1) {
+    detail::failAudit("auditRingDirectory",
+                      "directory has " + std::to_string(directory.size()) +
+                          " entries for shift " + std::to_string(shift));
+  }
+  if (directory[buckets] != n) {
+    detail::failAudit("auditRingDirectory",
+                      "last entry " + std::to_string(directory[buckets]) +
+                          " is not the ring size " + std::to_string(n));
+  }
+  for (std::size_t j = 0; j < buckets; ++j) {
+    const std::uint64_t floor = std::uint64_t{j} << shift;
+    const std::size_t slot = directory[j];
+    // slot is the first position >= floor: nothing before it reaches
+    // floor, and it does (or it is the end).
+    const bool first = slot <= n &&
+                       (slot == n || ringPositions[slot] >= floor) &&
+                       (slot == 0 || ringPositions[slot - 1] < floor);
+    if (!first) {
+      detail::failAudit("auditRingDirectory",
+                        "entry " + std::to_string(j) + " = " +
+                            std::to_string(slot) +
+                            " is not the first slot at or above " +
+                            std::to_string(floor));
+    }
+  }
+  detail::passAudit();
+}
+
 void auditCacheCoherence(const BitString& cachedLeaf,
                          const BitString& uncachedLeaf) {
   detail::beginAudit();

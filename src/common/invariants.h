@@ -177,6 +177,13 @@ void auditReplicaHolders(std::span<const std::uint64_t> holders,
 // the predecessor mapping and finger construction assume it.  O(n).
 void auditRingOrder(std::span<const std::uint64_t> ringPositions);
 
+// The ring-slot directory over sorted positions: it has 2^(64 - shift) + 1
+// entries, entry j is the first index whose position is >= j << shift,
+// and the last entry is the position count.  O(n + entries).
+void auditRingDirectory(std::span<const std::uint64_t> ringPositions,
+                        std::span<const std::uint32_t> directory,
+                        unsigned shift);
+
 // --- Lookup cache: hint coherence ----------------------------------------
 //
 // A cached lookup (direct hit or stale-hint repair) must resolve to the

@@ -2,43 +2,54 @@
 
 #include <array>
 #include <cassert>
+#include <cstdint>
+#include <string>
+
+#include "common/check.h"
 
 namespace mlight::common {
 
 BitString interleave(const Point& p, std::size_t depth) {
   const std::size_t m = p.dims();
   assert(m >= 1);
-  // Track the live interval of each dimension as we halve; numerically
-  // identical to reading fractional bits but robust at cell boundaries.
-  std::array<double, kMaxDims> lo{};
-  std::array<double, kMaxDims> hi{};
+  MLIGHT_CHECK(depth <= kMaxInterleaveBitsPerDim * m,
+               "interleave: depth " + std::to_string(depth) + " exceeds " +
+                   std::to_string(kMaxInterleaveBitsPerDim) + " bits per "
+                   "dimension");
+  // Quantize each coordinate once to the k bits it contributes: q =
+  // floor(p * 2^k), clamped to [0, 2^k - 1].  Scaling by a power of two
+  // is exact, so bit j of q is exactly the j-th halving decision
+  // "p >= midpoint" of the dyadic interval walk.  Each q is left-aligned
+  // at bit 63 so every level shifts its next decision out of the top.
+  std::array<std::uint64_t, kMaxDims> bits{};
   for (std::size_t i = 0; i < m; ++i) {
-    lo[i] = 0.0;
-    hi[i] = 1.0;
+    const std::size_t k = (depth + i) / m;  // path bits refining dim i
+    if (k == 0) continue;
+    const double v = p[i];
+    std::uint64_t q = 0;  // v <= 0 and NaN: always the lower half
+    if (v >= 1.0) {
+      q = (std::uint64_t{1} << k) - 1;  // always the upper half
+    } else if (v > 0.0) {
+      q = static_cast<std::uint64_t>(
+          v * static_cast<double>(std::uint64_t{1} << k));
+    }
+    bits[i] = q << (64 - k);
   }
-  // Accumulate 64 decisions per word and flush via appendWordBits —
-  // bit-for-bit the same string as per-bit pushBack, at a fraction of
-  // the per-bit bookkeeping.  This is the innermost loop of every
-  // insert (single and batched): each record interleaves its full path
-  // before anything else happens.
+  // Emit level by level (dimensions m-1 .. 0 within a level), gathering
+  // 64 bits per word.  This is the innermost loop of every insert.
   BitString out;
   out.reserveBits(depth);
   std::uint64_t word = 0;
   std::size_t filled = 0;
-  for (std::size_t d = 0; d < depth; ++d) {
-    const std::size_t dim = dimensionAtDepth(d, m);
-    const double mid = 0.5 * (lo[dim] + hi[dim]);
-    const bool upper = p[dim] >= mid;
-    word |= static_cast<std::uint64_t>(upper) << filled;
-    if (++filled == 64) {
-      out.appendWordBits(word, 64);
-      word = 0;
-      filled = 0;
-    }
-    if (upper) {
-      lo[dim] = mid;
-    } else {
-      hi[dim] = mid;
+  for (std::size_t d = 0; d < depth;) {
+    for (std::size_t dim = m; dim-- > 0 && d < depth; ++d) {
+      word |= (bits[dim] >> 63) << filled;
+      bits[dim] <<= 1;
+      if (++filled == 64) {
+        out.appendWordBits(word, 64);
+        word = 0;
+        filled = 0;
+      }
     }
   }
   if (filled != 0) out.appendWordBits(word, filled);

@@ -28,10 +28,19 @@ constexpr std::size_t dimensionAtDepth(std::size_t depth,
   return (dims - 1) - (depth % dims);
 }
 
+/// Most path bits interleave() takes from one coordinate.  A double's
+/// dyadic halving midpoints are exact only this deep; past it they stop
+/// being representable and extra "bits" would be rounding artifacts.
+inline constexpr std::size_t kMaxInterleaveBitsPerDim = 52;
+
 /// Interleaves the first ceil(depth/m) fractional bits of each coordinate
 /// into a `depth`-bit string: bit d tells whether the point lies in the
 /// upper half of dimension dimensionAtDepth(d, m) after d/m halvings.
-/// Coordinates must lie in [0, 1); 1.0 is clamped to the top cell.
+/// Each coordinate is quantized once, q = floor(p * 2^k) over its k path
+/// bits; that is exact, so the bits equal the dyadic halving decisions.
+/// Coordinates should lie in [0, 1): p >= 1 clamps to the top cell
+/// (q = 2^k - 1), and p <= 0 or NaN to the bottom one (q = 0).  Checks
+/// depth <= kMaxInterleaveBitsPerDim * m.
 BitString interleave(const Point& p, std::size_t depth);
 
 /// The dyadic cell reached by following `path` from the unit cube, halving

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <cassert>
 #include <cstdio>
+#include <limits>
+#include <memory>
 
 #include "common/check.h"
 #include "common/invariants.h"
@@ -14,6 +15,14 @@ namespace mlight::dht {
 std::uint64_t faultSeedFromEnv(std::uint64_t fallback) {
   return strictDecimalEnv("MLIGHT_FAULT_SEED", fallback);
 }
+
+namespace {
+
+// sendQueueFree_ value of a sender with nothing queued: any departure
+// time beats it, and no busy queue ever holds it.
+constexpr double kIdleQueue = -std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 std::string toString(RingId id) {
   char buf[19];
@@ -81,15 +90,23 @@ std::size_t Network::livePhysicalCount() const {
 }
 
 std::size_t Network::ringIndexOf(RingId id) const noexcept {
-  const auto it = std::lower_bound(peers_.begin(), peers_.end(), id);
-  if (it == peers_.end() || *it != id) return peers_.size();
+  // Only id's directory bucket can hold it.
+  const std::size_t j = id.value >> ringDirShift_;
+  const auto first = peers_.begin() + ringDir_[j];
+  const auto last = peers_.begin() + ringDir_[j + 1];
+  const auto it = std::lower_bound(first, last, id);
+  if (it == last || *it != id) return peers_.size();
   return static_cast<std::size_t>(it - peers_.begin());
 }
 
 std::uint32_t Network::ownerIndexOf(RingId h) const noexcept {
   assert(!peers_.empty());
   // Greatest peer id <= h; wrap to the overall greatest if h precedes all.
-  const auto it = std::upper_bound(peers_.begin(), peers_.end(), h);
+  // Every slot before h's bucket holds a smaller id and every slot after
+  // it a larger one, so the bucket's upper bound is the ring's.
+  const std::size_t j = h.value >> ringDirShift_;
+  const auto it = std::upper_bound(peers_.begin() + ringDir_[j],
+                                   peers_.begin() + ringDir_[j + 1], h);
   const auto above = static_cast<std::size_t>(it - peers_.begin());
   return static_cast<std::uint32_t>((above == 0 ? peers_.size() : above) - 1);
 }
@@ -169,13 +186,14 @@ Network::Path Network::routePath(std::uint32_t from,
 }
 
 RouteResult Network::routeKey(RingId initiator, RingId key,
-                              std::uint32_t& ownerIdx) {
+                              RouteSlots& slots) {
   const std::size_t from = ringIndexOf(initiator);
   MLIGHT_CHECK(from < peers_.size(), "lookup: initiator " +
                                          toString(initiator) +
                                          " is not a live vnode");
-  ownerIdx = ownerIndexOf(key);
-  const Path path = routePath(static_cast<std::uint32_t>(from), ownerIdx);
+  slots.from = static_cast<std::uint32_t>(from);
+  slots.owner = ownerIndexOf(key);
+  const Path path = routePath(slots.from, slots.owner);
   maxHops_ = std::max(maxHops_, path.hops);
   total_.lookups += 1;
   total_.hops += path.hops;
@@ -183,12 +201,22 @@ RouteResult Network::routeKey(RingId initiator, RingId key,
     meter_->lookups += 1;
     meter_->hops += path.hops;
   }
-  return RouteResult{peers_[ownerIdx], path.hops, path.ms};
+  return RouteResult{peers_[slots.owner], path.hops, path.ms};
 }
 
 RouteResult Network::lookup(RingId initiator, RingId key) {
-  std::uint32_t ownerIdx = 0;
-  return routeKey(initiator, key, ownerIdx);
+  RouteSlots slots{};
+  return routeKey(initiator, key, slots);
+}
+
+double Network::reserveDeparture(std::uint32_t from) {
+  double& nextFree = sendQueueFree_[from];
+  if (nextFree == kIdleQueue) {
+    busySenders_.push_back(BusySender{peers_[from], from});
+  }
+  const double departure = std::max(sched_.now(), nextFree);
+  nextFree = departure + latency_.sendOverheadMs;
+  return departure;
 }
 
 void Network::shipPayload(RingId from, RingId to, std::size_t bytes,
@@ -237,7 +265,7 @@ void Network::deliverSlot(std::uint32_t slot) {
     // addressee's vnode left the ring after departure, nobody is there
     // to run the handler — drop the delivery and let the timeout retry
     // against the current ring.
-    if (!std::binary_search(peers_.begin(), peers_.end(), d.env.to)) {
+    if (ringIndexOf(d.env.to) == peers_.size()) {
       ++ghostDrops_;
       bufferPool_.release(std::move(d.env.payload));
       bufferPool_.release(std::move(wire));
@@ -297,17 +325,15 @@ double Network::rpcTimeoutMs(std::size_t attempt,
 }
 
 void Network::transmitWithFaults(RingId key, const RouteResult& route,
-                                 RpcEnvelope env, RpcHandler handler,
-                                 RpcFailFn onFail, std::size_t attempt) {
+                                 std::uint32_t fromIdx, RpcEnvelope env,
+                                 RpcHandler handler, RpcFailFn onFail,
+                                 std::size_t attempt) {
   // Real wire bytes: the handler works from the deserialized copy, and a
   // retransmission re-serializes (the envelope really crosses the wire
   // again, with its re-routed `to`).
   common::Writer w(bufferPool_.acquire());
   env.serialize(w);
-
-  double& nextFree = sendQueueFree_[env.from];
-  const double departure = std::max(sched_.now(), nextFree);
-  nextFree = departure + latency_.sendOverheadMs;
+  const double departure = reserveDeparture(fromIdx);
 
   // Per-attempt fault draws, in a fixed order (loss first, then jitter
   // only for surviving transmissions) so each attempt's outcome is a
@@ -347,8 +373,7 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
         // A sender that left the ring takes its timers with it: there is
         // nobody left to retransmit (or to route from), so the envelope
         // dead-letters now.
-        const bool senderLive =
-            std::binary_search(peers_.begin(), peers_.end(), env.from);
+        const bool senderLive = ringIndexOf(env.from) < peers_.size();
         if (!senderLive || attempt + 1 >= faults_.maxAttempts) {
           deadLetterRing_.record(DeadLetter{env.id, env.kind, env.from,
                                             env.to, attempt + 1,
@@ -361,11 +386,11 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
         // lookup plus one retry tick.
         total_.retries += 1;
         if (meter_ != nullptr) meter_->retries += 1;
-        std::uint32_t ownerIdx = 0;
-        const RouteResult retryRoute = routeKey(env.from, key, ownerIdx);
+        RouteSlots slots{};
+        const RouteResult retryRoute = routeKey(env.from, key, slots);
         env.to = retryRoute.owner;
-        peerLoads_.note(physicalOfIdx_[ownerIdx]);
-        transmitWithFaults(key, retryRoute, std::move(env),
+        peerLoads_.note(physicalOfIdx_[slots.owner]);
+        transmitWithFaults(key, retryRoute, slots.from, std::move(env),
                            std::move(handler), std::move(onFail),
                            attempt + 1);
       });
@@ -377,17 +402,17 @@ RouteResult Network::sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
   // resolutions an operation performs is determined by index structure,
   // not delivery timing, so counts stay bit-identical to the old
   // synchronous call sequence.
-  std::uint32_t ownerIdx = 0;
-  const RouteResult route = routeKey(env.from, key, ownerIdx);
+  RouteSlots slots{};
+  const RouteResult route = routeKey(env.from, key, slots);
   env.to = route.owner;
   env.id = nextRpcId_++;
   total_.messages += 1;
   if (meter_ != nullptr) meter_->messages += 1;
-  peerLoads_.note(physicalOfIdx_[ownerIdx]);
+  peerLoads_.note(physicalOfIdx_[slots.owner]);
 
   if (faults_.enabled) {
-    transmitWithFaults(key, route, std::move(env), std::move(handler),
-                       std::move(onFail), 0);
+    transmitWithFaults(key, route, slots.from, std::move(env),
+                       std::move(handler), std::move(onFail), 0);
     return route;
   }
 
@@ -401,9 +426,7 @@ RouteResult Network::sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
   env.serialize(w);
   bufferPool_.release(std::move(env.payload));
 
-  double& nextFree = sendQueueFree_[env.from];
-  const double departure = std::max(sched_.now(), nextFree);
-  nextFree = departure + latency_.sendOverheadMs;
+  const double departure = reserveDeparture(slots.from);
   const double arrival = departure + route.ms;
 
   const std::uint32_t slot = allocDeliverySlot();
@@ -422,7 +445,10 @@ double Network::beginTimeline() {
   // RPCs its handlers issue are not charged to this operation, then
   // start from a quiet network with idle send queues.
   sched_.run();
-  sendQueueFree_.clear();
+  for (const BusySender& s : busySenders_) {
+    sendQueueFree_[s.slot] = kIdleQueue;
+  }
+  busySenders_.clear();
   timelineMaxRound_ = 0;
   return sched_.now();
 }
@@ -493,11 +519,13 @@ bool Network::crashPeer(RingId id) {
 }
 
 void Network::rebuildFingers() {
-  if (mlight::common::auditEnabled(mlight::common::AuditLevel::kBoundaries)) {
-    // Finger construction and the predecessor mapping both assume the
-    // ring is sorted and duplicate-free; audit it at every membership
-    // change (the only times fingers are rebuilt).
-    std::vector<std::uint64_t> positions;
+  const bool audit =
+      mlight::common::auditEnabled(mlight::common::AuditLevel::kBoundaries);
+  std::vector<std::uint64_t> positions;
+  if (audit) {
+    // Finger construction, the directory and the predecessor mapping all
+    // assume the ring is sorted and duplicate-free; audit it at every
+    // membership change (the only times fingers are rebuilt).
     positions.reserve(peers_.size());
     for (const RingId p : peers_) positions.push_back(p.value);
     mlight::common::auditRingOrder(positions);
@@ -505,6 +533,11 @@ void Network::rebuildFingers() {
   MLIGHT_CHECK(64 * peers_.size() < UINT32_MAX &&
                    physicalNames_.size() < UINT32_MAX,
                "ring, finger and physical-peer indices are 32-bit");
+  rebuildRingDirectory();
+  if (audit) {
+    mlight::common::auditRingDirectory(positions, ringDir_, ringDirShift_);
+  }
+  reindexSendQueues();
   // One flat array for every table (the vectors keep their capacity
   // across rebuilds; churn rebuilds fingers on every membership change).
   // A table holds about log2 n distinct fingers; reserving that up front
@@ -535,6 +568,42 @@ void Network::rebuildFingers() {
     }
   }
   fingerStart_[peers_.size()] = static_cast<std::uint32_t>(fingers_.size());
+}
+
+void Network::rebuildRingDirectory() {
+  const std::size_t n = peers_.size();
+  const int bits = static_cast<int>(std::bit_width(n)) + 1;
+  ringDirShift_ = static_cast<unsigned>(64 - bits);
+  const std::size_t buckets = std::size_t{1} << bits;
+  ringDir_.resize(buckets + 1);
+  std::size_t slot = 0;
+  for (std::size_t j = 0; j < buckets; ++j) {
+    const std::uint64_t floor = std::uint64_t{j} << ringDirShift_;
+    while (slot < n && peers_[slot].value < floor) ++slot;
+    ringDir_[j] = static_cast<std::uint32_t>(slot);
+  }
+  ringDir_[buckets] = static_cast<std::uint32_t>(n);
+}
+
+void Network::reindexSendQueues() {
+  // A membership change inside a timeline shifts ring slots: carry each
+  // busy sender's queue to its new slot by ring id.  A sender that left
+  // drops its queue (routeKey rejects it as an initiator from now on).
+  std::vector<double> pending;
+  pending.reserve(busySenders_.size());
+  for (const BusySender& s : busySenders_) {
+    pending.push_back(sendQueueFree_[s.slot]);
+  }
+  sendQueueFree_.assign(peers_.size(), kIdleQueue);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < busySenders_.size(); ++i) {
+    const std::size_t slot = ringIndexOf(busySenders_[i].id);
+    if (slot == peers_.size()) continue;
+    sendQueueFree_[slot] = pending[i];
+    busySenders_[kept++] = BusySender{busySenders_[i].id,
+                                      static_cast<std::uint32_t>(slot)};
+  }
+  busySenders_.resize(kept);
 }
 
 }  // namespace mlight::dht

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -427,14 +426,27 @@ class Network {
   double sendOverheadMs() const noexcept { return latency_.sendOverheadMs; }
 
  private:
+  /// The membership-change hook: rebuilds the ring-slot directory, moves
+  /// busy send queues to their senders' new slots, and rebuilds fingers.
   void rebuildFingers();
+  void rebuildRingDirectory();
+  void reindexSendQueues();
   bool dropPhysicalPeer(RingId id, MembershipChange::Kind kind);
   /// Ring index of live vnode `id`, or peers_.size() if it is not live.
   std::size_t ringIndexOf(RingId id) const noexcept;
   /// Ring index of the peer owning position `h` (see responsible()).
   std::uint32_t ownerIndexOf(RingId h) const noexcept;
-  /// lookup() that also hands back the owner's ring index.
-  RouteResult routeKey(RingId initiator, RingId key, std::uint32_t& ownerIdx);
+  /// Ring slots of a routed lookup's initiator and owner.
+  struct RouteSlots {
+    std::uint32_t from;
+    std::uint32_t owner;
+  };
+  /// lookup() that also hands back the initiator's and owner's slots.
+  RouteResult routeKey(RingId initiator, RingId key, RouteSlots& slots);
+  /// Departure time of the next message from ring slot `from`: the i-th
+  /// message a sender issues in one timeline departs i * sendOverheadMs
+  /// after the first.
+  double reserveDeparture(std::uint32_t from);
   struct Path {
     std::size_t hops;
     double ms;
@@ -467,8 +479,9 @@ class Network {
   /// One transmission attempt under fault injection (attempt 0 = the
   /// original send); schedules the guarded delivery plus its timeout.
   void transmitWithFaults(RingId key, const RouteResult& route,
-                          RpcEnvelope env, RpcHandler handler,
-                          RpcFailFn onFail, std::size_t attempt);
+                          std::uint32_t fromIdx, RpcEnvelope env,
+                          RpcHandler handler, RpcFailFn onFail,
+                          std::size_t attempt);
   /// Timeout for the given attempt: twice the routed path latency plus
   /// worst-case jitter plus timeoutBaseMs grace, doubled per attempt
   /// (capped exponential backoff).
@@ -482,6 +495,13 @@ class Network {
   };
 
   std::vector<RingId> peers_;                       // vnodes, ring order
+  /// Ring-slot directory over the top b = bit_width(n) + 1 id bits:
+  /// ringDir_[j] is the first slot whose id is >= j << ringDirShift_, and
+  /// the last of its 2^b + 1 entries is n.  Ids in bucket j = id >>
+  /// ringDirShift_ therefore sit in peers_[ringDir_[j], ringDir_[j + 1]),
+  /// with two to four buckets per vnode.  Rebuilt on membership change.
+  std::vector<std::uint32_t> ringDir_;
+  unsigned ringDirShift_ = 63;
   /// Physical peer of each ring slot, aligned with peers_ — the only
   /// vnode -> peer mapping; kept in lockstep by every membership change.
   std::vector<std::uint32_t> physicalOfIdx_;
@@ -503,7 +523,16 @@ class Network {
   std::uint64_t nextPeerSerial_ = 0;
 
   SimScheduler sched_;
-  std::map<RingId, double> sendQueueFree_;  // per-sender next free slot
+  /// Next free departure time of each sender, by ring slot (aligned with
+  /// peers_ like physicalOfIdx_); -infinity while idle.
+  std::vector<double> sendQueueFree_;
+  /// Senders whose queue left idle since the last beginTimeline(), which
+  /// resets only these.  The ring id re-indexes them on membership change.
+  struct BusySender {
+    RingId id;
+    std::uint32_t slot;
+  };
+  std::vector<BusySender> busySenders_;
   BufferPool bufferPool_;
   std::vector<DeliverySlot> deliverySlots_;
   std::vector<std::uint32_t> freeDeliverySlots_;

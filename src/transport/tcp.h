@@ -7,8 +7,11 @@
 // through FrameReader reassembly; each complete envelope is applied to
 // the peer's WireStore and the response frame goes out through a
 // per-connection write queue that tolerates partial writes (EAGAIN keeps
-// the residue queued until POLLOUT).  Oversized or malformed frames drop
-// the connection — the client's retry machinery recovers.
+// the residue queued until POLLOUT).  That queue is bounded: a client
+// that pipelines requests without reading its responses stops being read
+// once the unsent backlog passes 4 frames' worth, so TCP flow control
+// pushes back on it (nothing is dropped).  Oversized or malformed frames
+// drop the connection — the client's retry machinery recovers.
 //
 // Client side (TcpTransport): single-threaded (one instance per client
 // thread), pooling one connection per peer with lazy connect and
@@ -91,6 +94,18 @@ class TcpPeerServer {
   std::uint64_t connsDropped() const noexcept {
     return connsDropped_.load(std::memory_order_relaxed);
   }
+  /// Times a connection stopped being read because its unsent response
+  /// backlog passed backlogLimit().
+  std::uint64_t readPauses() const noexcept {
+    return readPauses_.load(std::memory_order_relaxed);
+  }
+  /// Largest unsent response backlog any connection has held, in bytes
+  /// (at most backlogLimit() plus one response frame).
+  std::uint64_t peakBacklogBytes() const noexcept {
+    return peakBacklog_.load(std::memory_order_relaxed);
+  }
+  /// Unsent response bytes above which a connection is not read.
+  std::size_t backlogLimit() const noexcept { return 4 * maxFrameBytes_; }
 
  private:
   struct Conn {
@@ -98,12 +113,18 @@ class TcpPeerServer {
     FrameReader reader;
     std::vector<std::uint8_t> out;  ///< Queued response bytes.
     std::size_t outHead = 0;        ///< Bytes of `out` already written.
+    bool paused = false;            ///< Reading stopped on the backlog.
     explicit Conn(std::size_t maxFrame) : reader(maxFrame) {}
+    std::size_t backlog() const noexcept { return out.size() - outHead; }
   };
 
   void serveLoop();
-  /// Drains readable bytes; returns false when the connection must close.
+  /// Serves buffered frames and reads more while the connection's
+  /// backlog allows; returns false when the connection must close.
   bool onReadable(Conn& c);
+  /// Answers buffered complete frames until the backlog passes
+  /// backlogLimit(); returns false on a malformed envelope.
+  bool serveFrames(Conn& c);
   /// Flushes queued bytes; returns false when the connection must close.
   bool flushWrites(Conn& c);
 
@@ -117,6 +138,8 @@ class TcpPeerServer {
   std::vector<Conn> conns_;
   std::atomic<std::uint64_t> framesServed_{0};
   std::atomic<std::uint64_t> connsDropped_{0};
+  std::atomic<std::uint64_t> readPauses_{0};
+  std::atomic<std::uint64_t> peakBacklog_{0};
 };
 
 /// Client transport over real sockets.  Single-threaded: construct one

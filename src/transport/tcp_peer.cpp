@@ -80,9 +80,43 @@ void TcpPeerServer::stop() {
   wakePipe_[0] = wakePipe_[1] = -1;
 }
 
+bool TcpPeerServer::serveFrames(Conn& c) {
+  try {
+    dht::RpcEnvelope req;
+    while (c.backlog() <= backlogLimit() && c.reader.next(req)) {
+      dht::RpcEnvelope resp = store_.handle(req);
+      encodeFrame(resp, c.out);
+      framesServed_.fetch_add(1, std::memory_order_relaxed);
+      if (c.backlog() > peakBacklog_.load(std::memory_order_relaxed)) {
+        peakBacklog_.store(c.backlog(), std::memory_order_relaxed);
+      }
+    }
+  } catch (const common::SerdeError&) {
+    // Malformed envelope inside a well-framed length: protocol error,
+    // same remedy as an oversized frame.
+    connsDropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
+}
+
 bool TcpPeerServer::onReadable(Conn& c) {
   std::uint8_t buf[4096];
   for (;;) {
+    // Answer what is buffered before reading more, and stop reading while
+    // the client is not taking its responses: the unread requests then
+    // back up into the kernel buffers and TCP flow control stalls it.
+    if (!serveFrames(c)) return false;
+    if (c.backlog() > backlogLimit()) {
+      if (!flushWrites(c)) return false;
+      if (c.backlog() <= backlogLimit()) continue;  // serve the rest
+      // Paused with the backlog over the limit: serveLoop polls only
+      // POLLOUT, and the flush that drains it resumes serving.
+      if (!c.paused) readPauses_.fetch_add(1, std::memory_order_relaxed);
+      c.paused = true;
+      return true;
+    }
+    c.paused = false;
     const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       if (!c.reader.feed(buf, static_cast<std::size_t>(n))) {
@@ -97,19 +131,6 @@ bool TcpPeerServer::onReadable(Conn& c) {
     if (errno == EINTR) continue;
     return false;  // connection error
   }
-  try {
-    dht::RpcEnvelope req;
-    while (c.reader.next(req)) {
-      dht::RpcEnvelope resp = store_.handle(req);
-      encodeFrame(resp, c.out);
-      framesServed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } catch (const common::SerdeError&) {
-    // Malformed envelope inside a well-framed length: protocol error,
-    // same remedy as an oversized frame.
-    connsDropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
   return flushWrites(c);
 }
 
@@ -121,7 +142,16 @@ bool TcpPeerServer::flushWrites(Conn& c) {
       c.outHead += static_cast<std::size_t>(n);
       continue;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // POLLOUT
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      // Drop the sent prefix once it outweighs the residue, so the
+      // buffer stays within twice the backlog.
+      if (c.outHead >= c.backlog()) {
+        c.out.erase(c.out.begin(),
+                    c.out.begin() + static_cast<std::ptrdiff_t>(c.outHead));
+        c.outHead = 0;
+      }
+      return true;  // POLLOUT
+    }
     if (errno == EINTR) continue;
     return false;
   }
@@ -137,10 +167,10 @@ void TcpPeerServer::serveLoop() {
     fds.push_back(pollfd{wakePipe_[0], POLLIN, 0});
     fds.push_back(pollfd{listenFd_, POLLIN, 0});
     for (const Conn& c : conns_) {
-      short events = POLLIN;
-      if (c.outHead < c.out.size()) {
-        events = static_cast<short>(events | POLLOUT);
-      }
+      // Backpressure: a connection whose backlog is over the limit is
+      // not read until its client takes enough responses.
+      short events = c.backlog() <= backlogLimit() ? POLLIN : 0;
+      if (c.backlog() > 0) events = static_cast<short>(events | POLLOUT);
       fds.push_back(pollfd{c.fd, events, 0});
     }
     // Connections accepted below this poll round have no pollfd yet;
@@ -172,7 +202,12 @@ void TcpPeerServer::serveLoop() {
       bool alive = true;
       if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) alive = false;
       if (alive && (p.revents & POLLOUT) != 0) alive = flushWrites(c);
-      if (alive && (p.revents & POLLIN) != 0) alive = onReadable(c);
+      // A paused connection resumes once the flush brings its backlog
+      // back under the limit: first the frames it already buffered.
+      const bool resume = c.paused && c.backlog() <= backlogLimit();
+      if (alive && ((p.revents & POLLIN) != 0 || resume)) {
+        alive = onReadable(c);
+      }
       if (!alive) {
         ::close(c.fd);
         conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));

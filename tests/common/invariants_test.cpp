@@ -241,6 +241,24 @@ TEST_F(InvariantsTest, RingOrderDetectsDisorderAndDuplicates) {
   EXPECT_THROW(auditRingOrder(duplicate), AuditFailure);
 }
 
+TEST_F(InvariantsTest, RingDirectoryDetectsWrongEntries) {
+  // Shift 62: four buckets starting at 0, 2^62, 2^63 and 3 * 2^62.
+  constexpr std::uint64_t q = std::uint64_t{1} << 62;
+  const std::vector<std::uint64_t> ring = {5, q + 1, q + 2, 3 * q};
+  std::vector<std::uint32_t> dir = {0, 1, 3, 3, 4};
+  EXPECT_NO_THROW(auditRingDirectory(ring, dir, 62));
+  std::vector<std::uint32_t> late = dir;
+  late[1] = 2;  // skips the bucket's first id
+  EXPECT_THROW(auditRingDirectory(ring, late, 62), AuditFailure);
+  std::vector<std::uint32_t> early = dir;
+  early[3] = 2;  // starts at an id below the bucket floor
+  EXPECT_THROW(auditRingDirectory(ring, early, 62), AuditFailure);
+  std::vector<std::uint32_t> badEnd = dir;
+  badEnd[4] = 3;
+  EXPECT_THROW(auditRingDirectory(ring, badEnd, 62), AuditFailure);
+  EXPECT_THROW(auditRingDirectory(ring, dir, 61), AuditFailure);  // size
+}
+
 // --- level knob and counters --------------------------------------------
 
 TEST_F(InvariantsTest, AuditEnabledGatesOnLevelAndCountsSkips) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace mlight::common {
@@ -110,6 +117,87 @@ TEST(ZOrder, CoordinateOneClampsToTopCell) {
   // chain rather than fall off the space.
   const BitString path = interleave(Point{1.0, 1.0}, 10);
   EXPECT_EQ(path.toString(), "1111111111");
+}
+
+// The floating-point halving walk interleave() used before it quantized
+// each coordinate: the test oracle for the quantized path.
+BitString halvingOracle(const Point& p, std::size_t depth) {
+  const std::size_t m = p.dims();
+  std::array<double, kMaxDims> lo{};
+  std::array<double, kMaxDims> hi{};
+  for (std::size_t i = 0; i < m; ++i) {
+    lo[i] = 0.0;
+    hi[i] = 1.0;
+  }
+  BitString out;
+  for (std::size_t d = 0; d < depth; ++d) {
+    const std::size_t dim = dimensionAtDepth(d, m);
+    const double mid = 0.5 * (lo[dim] + hi[dim]);
+    const bool upper = p[dim] >= mid;
+    out.pushBack(upper);
+    if (upper) {
+      lo[dim] = mid;
+    } else {
+      hi[dim] = mid;
+    }
+  }
+  return out;
+}
+
+TEST(ZOrder, QuantizedMatchesHalvingOracle) {
+  const double oneMinusUlp = std::nextafter(1.0, 0.0);
+  Rng rng(31);
+  // A coordinate drawn from the cases where quantization could slip:
+  // dyadic points at every level (cell boundaries), the domain edges,
+  // out-of-domain values and NaN, plus plain random ones.
+  const auto coordinate = [&]() -> double {
+    switch (rng.below(8)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return oneMinusUlp;
+      case 2:
+        return 1.0;
+      case 3: {
+        const int level = static_cast<int>(rng.below(53));
+        const double cells = std::ldexp(1.0, level);
+        return static_cast<double>(rng.below(
+                   static_cast<std::uint64_t>(cells))) /
+               cells;
+      }
+      case 4: {
+        const double values[] = {-0.0, -1e-300, -0.5, -1.0, 1.5, 2.0,
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::denorm_min()};
+        return values[rng.below(std::size(values))];
+      }
+      default:
+        return rng.uniform();
+    }
+  };
+  for (const std::size_t m : {1u, 2u, 3u, 4u, 8u}) {
+    for (int i = 0; i < 60; ++i) {
+      Point p(m);
+      for (std::size_t d = 0; d < m; ++d) p[d] = coordinate();
+      for (std::size_t depth = 0; depth <= kMaxInterleaveBitsPerDim * m;
+           ++depth) {
+        ASSERT_EQ(interleave(p, depth), halvingOracle(p, depth))
+            << "m=" << m << " point " << i << " depth " << depth;
+      }
+    }
+  }
+}
+
+TEST(ZOrder, RejectsDepthBeyondDoublePrecision) {
+  for (const std::size_t m : {1u, 2u, 8u}) {
+    Point p(m);
+    for (std::size_t d = 0; d < m; ++d) p[d] = 0.3;
+    EXPECT_NO_THROW(interleave(p, kMaxInterleaveBitsPerDim * m));
+    EXPECT_THROW(interleave(p, kMaxInterleaveBitsPerDim * m + 1),
+                 CheckFailure);
+  }
 }
 
 // Parameterized sweep over dimensionalities: interleave/cellOfPath agree

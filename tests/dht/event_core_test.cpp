@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -184,6 +185,61 @@ TEST(Network, BeginTimelineDrainsAndResetsRounds) {
   EXPECT_TRUE(delivered);  // pending deliveries ran before the reset
   EXPECT_EQ(net.pendingEvents(), 0u);
   EXPECT_EQ(net.timelineMaxRound(), 0u);
+}
+
+// Send queues live in a dense array by ring slot.  A peer that joins
+// below a busy sender shifts its slot, and crashing that peer shifts it
+// back; the sender's queue must follow it, so its burst keeps departing
+// sendOverheadMs apart.  A busy sender that leaves drops its queue: if it
+// rejoins in the same timeline, it starts idle.  beginTimeline() leaves
+// every queue idle.
+TEST(Network, SendQueueAcrossMembershipChange) {
+  Network net(16);
+  const double overhead = net.sendOverheadMs();
+  const RingId sender = net.peers().back();  // the ring's last slot
+  std::vector<double> departures;
+  const auto send = [&net, &departures](RingId from) {
+    RpcEnvelope env;
+    env.from = from;
+    const std::size_t i = departures.size();
+    departures.push_back(-1.0);
+    net.sendRpc(RingId{0x0123456789abcdefull}, std::move(env),
+                [&departures, i](const RpcDelivery& d) {
+                  departures[i] = d.sentAt;
+                });
+  };
+
+  const double t0 = net.beginTimeline();
+  for (int i = 0; i < 3; ++i) send(sender);  // departures 0-2
+  // A joiner whose id sorts below the sender, so the join shifts it.
+  std::string name = "joiner";
+  while (!(keyId("peer-id:" + name + "#0") < sender)) name += "+";
+  const RingId joiner = net.addPeer(name);
+  ASSERT_LT(joiner, sender);
+  send(joiner);  // departure 3
+  send(joiner);  // departure 4
+  ASSERT_TRUE(net.crashPeer(joiner));
+  ASSERT_EQ(net.addPeer(name), joiner);  // same ring id, fresh queue
+  send(joiner);  // departure 5
+  ASSERT_TRUE(net.crashPeer(joiner));
+  for (int i = 0; i < 2; ++i) send(sender);  // departures 6-7
+  net.run();
+  const std::vector<double> fromSender = {departures[0], departures[1],
+                                          departures[2], departures[6],
+                                          departures[7]};
+  for (std::size_t i = 0; i < fromSender.size(); ++i) {
+    EXPECT_EQ(fromSender[i], t0 + static_cast<double>(i) * overhead) << i;
+  }
+  EXPECT_EQ(departures[3], t0);
+  EXPECT_EQ(departures[4], t0 + overhead);
+  EXPECT_EQ(departures[5], t0);
+
+  const double t1 = net.beginTimeline();
+  for (const RingId peer : net.peers()) send(peer);
+  net.run();
+  for (std::size_t i = 8; i < departures.size(); ++i) {
+    EXPECT_EQ(departures[i], t1) << "peer " << i - 8;
+  }
 }
 
 // ISSUE 2 acceptance: on the same data, range queries with lookahead

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "dht/network.h"
 
@@ -206,6 +208,40 @@ void applyChurn(Network& net, ReferenceRing& ref, std::uint64_t seed,
   }
 }
 
+// Keys aimed at the ring-slot directory's edges: 0 and 2^64 - 1 (the
+// wrap), every peer id and its neighbours, and the first and last id of
+// every directory bucket (2^b buckets, b = bit_width(n) + 1), which
+// covers every empty bucket.  responsible(), routed owners and the
+// owner's physicalOf() must match the model; an id that is not live
+// must fail physicalOf().
+void checkAdversarialKeys(Network& net, const ReferenceRing& ref) {
+  const std::vector<RingId>& peers = net.peers();
+  std::vector<RingId> keys = {RingId{0}, RingId{~std::uint64_t{0}}};
+  for (const RingId p : peers) {
+    keys.push_back(RingId{p.value - 1});
+    keys.push_back(p);
+    keys.push_back(RingId{p.value + 1});
+  }
+  const int bits = static_cast<int>(std::bit_width(peers.size())) + 1;
+  for (std::uint64_t j = 0; j < (std::uint64_t{1} << bits); ++j) {
+    const std::uint64_t floor = j << (64 - bits);
+    keys.push_back(RingId{floor});
+    keys.push_back(RingId{floor - 1});
+  }
+  const RingId initiator = peers[peers.size() / 2];
+  for (const RingId key : keys) {
+    const RingId owner = ref.responsible(key);
+    ASSERT_EQ(net.responsible(key), owner) << toString(key);
+    ASSERT_EQ(net.lookup(initiator, key).owner, owner) << toString(key);
+    ASSERT_EQ(net.physicalOf(owner), ref.vnodeToPhysical().at(owner));
+    if (ref.vnodeToPhysical().count(key) == 0) {
+      ASSERT_THROW(net.physicalOf(key), common::CheckFailure) << toString(key);
+    } else {
+      ASSERT_EQ(net.physicalOf(key), ref.vnodeToPhysical().at(key));
+    }
+  }
+}
+
 TEST_P(RoutingEquivalence, MatchesRingIdKeyedReference) {
   const RingShape shape = GetParam();
   const LatencyModel latency{};
@@ -266,6 +302,57 @@ TEST_P(RoutingEquivalence, MatchesRingIdKeyedReference) {
   }
   EXPECT_EQ(net.totalCost().lookups - before.lookups, 20000u);
   EXPECT_EQ(net.totalCost().hops - before.hops, refHops);
+
+  ASSERT_NO_FATAL_FAILURE(checkAdversarialKeys(net, ref));
+}
+
+// A ring whose ids all share their top 10 bits: every peer lands in one
+// directory bucket and every other bucket is empty, so each search runs
+// over the whole ring and most keys wrap to the last slot.  Pinned
+// before and after churn among the clustered peers.
+TEST(RoutingEquivalenceClustered, DirectoryEdgesMatchReference) {
+  constexpr std::size_t kPeers = 48;
+  std::vector<std::string> names;
+  for (std::uint64_t serial = 0; names.size() < kPeers; ++serial) {
+    const std::string name = "cluster-" + std::to_string(serial);
+    if (keyId("peer-id:" + name + "#0").value >> 54 == 0x2A5) {
+      names.push_back(name);
+    }
+  }
+  const LatencyModel latency{};
+  Network net(1, 3, 1, latency);
+  ReferenceRing ref(1, 1, latency);
+  for (const std::string& name : names) {
+    net.addPeer(name);
+    ref.add(name);
+  }
+  const RingId seedPeer = keyId("peer-id:node:0#0");
+  ASSERT_TRUE(net.removePeer(seedPeer));
+  ASSERT_TRUE(ref.drop(seedPeer));
+  ref.freeze();
+  ASSERT_EQ(net.peers(), ref.peers());
+  ASSERT_NO_FATAL_FAILURE(checkAdversarialKeys(net, ref));
+
+  // Crashes and graceful leaves, with a departed peer rejoining under
+  // its old name every third event.
+  common::Rng rng(41);
+  std::vector<std::string> departed;
+  for (int e = 0; e < 12; ++e) {
+    const RingId victim = net.peers()[rng.below(net.peerCount())];
+    departed.push_back(net.physicalNameOf(victim));
+    const bool dropped =
+        e % 2 == 0 ? net.crashPeer(victim) : net.removePeer(victim);
+    ASSERT_TRUE(dropped);
+    ASSERT_TRUE(ref.drop(victim));
+    if (e % 3 == 2) {
+      net.addPeer(departed.front());
+      ref.add(departed.front());
+      departed.erase(departed.begin());
+    }
+  }
+  ref.freeze();
+  ASSERT_EQ(net.peers(), ref.peers());
+  ASSERT_NO_FATAL_FAILURE(checkAdversarialKeys(net, ref));
 }
 
 INSTANTIATE_TEST_SUITE_P(

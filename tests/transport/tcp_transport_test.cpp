@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -247,6 +248,89 @@ TEST(TcpTransport, ServerDropsOversizedClientFrame) {
   server.stop();
   EXPECT_GE(server.connsDropped(), 1u);
   EXPECT_EQ(server.framesServed(), 0u);
+}
+
+// A client that pipelines requests and never reads: the server stops
+// reading it once the unsent response backlog passes backlogLimit(), so
+// the backlog peaks within the limit plus one response frame.  Nothing
+// is dropped: once the client drains, every response arrives, in order.
+TEST(TcpTransport, SlowReaderBoundsServerBacklog) {
+  constexpr std::size_t kMaxFrame = 256;  // backlog limit: 1 KiB
+  TcpPeerServer server(kMaxFrame);
+  // 64 stored records make each range response ~1 KiB, so 10k of them
+  // (~10 MiB) overflow any kernel socket buffering.
+  std::vector<WireStore::Record> records;
+  for (std::uint64_t k = 0; k < 64; ++k) records.emplace_back(k, k);
+  server.store().handle(request(dht::RpcKind::kBatchPut,
+                                WireStore::encodeBatchPut(records)));
+  const dht::RpcEnvelope scan =
+      request(dht::RpcKind::kVisit, WireStore::encodeRange(0, 63));
+  std::vector<std::uint8_t> oneResponse;
+  encodeFrame(server.store().handle(scan), oneResponse);
+  const std::uint16_t port = server.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sa.sin_port = htons(port);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+
+  constexpr std::uint64_t kFrames = 10000;
+  std::vector<std::uint8_t> requests;
+  for (std::uint64_t id = 1; id <= kFrames; ++id) {
+    dht::RpcEnvelope env = scan;
+    env.id = id;
+    encodeFrame(env, requests);
+  }
+  // The writer blocks once the server stops reading; it finishes as the
+  // drain below lets the server resume.
+  std::thread writer([fd, &requests] {
+    std::size_t sent = 0;
+    while (sent < requests.size()) {
+      const ssize_t n = ::send(fd, requests.data() + sent,
+                               requests.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+
+  // Wait until the server has stalled on the unread responses.
+  std::uint64_t served = 0;
+  for (int waited = 0; waited < 200; ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    const std::uint64_t now = server.framesServed();
+    if (server.readPauses() > 0 && now == served) break;
+    served = now;
+  }
+  const std::uint64_t bound = server.backlogLimit() + oneResponse.size();
+  EXPECT_GE(server.readPauses(), 1u);
+  EXPECT_LT(server.framesServed(), kFrames);
+  EXPECT_LE(server.peakBacklogBytes(), bound);
+
+  FrameReader reader(oneResponse.size());
+  std::uint64_t expected = 1;
+  std::uint8_t buf[4096];
+  bool intact = true;
+  while (intact && expected <= kFrames) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    intact = n > 0 && reader.feed(buf, static_cast<std::size_t>(n));
+    dht::RpcEnvelope resp;
+    while (intact && reader.next(resp)) {
+      intact = resp.id == expected && resp.kind == dht::RpcKind::kResponse;
+      ++expected;
+    }
+  }
+  ::shutdown(fd, SHUT_RDWR);  // unblocks the writer if the drain failed
+  writer.join();
+  ::close(fd);
+  EXPECT_TRUE(intact) << "stream broke at response " << expected - 1;
+  EXPECT_EQ(expected, kFrames + 1);
+  EXPECT_EQ(reader.buffered(), 0u);
+  server.stop();
+  EXPECT_EQ(server.framesServed(), kFrames);
+  EXPECT_LE(server.peakBacklogBytes(), bound);
 }
 
 }  // namespace
