@@ -6,10 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hint_cache.h"
+#include "common/label_table.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "common/sha1.h"
@@ -195,27 +195,6 @@ void BM_LookupPrefixSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LookupPrefixSearch);
-
-void BM_BitStringHashAndFind(benchmark::State& state) {
-  // The store's per-probe hashing shape: one probe key hashed against
-  // the bucket map and its sibling bookkeeping tables (the same label is
-  // hashed several times per delivery).
-  std::unordered_map<common::BitString, int, common::BitStringHash> entries;
-  std::unordered_map<common::BitString, int, common::BitStringHash> cache;
-  std::vector<common::BitString> keys;
-  for (std::uint64_t s = 0; s < 256; ++s) {
-    keys.push_back(randomLabel(31, 100 + s));
-    entries.emplace(keys.back(), static_cast<int>(s));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const common::BitString probe = keys[i++ % keys.size()];
-    benchmark::DoNotOptimize(entries.find(probe));
-    benchmark::DoNotOptimize(cache.find(probe));
-    benchmark::DoNotOptimize(probe.hash64());
-  }
-}
-BENCHMARK(BM_BitStringHashAndFind);
 
 void BM_SerdeBitStringRoundTrip(benchmark::State& state) {
   const auto label =
@@ -425,6 +404,24 @@ std::vector<common::BitString> hintLabels(std::size_t n,
   }
   return out;
 }
+
+// The store's and the hint cache's per-probe shape: one wire label
+// resolved to its slot in the shared label directory (16k 57-bit labels,
+// the hotspot workload's leaf-key length).  Misses probe labels the table
+// does not hold.
+void BM_LabelTableFind(benchmark::State& state, bool hit) {
+  constexpr std::size_t kLabels = 16384;
+  common::LabelTable<std::uint32_t> table;
+  const auto labels = hintLabels(kLabels, 7000);
+  for (const auto& l : labels) table.insert(l);
+  const auto probes = hit ? labels : hintLabels(kLabels, 900000);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(probes[(i++ * 7919) % kLabels]));
+  }
+}
+BENCHMARK_CAPTURE(BM_LabelTableFind, hit, true);
+BENCHMARK_CAPTURE(BM_LabelTableFind, miss, false);
 
 void BM_HintCacheFindCovering(benchmark::State& state, bool hit) {
   const auto n = static_cast<std::size_t>(state.range(0));

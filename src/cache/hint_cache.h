@@ -30,6 +30,7 @@
 
 #include "common/bitstring.h"
 #include "common/digest.h"
+#include "common/label_table.h"
 #include "common/serde.h"
 
 namespace mlight::cache {
@@ -117,18 +118,12 @@ struct CachePolicy {
 ///
 /// Layout (docs/COST_MODEL.md "Lookup cache (hints)"): one flat arena
 /// per peer, a few words per hint and no per-hint allocation.
-///  * slots_ holds one Slot per hint — u32 LRU links (prev/next, with
-///    head_ the most recently used), depth, label length and a replica
-///    block reference.  Freed slots chain through `next` from freeSlot_
-///    and are reused before the arena grows;
-///  * labels_ holds each slot's label words at labels_[slot * stride_],
-///    tail bits zeroed.  stride_ is the word count of the longest label
-///    ever learned; a longer label re-strides the whole pool (rare — a
-///    tree's depth bound fixes it after the first few learns);
-///  * index_ is open addressing with linear probing over slot+1 (0 =
-///    empty), load ≤ ½, deletion by backward shift (no tombstones).
-///    Nothing iterates it: digestState walks the LRU links, so hash
-///    order never reaches a digest;
+///  * table_ (common::LabelTable, the same label directory the store
+///    uses) maps each cached label to a dense slot and holds its words,
+///    its length and a Slot payload: u32 LRU links (prev/next, with
+///    head_ the most recently used), depth and a replica block
+///    reference.  Nothing iterates the table: digestState walks the LRU
+///    links, so hash order never reaches a digest;
 ///  * replica salts/loads live in a side vector of blocks (with a free
 ///    list) that only hints for boosted leaves reference.
 class LabelHintCache {
@@ -138,7 +133,7 @@ class LabelHintCache {
   LabelHintCache(std::size_t dims, const CachePolicy& policy)
       : capacity_(policy.perDimCapacity * dims) {}
 
-  std::size_t size() const noexcept { return size_; }
+  std::size_t size() const noexcept { return table_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Deepest cached hint covering `fullPath` (nullptr on miss).  Touches
@@ -182,11 +177,10 @@ class LabelHintCache {
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
   struct Slot {
-    std::uint32_t prev;
-    std::uint32_t next;
-    std::uint32_t depth;
-    std::uint32_t len;      ///< label length in bits
-    std::uint32_t replica;  ///< replicas_ index + 1; 0 = no replica block
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+    std::uint32_t depth = 0;
+    std::uint32_t replica = 0;  ///< replicas_ index + 1; 0 = no block
   };
   struct ReplicaBlock {
     std::vector<std::uint32_t> salts;
@@ -194,14 +188,9 @@ class LabelHintCache {
   };
 
   std::size_t capacity_;
-  std::size_t size_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<std::uint64_t> labels_;
-  std::size_t stride_ = 0;
-  std::vector<std::uint32_t> index_;
+  mlight::common::LabelTable<Slot> table_;
   std::uint32_t head_ = kNil;  ///< most recently used
   std::uint32_t tail_ = kNil;  ///< least recently used
-  std::uint32_t freeSlot_ = kNil;
   std::vector<ReplicaBlock> replicas_;
   std::vector<std::uint32_t> freeReplicas_;
   /// lengthCount_[len] = number of cached hints with a len-bit label.
@@ -211,15 +200,6 @@ class LabelHintCache {
   /// findCovering's result, refilled on every hit.
   LabelHint hit_;
 
-  const std::uint64_t* labelOf(std::uint32_t slot) const noexcept {
-    return labels_.data() + slot * stride_;
-  }
-  std::size_t homeOf(const std::uint64_t* words,
-                     std::uint32_t len) const noexcept;
-  std::size_t find(const std::uint64_t* words, std::uint32_t len) const;
-  void eraseAt(std::size_t pos);
-  void rehash(std::size_t tableSize);
-  void restride(std::size_t words);
   void unlink(std::uint32_t slot) noexcept;
   void pushFront(std::uint32_t slot) noexcept;
   void dropSlot(std::uint32_t slot);

@@ -251,6 +251,23 @@ void auditReplicaHolders(std::span<const std::uint64_t> holders,
   detail::passAudit();
 }
 
+void auditFrozenReadRoute(const BitString& label, bool frozenRouted,
+                          std::size_t frozenSalt, bool freshRouted,
+                          std::size_t freshSalt) {
+  detail::beginAudit();
+  if (frozenRouted != freshRouted || frozenSalt != freshSalt) {
+    detail::failAudit(
+        "auditFrozenReadRoute",
+        "boosted label " + label.toString() + " reads " +
+            (frozenRouted ? "salt " + std::to_string(frozenSalt)
+                          : std::string("unrouted")) +
+            " but a full re-pick gives " +
+            (freshRouted ? "salt " + std::to_string(freshSalt)
+                         : std::string("unrouted")));
+  }
+  detail::passAudit();
+}
+
 void auditRingOrder(std::span<const std::uint64_t> ringPositions) {
   detail::beginAudit();
   for (std::size_t i = 1; i < ringPositions.size(); ++i) {

@@ -171,6 +171,17 @@ void auditStableStorage(const void* dataAtHarvest, std::size_t sizeAtHarvest,
 void auditReplicaHolders(std::span<const std::uint64_t> holders,
                          std::size_t replication);
 
+// --- Store layer: frozen read routes ------------------------------------
+//
+// refreshReadRouting re-picks a boosted label's read route only when the
+// store's copy-set epoch or the last winner's load moved.  Every frozen
+// route must equal a from-scratch least-loaded pick on the current meter:
+// the same routed flag (the label is stored) and the same salt.  Call
+// sites gate on kParanoid.  O(1) given both picks.
+void auditFrozenReadRoute(const BitString& label, bool frozenRouted,
+                          std::size_t frozenSalt, bool freshRouted,
+                          std::size_t freshSalt);
+
 // --- Network layer: ring soundness ---------------------------------------
 //
 // Ring positions must be strictly increasing (sorted, duplicate-free):

@@ -131,7 +131,8 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
   // into `out.records` once, after the cascade quiesces.  The pointers
   // stay valid: the cascade starts on an idle network and issues only
   // kGet reads, whose handler mutates no bucket (heat and read-repair
-  // touch counters and copy lists), and `entries_` is node-based.  The
+  // touch counters and copy lists), and the store keeps every bucket at
+  // a stable address (one heap Entry per stored label).  The
   // paranoid audit re-checks every harvested bucket's storage before
   // the copy.
   std::vector<const Record*> hits;

@@ -32,11 +32,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -44,6 +43,7 @@
 #include "common/check.h"
 #include "common/digest.h"
 #include "common/invariants.h"
+#include "common/label_table.h"
 #include "common/serde.h"
 #include "dht/network.h"
 #include "wal/wal.h"
@@ -169,13 +169,13 @@ class DistributedStore {
         std::unique(pendingDemotions_.begin(), pendingDemotions_.end()),
         pendingDemotions_.end());
     for (const Label& label : pendingDemotions_) {
-      if (boost_.erase(label) == 0) continue;
-      auto it = entries_.find(label);
-      if (it == entries_.end()) continue;
+      const std::uint32_t slot = labels_.find(label);
+      if (slot == kNoSlot || labels_[slot].boost == kNotBoosted) continue;
+      releaseBoost(slot);
+      if (labels_[slot].entry == nullptr) continue;
       // Shedding copies is free: the enlarged set simply stops being
       // maintained, and the next installed copy set is the base one.
-      it->second.copies = copyTargets(label);
-      noteCopyHealth(label, it->second.copies);
+      installCopies(slot, copyTargets(label));
       ++hotDemotions_;
     }
     pendingDemotions_.clear();
@@ -184,36 +184,79 @@ class DistributedStore {
         std::unique(pendingPromotions_.begin(), pendingPromotions_.end()),
         pendingPromotions_.end());
     for (const Label& label : pendingPromotions_) {
-      if (boost_.size() >= loadBalance_.maxHotLeaves) break;
-      if (boost_.find(label) != boost_.end()) continue;
-      auto it = entries_.find(label);
-      if (it == entries_.end()) continue;
-      boost_.emplace(label, Boost{loadBalance_.boostCopies});
+      if (boosted_.size() >= loadBalance_.maxHotLeaves) break;
+      const std::uint32_t slot = labels_.find(label);
+      if (slot == kNoSlot || labels_[slot].boost != kNotBoosted) continue;
+      const Entry* entry = labels_[slot].entry.get();
+      if (entry == nullptr) continue;
+      labels_[slot].boost = static_cast<std::uint32_t>(boosted_.size());
+      boosted_.push_back(Boost{slot, loadBalance_.boostCopies});
       // Ship the bucket to the new holders from the primary — the same
       // metered repair primitive crash recovery uses.
-      ensureReplicated(label, it->second, it->second.copies[0].holder);
+      ensureReplicated(label, slot, entry->copies[0].holder);
       ++hotPromotions_;
     }
     pendingPromotions_.clear();
   }
 
-  /// Recomputes, at a quiescent point, the frozen read route of every
-  /// boosted label: the copy with the least per-peer query load on the
-  /// current meter, ties broken by lowest replica index (the order of
-  /// the copy-target walk).  Handlers issuing reads mid-operation
-  /// consult only this frozen table — never the live counters — so the
-  /// routing decision is identical under any same-time delivery order.
-  /// Runs before every read, so it only overwrites boost_ in place and
-  /// reads each copy's load through its cached ring slot: no ring
-  /// search and no allocation in steady state.
+  /// Brings, at a quiescent point, the frozen read route of every
+  /// boosted label up to date: the copy with the least per-peer query
+  /// load on the current meter, ties broken by lowest replica index (the
+  /// order of the copy-target walk).  Handlers issuing reads
+  /// mid-operation consult only this frozen table — never the live
+  /// counters — so the routing decision is identical under any same-time
+  /// delivery order.
+  ///
+  /// Runs before every read, so a label is re-picked only when its route
+  /// can have changed: when the copy-set epoch moved (a copy set was
+  /// installed, a bucket erased, or membership changed) or the last
+  /// winner's load moved.  Skipping is exact: the meter only counts up,
+  /// so a rise on a copy that is not the winner cannot displace the
+  /// first minimum, and the copy set and vnode→physical map change only
+  /// at epoch bumps (docs/COST_MODEL.md "Query-load balancing").
   void refreshReadRouting() {
     if (!loadBalance_.enabled) return;
-    for (auto& [label, boost] : boost_) {
-      const auto it = entries_.find(label);
-      boost.routed = it != entries_.end();
-      boost.readSalt =
-          boost.routed ? pickLeastLoadedSalt(it->second.copies) : 0;
+    const auto& loads = net_->peerLoads();
+    for (Boost& boost : boosted_) {
+      if (boost.pickedEpoch == copyEpoch_ &&
+          loads.countOf(boost.winner) == boost.winnerLoad) {
+        ++skippedReadRoutes_;
+        continue;
+      }
+      // Boosted labels are stored: erasure and crash loss release the
+      // boost (and bump the epoch, so a skipped label's entry is intact).
+      const Entry* entry = labels_[boost.slot].entry.get();
+      MLIGHT_CHECK(entry != nullptr, "boosted label has no stored bucket");
+      const ReadPick pick = pickLeastLoaded(entry->copies);
+      boost.readSalt = pick.salt;
+      boost.pickedEpoch = copyEpoch_;
+      boost.winner = pick.physical;
+      boost.winnerLoad = pick.load;
     }
+    if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
+      auditFrozenReadRoutes();
+    }
+  }
+
+  /// Checks every boosted label's frozen route against a from-scratch
+  /// re-pick on the current meter.  Valid right after
+  /// refreshReadRouting() (routes stay frozen while loads move on);
+  /// refreshReadRouting runs it itself at the paranoid audit level.
+  void auditFrozenReadRoutes() const {
+    for (const Boost& boost : boosted_) {
+      const Entry* entry = labels_[boost.slot].entry.get();
+      const std::size_t fresh =
+          entry == nullptr ? 0 : pickLeastLoaded(entry->copies).salt;
+      mlight::common::auditFrozenReadRoute(labels_.label(boost.slot),
+                                           boost.routed(), boost.readSalt,
+                                           entry != nullptr, fresh);
+    }
+  }
+
+  /// Route refreshes that kept a boosted label's frozen route without a
+  /// re-pick (host-side introspection; never digested).
+  std::uint64_t skippedReadRoutes() const noexcept {
+    return skippedReadRoutes_;
   }
 
   /// Read-replica routing info of `label` for hint piggybacking: the
@@ -226,12 +269,13 @@ class DistributedStore {
   };
   ReplicaReadInfo replicaReadInfo(const Label& label) const {
     ReplicaReadInfo out;
-    if (!loadBalance_.enabled) return out;
-    if (boost_.find(label) == boost_.end()) return out;
-    const auto it = entries_.find(label);
-    if (it == entries_.end()) return out;
+    if (!loadBalance_.enabled || boosted_.empty()) return out;
+    const std::uint32_t slot = labels_.find(label);
+    if (slot == kNoSlot || labels_[slot].boost == kNotBoosted) return out;
+    const Entry* entry = labels_[slot].entry.get();
+    if (entry == nullptr) return out;
     const auto& loads = net_->peerLoads();
-    for (const CopyTarget& t : it->second.copies) {
+    for (const CopyTarget& t : entry->copies) {
       out.salts.push_back(static_cast<std::uint32_t>(t.salt));
       const std::uint64_t load =
           loads.countOf(net_->physicalOf(t.holder, t.slotHint));
@@ -242,9 +286,10 @@ class DistributedStore {
   }
 
   /// Leaves currently holding boosted (read-hot) copy sets.
-  std::size_t boostedLeafCount() const noexcept { return boost_.size(); }
+  std::size_t boostedLeafCount() const noexcept { return boosted_.size(); }
   bool isBoosted(const Label& label) const {
-    return boost_.find(label) != boost_.end();
+    const std::uint32_t slot = labels_.find(label);
+    return slot != kNoSlot && labels_[slot].boost != kNotBoosted;
   }
   /// Monotone promotion/demotion event counters.
   std::uint64_t hotPromotions() const noexcept { return hotPromotions_; }
@@ -264,7 +309,8 @@ class DistributedStore {
   /// re-placed it since — reads of it fail; recovery layers use this to
   /// restore exactly what was lost and nothing else.
   bool isMourned(const Label& label) const {
-    return mourned_.find(label) != mourned_.end();
+    const std::uint32_t slot = labels_.find(label);
+    return slot != kNoSlot && labels_[slot].mourned;
   }
 
   /// Hard cap on distinct labels memoized by ringKey() below.  Workloads
@@ -285,18 +331,22 @@ class DistributedStore {
   /// computed directly; caching is invisible to the simulation either
   /// way (the naming function is pure).
   RingId ringKey(const Label& label, std::size_t salt = 0) const {
-    auto cached = ringKeyCache_.find(label);
-    if (cached == ringKeyCache_.end()) {
-      if (ringKeyCache_.size() >= kRingKeyCacheCap) {
+    std::uint32_t slot = labels_.find(label);
+    if (slot == kNoSlot || !labels_[slot].memo) {
+      if (ringKeysMemoized_ >= kRingKeyCacheCap) {
         return computeRingKey(label, salt);
       }
-      cached = ringKeyCache_.try_emplace(label).first;
+      if (slot == kNoSlot) slot = labels_.insert(label);
+      labels_[slot].memo = true;
+      labels_[slot].key0 = computeRingKey(label, 0);
+      ++ringKeysMemoized_;
     }
-    std::vector<RingId>& salts = cached->second;
-    while (salts.size() <= salt) {
-      salts.push_back(computeRingKey(label, salts.size()));
+    LabelState& st = labels_[slot];
+    if (salt == 0) return st.key0;
+    while (st.saltKeys.size() < salt) {
+      st.saltKeys.push_back(computeRingKey(label, st.saltKeys.size() + 1));
     }
-    return salts[salt];
+    return st.saltKeys[salt - 1];
   }
 
   /// Peer currently responsible for `label`'s primary key (no cost).
@@ -457,20 +507,17 @@ class DistributedStore {
           std::vector<std::uint8_t> bucketBytes = net_->acquireBuffer();
           r.readBytesInto(bucketBytes);
           mlight::common::Reader br(bucketBytes);
-          Entry entry;
           // Resolve the holders on the ring as it is *now*: churn between
           // issue and delivery would otherwise record peers that no
           // longer own the salted keys, sending later replica updates to
           // the wrong peers.
-          entry.copies = copyTargets(wireLabel);
-          entry.bucket = Bucket::deserialize(br);
+          std::vector<CopyTarget> copies = copyTargets(wireLabel);
+          Bucket decoded = Bucket::deserialize(br);
           MLIGHT_CHECK(br.atEnd(), "wire format left trailing bytes");
-          mourned_.erase(wireLabel);
-          noteCopyHealth(wireLabel, entry.copies);
           // Append-on-apply: the stored image is durably framed at the
           // peer that applied it (the wire bytes just decoded).
           walAppendPlace(d.route.owner, wireLabel, bucketBytes);
-          entries_.insert_or_assign(wireLabel, std::move(entry));
+          storeEntry(wireLabel, std::move(copies), std::move(decoded));
           net_->releaseBuffer(std::move(bucketBytes));
         });
     net_->shipPayload(source, targets[0].holder, bucketWire.size(),
@@ -595,32 +642,28 @@ class DistributedStore {
   /// fire-and-forget).  The primary copy is stored immediately: this is
   /// a local operation at the owner, safe to call from RPC handlers.
   void placeLocal(const Label& label, Bucket bucket) {
-    Entry entry;
-    entry.copies = copyTargets(label);
-    noteCopyHealth(label, entry.copies);
+    std::vector<CopyTarget> copies = copyTargets(label);
     if (wal_ != nullptr) {
       // Local application still crosses the durability boundary: frame
       // the image at the owning peer before it becomes the stored state.
       mlight::common::Writer w(net_->acquireBuffer());
       bucket.serialize(w);
-      walAppendPlace(entry.copies[0].holder, label, w.bytes());
+      walAppendPlace(copies[0].holder, label, w.bytes());
       net_->releaseBuffer(std::move(w).take());
     }
-    for (std::size_t i = 1; i < entry.copies.size(); ++i) {
+    for (std::size_t i = 1; i < copies.size(); ++i) {
       mlight::common::Writer body(net_->acquireBuffer());
       body.writeBitString(label);
       mlight::dht::RpcEnvelope env;
       env.kind = mlight::dht::RpcKind::kPut;
-      env.from = entry.copies[0].holder;
+      env.from = copies[0].holder;
       env.payload = std::move(body).take();
-      net_->sendRpc(ringKey(label, entry.copies[i].salt), std::move(env),
+      net_->sendRpc(ringKey(label, copies[i].salt), std::move(env),
                     [](const mlight::dht::RpcDelivery&) {});
-      net_->shipPayload(entry.copies[0].holder, entry.copies[i].holder,
+      net_->shipPayload(copies[0].holder, copies[i].holder,
                         bucket.byteSize(), bucket.recordCount());
     }
-    entry.bucket = std::move(bucket);
-    mourned_.erase(label);
-    entries_.insert_or_assign(label, std::move(entry));
+    storeEntry(label, std::move(copies), std::move(bucket));
   }
 
   /// Accounts the cost of propagating an in-place bucket mutation (e.g.
@@ -630,13 +673,13 @@ class DistributedStore {
   void shipToReplicas(RingId source, const Label& label, std::size_t bytes,
                       std::size_t records) {
     if (replication_ <= 1) return;
-    const auto it = entries_.find(label);
-    if (it == entries_.end()) return;
+    const std::uint32_t slot = labels_.find(label);
+    if (slot == kNoSlot || labels_[slot].entry == nullptr) return;
     // Resolve the replica set on the *current* ring (a cached holder
     // list can be stale across churn); any holder found missing gets
     // the full bucket first, then everyone receives the delta.
-    ensureReplicated(label, it->second, source);
-    const std::vector<CopyTarget>& copies = it->second.copies;
+    ensureReplicated(label, slot, source);
+    const std::vector<CopyTarget>& copies = labels_[slot].entry->copies;
     for (std::size_t i = 1; i < copies.size(); ++i) {
       mlight::common::Writer body(net_->acquireBuffer());
       body.writeBitString(label);
@@ -650,23 +693,41 @@ class DistributedStore {
     }
   }
 
-  /// Removes the bucket under `label`; returns true if one existed.
+  /// Removes the bucket under `label`; returns true if one existed.  A
+  /// boosted label gives its boost back (it will never be read again, so
+  /// no demotion would ever free the slot); that is not a demotion.
   bool erase(const Label& label) {
-    underReplicatedLabels_.erase(label);
-    return entries_.erase(label) > 0;
+    const std::uint32_t slot = labels_.find(label);
+    if (slot == kNoSlot) return false;
+    LabelState& st = labels_[slot];
+    if (st.underReplicated) {
+      st.underReplicated = false;
+      --underReplicatedCount_;
+    }
+    const bool existed = st.entry != nullptr;
+    if (existed) {
+      st.entry.reset();
+      --entryCount_;
+      ++copyEpoch_;
+    }
+    releaseBoost(slot);
+    releaseIfIdle(slot);
+    return existed;
   }
 
-  /// Local (unmetered) bucket access for assertions and statistics.
+  /// Local (unmetered) bucket access for assertions and statistics.  The
+  /// pointer stays valid until the label itself is erased or lost:
+  /// placements and erasures of other labels never move a bucket.
   Bucket* peek(const Label& label) {
-    auto it = entries_.find(label);
-    return it == entries_.end() ? nullptr : &it->second.bucket;
+    Entry* entry = entryOf(label);
+    return entry == nullptr ? nullptr : &entry->bucket;
   }
   const Bucket* peek(const Label& label) const {
-    auto it = entries_.find(label);
-    return it == entries_.end() ? nullptr : &it->second.bucket;
+    const Entry* entry = entryOf(label);
+    return entry == nullptr ? nullptr : &entry->bucket;
   }
 
-  std::size_t bucketCount() const noexcept { return entries_.size(); }
+  std::size_t bucketCount() const noexcept { return entryCount_; }
 
   /// Buckets irrecoverably lost to crashes (all copy-holders died).
   std::size_t lostBuckets() const noexcept { return lostBuckets_; }
@@ -704,36 +765,36 @@ class DistributedStore {
   /// copies — eager crash repair, read-repair, or a replayed WAL batch
   /// re-placing the bucket — removes it.  Empty means fully replicated.
   std::size_t underReplicatedBuckets() const noexcept {
-    return underReplicatedLabels_.size();
+    return underReplicatedCount_;
   }
 
   /// Labels with memoized ring keys (the ringKey() cache).  Bounded by
   /// the labels ever probed minus those mourned after a crash — the
   /// stats dump watches this for unbounded growth across churn epochs.
   std::size_t ringKeyCacheSize() const noexcept {
-    return ringKeyCache_.size();
+    return ringKeysMemoized_;
   }
 
   /// Current holder set recorded for `label` (empty if absent) — test
   /// and audit accessor.
   std::vector<RingId> holdersOf(const Label& label) const {
     std::vector<RingId> out;
-    const auto it = entries_.find(label);
-    if (it == entries_.end()) return out;
-    out.reserve(it->second.copies.size());
-    for (const CopyTarget& t : it->second.copies) out.push_back(t.holder);
+    const Entry* entry = entryOf(label);
+    if (entry == nullptr) return out;
+    out.reserve(entry->copies.size());
+    for (const CopyTarget& t : entry->copies) out.push_back(t.holder);
     return out;
   }
 
-  /// Visits every bucket in ascending label order (a sorted snapshot of
-  /// the unordered map — see the determinism contract in docs/THEORY.md:
-  /// consumers feed logs, stats dumps, and digests, so the visit order
-  /// must not leak hash-table layout).
+  /// Visits every bucket in ascending label order (a sorted slot list,
+  /// not slot or hash order — see the determinism contract in
+  /// docs/THEORY.md: consumers feed logs, stats dumps, and digests, so
+  /// the visit order must not leak table layout).
   template <typename Fn>
   void forEach(Fn&& fn) const {
-    for (const Label& label : mlight::common::sortedKeys(entries_)) {
-      const Entry& entry = entries_.find(label)->second;
-      fn(label, entry.bucket, entry.copies[0].holder);
+    for (const std::uint32_t slot : sortedSlots(&LabelState::hasEntry)) {
+      const Entry& entry = *labels_[slot].entry;
+      fn(labels_.label(slot), entry.bucket, entry.copies[0].holder);
     }
   }
 
@@ -756,11 +817,11 @@ class DistributedStore {
   void digestState(mlight::common::Digest& d) const {
     d.feed(std::string_view(ns_));
     d.feed(replication_);
-    d.feed(entries_.size());
-    for (const Label& label : mlight::common::sortedKeys(entries_)) {
-      const Entry& entry = entries_.find(label)->second;
+    d.feed(entryCount_);
+    for (const std::uint32_t slot : sortedSlots(&LabelState::hasEntry)) {
+      const Entry& entry = *labels_[slot].entry;
       mlight::common::Writer w;
-      w.writeBitString(label);
+      w.writeBitString(labels_.label(slot));
       entry.bucket.serialize(w);
       d.feedBytes(w.bytes());
       d.feed(entry.copies.size());
@@ -769,9 +830,9 @@ class DistributedStore {
         d.feed(t.salt);
       }
     }
-    d.feed(mourned_.size());
-    for (const Label& label : mlight::common::sortedKeys(mourned_)) {
-      d.feed(label);
+    d.feed(mournedCount_);
+    for (const std::uint32_t slot : sortedSlots(&LabelState::mourned)) {
+      d.feed(labels_.label(slot));
     }
     d.feed(lostBuckets_);
     d.feed(repairedBuckets_);
@@ -779,34 +840,38 @@ class DistributedStore {
     d.feed(failoverReads_);
     d.feed(readRepairs_);
     d.feed(underReplicated_);
-    d.feed(underReplicatedLabels_.size());
-    for (const Label& label :
-         mlight::common::sortedKeys(underReplicatedLabels_)) {
-      d.feed(label);
+    d.feed(underReplicatedCount_);
+    for (const std::uint32_t slot :
+         sortedSlots(&LabelState::underReplicated)) {
+      d.feed(labels_.label(slot));
     }
     // Query-load balancing state (all empty with balancing off, so the
     // disabled digest matches a build without the subsystem's state —
-    // the counters still feed, as constants).  The ordered maps iterate
-    // sorted; the pending vectors are queued in handler order, so they
-    // feed through a sorted+deduped copy (exactly the view the drain
-    // will consume).
-    d.feed(boost_.size());
+    // the counters still feed, as constants).  Boosted and heated labels
+    // feed in sorted label order; the pending vectors are queued in
+    // handler order, so they feed through a sorted+deduped copy (exactly
+    // the view the drain will consume).
+    const std::vector<std::uint32_t> boosted =
+        sortedSlots(&LabelState::isBoosted);
+    d.feed(boosted.size());
     std::size_t routed = 0;
-    for (const auto& [label, boost] : boost_) {
-      d.feed(label);
+    for (const std::uint32_t slot : boosted) {
+      const Boost& boost = boosted_[labels_[slot].boost];
+      d.feed(labels_.label(slot));
       d.feed(boost.extra);
-      routed += boost.routed;
+      routed += boost.routed();
     }
-    d.feed(heat_.size());
-    for (const auto& [label, h] : heat_) {
-      d.feed(label);
-      d.feed(h.startMs);
-      d.feed(h.reads);
+    d.feed(heatCount_);
+    for (const std::uint32_t slot : sortedSlots(&LabelState::hasHeat)) {
+      d.feed(labels_.label(slot));
+      d.feed(labels_[slot].heat.startMs);
+      d.feed(labels_[slot].heat.reads);
     }
     d.feed(routed);
-    for (const auto& [label, boost] : boost_) {
-      if (!boost.routed) continue;
-      d.feed(label);
+    for (const std::uint32_t slot : boosted) {
+      const Boost& boost = boosted_[labels_[slot].boost];
+      if (!boost.routed()) continue;
+      d.feed(labels_.label(slot));
       d.feed(boost.readSalt);
     }
     const auto feedPendingSorted = [&d](std::vector<Label> pending) {
@@ -823,10 +888,145 @@ class DistributedStore {
   }
 
  private:
+  static constexpr std::uint32_t kNoSlot = mlight::common::kNoLabelSlot;
+  static constexpr std::uint32_t kNotBoosted = ~std::uint32_t{0};
+  static constexpr std::uint64_t kNeverPicked = ~std::uint64_t{0};
+
   struct Entry {
     std::vector<CopyTarget> copies;  // copies[0] = primary placement
     Bucket bucket;
   };
+
+  /// Owner-side windowed read counters per label.
+  struct HeatWindow {
+    double startMs = 0.0;
+    std::uint32_t reads = 0;
+  };
+
+  /// Everything the store keeps about one label: the payload of the
+  /// label's slot in labels_ (docs/COST_MODEL.md "Label-keyed store
+  /// state").  A slot is freed once no facet holds it (see held()).
+  struct LabelState {
+    /// The stored bucket, on the heap so that its address survives table
+    /// growth: continuations receive Bucket*, split/merge code holds it
+    /// across placements of other labels, and range harvests keep record
+    /// pointers until quiescence.
+    std::unique_ptr<Entry> entry;
+    /// Memoized ring keys (valid iff `memo`): salt 0 inline, salts 1..n
+    /// in order behind it.
+    std::vector<RingId> saltKeys;
+    RingId key0{};
+    /// Valid iff `hasHeat`.  Erased labels keep their window (the digest
+    /// feeds every window ever opened).
+    HeatWindow heat;
+    /// Index into boosted_, or kNotBoosted.
+    std::uint32_t boost = kNotBoosted;
+    bool memo = false;
+    bool hasHeat = false;
+    /// Every copy died in a crash and nothing re-placed the label since.
+    bool mourned = false;
+    /// Stored with fewer than `replication` copies.
+    bool underReplicated = false;
+
+    bool hasEntry() const noexcept { return entry != nullptr; }
+    bool isBoosted() const noexcept { return boost != kNotBoosted; }
+    bool held() const noexcept {
+      return entry != nullptr || memo || hasHeat || isBoosted() ||
+             mourned || underReplicated;
+    }
+  };
+
+  /// A boosted label's state: promotion installs it, demotion (or the
+  /// label's erasure or loss) removes it.  `readSalt` is the salt of the
+  /// least-loaded copy, frozen by the last refreshReadRouting()
+  /// (read-only between quiescent points); until a refresh has picked a
+  /// route the label is unrouted and reads from the primary (salt 0).
+  /// The last three fields are the inputs of the last full pick, which
+  /// decide whether the next refresh may skip it.
+  struct Boost {
+    std::uint32_t slot = 0;
+    std::size_t extra = 0;  // extra copies granted
+    std::size_t readSalt = 0;
+    std::uint64_t pickedEpoch = kNeverPicked;
+    std::size_t winner = 0;  ///< physical peer of the picked copy
+    std::uint64_t winnerLoad = 0;
+
+    bool routed() const noexcept { return pickedEpoch != kNeverPicked; }
+  };
+
+  /// The least-loaded copy of a copy set and the load that won.
+  struct ReadPick {
+    std::size_t salt = 0;
+    std::size_t physical = ~std::size_t{0};
+    std::uint64_t load = ~std::uint64_t{0};
+  };
+
+  /// Frees `slot` once no facet holds it any more.
+  void releaseIfIdle(std::uint32_t slot) {
+    if (!labels_[slot].held()) labels_.erase(slot);
+  }
+
+  Entry* entryOf(const Label& label) const {
+    const std::uint32_t slot = labels_.find(label);
+    return slot == kNoSlot ? nullptr : labels_[slot].entry.get();
+  }
+
+  /// Live slots whose state satisfies `facet` (a LabelState predicate or
+  /// flag), in ascending label order.
+  template <typename Facet>
+  std::vector<std::uint32_t> sortedSlots(Facet facet) const {
+    std::vector<std::uint32_t> slots;
+    for (std::uint32_t s = 0; s < labels_.slotLimit(); ++s) {
+      if (labels_.live(s) && std::invoke(facet, labels_[s])) {
+        slots.push_back(s);
+      }
+    }
+    std::sort(slots.begin(), slots.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return labels_.less(a, b);
+              });
+    return slots;
+  }
+
+  /// Stores (or overwrites in place) the bucket under `label` with the
+  /// copy set it was placed on; clears any mourning.
+  void storeEntry(const Label& label, std::vector<CopyTarget> copies,
+                  Bucket bucket) {
+    const std::uint32_t slot = labels_.insert(label);
+    LabelState& st = labels_[slot];
+    if (st.mourned) {
+      st.mourned = false;
+      --mournedCount_;
+    }
+    if (st.entry == nullptr) {
+      st.entry = std::make_unique<Entry>(Entry{{}, std::move(bucket)});
+      ++entryCount_;
+    } else {
+      st.entry->bucket = std::move(bucket);
+    }
+    installCopies(slot, std::move(copies));
+  }
+
+  /// The single copy-install path: every copy set an entry takes goes
+  /// through here, so the copy-set epoch (which lets refreshReadRouting
+  /// skip unchanged routes) and the under-replication level stay exact.
+  void installCopies(std::uint32_t slot, std::vector<CopyTarget> copies) {
+    labels_[slot].entry->copies = std::move(copies);
+    noteCopyHealth(slot);
+    ++copyEpoch_;
+  }
+
+  /// Removes `slot`'s boost, if any (keeps boosted_ dense).
+  void releaseBoost(std::uint32_t slot) {
+    const std::uint32_t at = labels_[slot].boost;
+    if (at == kNotBoosted) return;
+    if (at + 1 != boosted_.size()) {
+      boosted_[at] = boosted_.back();
+      labels_[boosted_[at].slot].boost = at;
+    }
+    boosted_.pop_back();
+    labels_[slot].boost = kNotBoosted;
+  }
 
   /// The naming function behind ringKey(): "<ns><label bits>" for the
   /// primary key, with "#r<salt>" appended for replica keys.  Built into
@@ -847,30 +1047,33 @@ class DistributedStore {
   }
 
   /// Extra copies currently granted to `label` (0 for cold leaves, and
-  /// for everything when balancing is off — boost_ stays empty then).
+  /// for everything when balancing is off — boosted_ stays empty then).
   std::size_t boostOf(const Label& label) const {
-    if (boost_.empty()) return 0;
-    const auto it = boost_.find(label);
-    return it == boost_.end() ? 0 : it->second.extra;
+    const Boost* boost = boostRecordOf(label);
+    return boost == nullptr ? 0 : boost->extra;
   }
 
   /// The frozen read route for `label` (see refreshReadRouting): 0 —
   /// the primary — unless a refresh chose a less-loaded copy.  Safe to
   /// call from RPC handlers: the route is only written at quiescence.
   std::size_t frozenSaltFor(const Label& label) const {
-    if (boost_.empty()) return 0;
-    const auto it = boost_.find(label);
-    return it == boost_.end() ? 0 : it->second.readSalt;
+    const Boost* boost = boostRecordOf(label);
+    return boost == nullptr ? 0 : boost->readSalt;
+  }
+
+  const Boost* boostRecordOf(const Label& label) const {
+    if (boosted_.empty()) return nullptr;
+    const std::uint32_t slot = labels_.find(label);
+    if (slot == kNoSlot || labels_[slot].boost == kNotBoosted) return nullptr;
+    return &boosted_[labels_[slot].boost];
   }
 
   /// Least-loaded copy by the peer-load meter; ties break toward the
   /// lowest replica index (strict < keeps the first minimum), which is
   /// the deterministic rule the shuffle-seed suites rely on.  Paranoid
   /// audits cross-check every slot-hinted holder against a ring search.
-  std::size_t pickLeastLoadedSalt(
-      const std::vector<CopyTarget>& copies) const {
-    std::size_t bestSalt = 0;
-    std::uint64_t bestLoad = ~std::uint64_t{0};
+  ReadPick pickLeastLoaded(const std::vector<CopyTarget>& copies) const {
+    ReadPick best;
     const auto& loads = net_->peerLoads();
     const bool paranoid =
         mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid);
@@ -880,12 +1083,9 @@ class DistributedStore {
                    "slot hint resolved " + mlight::dht::toString(t.holder) +
                        " to the wrong physical peer");
       const std::uint64_t load = loads.countOf(physical);
-      if (load < bestLoad) {
-        bestLoad = load;
-        bestSalt = t.salt;
-      }
+      if (load < best.load) best = ReadPick{t.salt, physical, load};
     }
-    return bestSalt;
+    return best;
   }
 
   /// Owner-side heat accounting, called from the read-serving handler.
@@ -895,11 +1095,16 @@ class DistributedStore {
   /// count, not of the order), so this is handler-safe under tie
   /// shuffling.  The placement side effects happen in
   /// drainLoadBalance(), at quiescence, in sorted label order.
-  void noteHeat(const Label& label) {
+  void noteHeat(const Label& label, std::uint32_t slot) {
     if (!loadBalance_.enabled) return;
-    HeatWindow& h = heat_[label];
+    LabelState& st = labels_[slot];
+    if (!st.hasHeat) {
+      st.hasHeat = true;
+      ++heatCount_;
+    }
+    HeatWindow& h = st.heat;
     const double now = net_->now();
-    const bool boosted = boost_.find(label) != boost_.end();
+    const bool boosted = st.isBoosted();
     if (now - h.startMs >= loadBalance_.windowMs) {
       if (boosted && h.reads < loadBalance_.demoteReads) {
         pendingDemotions_.push_back(label);
@@ -909,7 +1114,7 @@ class DistributedStore {
     }
     ++h.reads;
     if (!boosted && h.reads == loadBalance_.promoteReads &&
-        boost_.size() < loadBalance_.maxHotLeaves) {
+        boosted_.size() < loadBalance_.maxHotLeaves) {
       pendingPromotions_.push_back(label);
     }
   }
@@ -925,8 +1130,10 @@ class DistributedStore {
   /// current ring, ships the full bucket (from `source`) to every wanted
   /// holder that lacks a copy, and installs the fresh set on the entry.
   /// Returns true when at least one copy had to be shipped.
-  bool ensureReplicated(const Label& label, Entry& entry, RingId source) {
+  bool ensureReplicated(const Label& label, std::uint32_t slot,
+                        RingId source) {
     std::vector<CopyTarget> want = copyTargets(label);
+    const Entry& entry = *labels_[slot].entry;
     bool shipped = false;
     for (const CopyTarget& t : want) {
       if (!holdsCopy(entry, t.holder)) {
@@ -935,25 +1142,27 @@ class DistributedStore {
         shipped = true;
       }
     }
-    entry.copies = std::move(want);
-    noteCopyHealth(label, entry.copies);
+    installCopies(slot, std::move(want));
     return shipped;
   }
 
-  /// Level-triggered under-replication bookkeeping, updated at every
-  /// point a copy set is installed on an entry: a short set inserts the
-  /// label (idempotent — re-degrading never double-counts), a full set
-  /// removes it, and when the last degraded label recovers the one-time
-  /// warning latch resets so a *new* degradation epoch warns again.
-  void noteCopyHealth(const Label& label,
-                      const std::vector<CopyTarget>& copies) {
-    if (copies.size() < replication_) {
-      underReplicatedLabels_.insert(label);
+  /// Level-triggered under-replication bookkeeping, updated by
+  /// installCopies: a short set flags the label (idempotent —
+  /// re-degrading never double-counts), a full set clears it, and when
+  /// the last degraded label recovers the one-time warning latch resets
+  /// so a *new* degradation epoch warns again.
+  void noteCopyHealth(std::uint32_t slot) {
+    LabelState& st = labels_[slot];
+    if (st.entry->copies.size() < replication_) {
+      if (!st.underReplicated) {
+        st.underReplicated = true;
+        ++underReplicatedCount_;
+      }
       return;
     }
-    if (underReplicatedLabels_.erase(label) > 0 &&
-        underReplicatedLabels_.empty()) {
-      warnedUnderReplicated_ = false;
+    if (st.underReplicated) {
+      st.underReplicated = false;
+      if (--underReplicatedCount_ == 0) warnedUnderReplicated_ = false;
     }
   }
 
@@ -1023,9 +1232,11 @@ class DistributedStore {
         [this, state](const mlight::dht::RpcDelivery& d) {
           mlight::common::Reader r(d.env.payload);
           const Label wireLabel = r.readBitString();
-          auto it = entries_.find(wireLabel);
-          if (it == entries_.end()) {
-            if (mourned_.find(wireLabel) != mourned_.end()) {
+          const std::uint32_t slot = labels_.find(wireLabel);
+          Entry* entry =
+              slot == kNoSlot ? nullptr : labels_[slot].entry.get();
+          if (entry == nullptr) {
+            if (slot != kNoSlot && labels_[slot].mourned) {
               // Every copy died with its holders: nobody can answer.
               ++failedReads_;
               return;
@@ -1034,8 +1245,7 @@ class DistributedStore {
             state->fn(nullptr, d);
             return;
           }
-          Entry& entry = it->second;
-          if (!holdsCopy(entry, d.route.owner)) {
+          if (!holdsCopy(*entry, d.route.owner)) {
             // The owner of this salted key holds no copy (a crash moved
             // ownership before repair caught up): fail over to the next
             // holder, forwarding from this peer one round deeper.
@@ -1045,15 +1255,15 @@ class DistributedStore {
           }
           if (state->failedOver) {
             ++failoverReads_;
-            if (ensureReplicated(wireLabel, entry, d.route.owner)) {
+            if (ensureReplicated(wireLabel, slot, d.route.owner)) {
               ++readRepairs_;
             }
           }
           if (state->kind == mlight::dht::RpcKind::kGet ||
               state->kind == mlight::dht::RpcKind::kHintProbe) {
-            noteHeat(wireLabel);
+            noteHeat(wireLabel, slot);
           }
-          state->fn(&entry.bucket, d);
+          state->fn(&entry->bucket, d);
         },
         [this, state](const mlight::dht::RpcEnvelope& deadEnv,
                       std::size_t /*attempts*/) {
@@ -1088,15 +1298,15 @@ class DistributedStore {
                        id) != change.removedVnodes.end();
     };
 
-    // Walk a sorted snapshot, not the hash table: the loop feeds metered
+    // Walk a sorted slot list, not the table: the loop feeds metered
     // repair traffic and (under kEager) replica fan-out, and the mourned
     // set below feeds failed-read accounting — none of which may depend
-    // on unordered-map layout (determinism contract, docs/THEORY.md).
-    std::vector<Label> lost;
-    for (const Label& sortedLabel : mlight::common::sortedKeys(entries_)) {
-      auto entryIt = entries_.find(sortedLabel);
-      const Label& label = entryIt->first;
-      Entry& entry = entryIt->second;
+    // on table layout (determinism contract, docs/THEORY.md).
+    ++copyEpoch_;  // the vnode→physical map moved under every route
+    std::vector<std::uint32_t> lost;
+    for (const std::uint32_t slot : sortedSlots(&LabelState::hasEntry)) {
+      const Label label = labels_.label(slot);
+      Entry& entry = *labels_[slot].entry;
       RingId source = entry.copies[0].holder;
       if (change.kind == Kind::kCrash) {
         // A crash destroys the copies the dead peer held; the bucket
@@ -1111,24 +1321,25 @@ class DistributedStore {
           }
         }
         if (!survived) {
-          lost.push_back(label);
+          lost.push_back(slot);
           continue;
         }
         if (repair_ == RepairPolicy::kOnRead) {
           // Deferred repair: drop the dead copies and leave the bucket
           // degraded — the first read that misses at the new owner
           // fails over to a survivor and read-repairs it.
-          std::erase_if(entry.copies, [&](const CopyTarget& copy) {
+          std::vector<CopyTarget> alive = entry.copies;
+          std::erase_if(alive, [&](const CopyTarget& copy) {
             return isDead(copy.holder);
           });
-          noteCopyHealth(label, entry.copies);
+          installCopies(slot, std::move(alive));
           continue;
         }
         if (isDead(entry.copies[0].holder)) ++repairedBuckets_;
       }
       // Bring every copy to the peers now responsible on the new ring,
       // shipping from the (surviving) source.
-      const std::vector<CopyTarget> want = copyTargets(label);
+      std::vector<CopyTarget> want = copyTargets(label);
       for (const CopyTarget& t : want) {
         const bool alreadyHeld = holdsCopy(entry, t.holder) &&
                                  !isDead(t.holder);
@@ -1137,17 +1348,28 @@ class DistributedStore {
                             entry.bucket.recordCount());
         }
       }
-      entry.copies = want;
-      noteCopyHealth(label, entry.copies);
+      installCopies(slot, std::move(want));
     }
-    for (const Label& label : lost) {
-      entries_.erase(label);
-      underReplicatedLabels_.erase(label);  // nothing stored to be degraded
-      mourned_.insert(label);
+    for (const std::uint32_t slot : lost) {
+      LabelState& st = labels_[slot];
+      st.entry.reset();
+      --entryCount_;
+      if (st.underReplicated) {  // nothing stored to be degraded
+        st.underReplicated = false;
+        --underReplicatedCount_;
+      }
+      st.mourned = true;
+      ++mournedCount_;
       // A mourned label will never be probed through the cache again
       // (reads fail fast); dropping its memoized ring keys keeps the
       // cache from growing without bound across churn epochs.
-      ringKeyCache_.erase(label);
+      if (st.memo) {
+        st.memo = false;
+        st.saltKeys = {};
+        --ringKeysMemoized_;
+      }
+      // Nor read again, so no demotion would ever free its boost.
+      releaseBoost(slot);
       ++lostBuckets_;
     }
   }
@@ -1168,43 +1390,30 @@ class DistributedStore {
   mlight::wal::WalSet* wal_ = nullptr;
   // --- Query-load balancing state (all empty when disabled) -----------
   LoadBalancePolicy loadBalance_;
-  /// Owner-side windowed read counters per label.
-  struct HeatWindow {
-    double startMs = 0.0;
-    std::uint32_t reads = 0;
-  };
-  /// Ordered maps on purpose: digestState and drain/refresh walk them,
-  /// and sorted iteration keeps those walks schedule-independent.
-  std::map<Label, HeatWindow> heat_;
-  /// A boosted label's state: promotion installs it, demotion erases
-  /// it.  `readSalt` is the salt of the least-loaded copy, frozen by
-  /// the last refreshReadRouting() (read-only between quiescent
-  /// points); `routed` is false until a refresh has seen the label's
-  /// entry, and such labels read from the primary (salt 0).
-  struct Boost {
-    std::size_t extra = 0;  // extra copies granted
-    std::size_t readSalt = 0;
-    bool routed = false;
-  };
-  std::map<Label, Boost> boost_;
+  /// The boosted labels, at most maxHotLeaves, in no particular order
+  /// (every order-sensitive walk sorts by label).
+  std::vector<Boost> boosted_;
   /// Decisions queued by noteHeat (handler context), applied by
   /// drainLoadBalance (quiescence) in sorted order.
   std::vector<Label> pendingPromotions_;
   std::vector<Label> pendingDemotions_;
   std::uint64_t hotPromotions_ = 0;
   std::uint64_t hotDemotions_ = 0;
-  std::unordered_map<Label, Entry, mlight::common::BitStringHash> entries_;
-  /// Labels currently stored with fewer than `replication` copies — see
-  /// underReplicatedBuckets() / noteCopyHealth().
-  std::unordered_set<Label, mlight::common::BitStringHash>
-      underReplicatedLabels_;
-  /// Labels whose every copy died in a crash: reads of these fail
-  /// (counted) instead of answering an authoritative NULL.  A later
-  /// re-place of the label clears the mourning.
-  std::unordered_set<Label, mlight::common::BitStringHash> mourned_;
-  mutable std::unordered_map<Label, std::vector<RingId>,
-                             mlight::common::BitStringHash>
-      ringKeyCache_;
+  /// Bumped whenever a copy set is installed, a bucket is erased, or
+  /// membership changes — the events that can move a frozen read route
+  /// other than its winner's load (see refreshReadRouting).
+  std::uint64_t copyEpoch_ = 0;
+  std::uint64_t skippedReadRoutes_ = 0;
+  // --- Label-keyed state: one directory, one LabelState per slot -------
+  // Mutable because ringKey() memoizes (it is a pure function of the
+  // label).  Inserting a label may move LabelStates (never Entries), so
+  // no LabelState reference is held across a call that can insert.
+  mutable mlight::common::LabelTable<LabelState> labels_;
+  mutable std::size_t ringKeysMemoized_ = 0;
+  std::size_t entryCount_ = 0;
+  std::size_t heatCount_ = 0;
+  std::size_t mournedCount_ = 0;
+  std::size_t underReplicatedCount_ = 0;
   /// Scratch for computeRingKey() — reused so uncached key derivations
   /// allocate nothing in steady state.
   mutable std::string keyScratch_;

@@ -10,7 +10,10 @@
 //  * the whole feature is deterministic — state digests and answers are
 //    bit-identical across schedule-shuffle seeds;
 //  * hint-cache eviction metering (CostMeter::hintEvictions) and the
-//    PeerLoadMeter snapshot math.
+//    PeerLoadMeter snapshot math;
+//  * erased or lost boosted labels give their boost slot back;
+//  * the incremental frozen-route refresh matches a full re-pick under
+//    a mix of reads, splits, merges and churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +22,13 @@
 #include <vector>
 
 #include "common/digest.h"
+#include "common/invariants.h"
+#include "common/rng.h"
 #include "dht/cost.h"
 #include "dht/network.h"
+#include "mlight/bucket.h"
 #include "mlight/index.h"
+#include "store/distributed_store.h"
 #include "workload/datasets.h"
 
 namespace mlight {
@@ -294,6 +301,159 @@ TEST(LoadBalance, HintEvictionsAreMetered) {
   }
   EXPECT_GT(net.totalCost().hintEvictions, 0u);
   EXPECT_GT(index.hintCaches().totalHints(), 0u);
+}
+
+/// Boosted labels that are currently stored; equals boostedLeafCount()
+/// iff no boost is held by an erased or lost label.
+std::size_t storedBoostedLabels(const core::MLightIndex& index) {
+  std::size_t n = 0;
+  index.store().forEach([&](const common::BitString& label, const auto&,
+                            dht::RingId) {
+    n += index.store().isBoosted(label);
+  });
+  return n;
+}
+
+// A merge erases a leaf's bucket, and an erased label is never read
+// again, so no demotion would ever free its boost.  erase() (and crash
+// loss) must give the slot back — without counting a demotion — or dead
+// labels fill maxHotLeaves and no live leaf can be promoted again.
+TEST(LoadBalance, ErasedBoostedLabelReleasesItsSlot) {
+  const auto data = workload::northeastDataset(300, 9);
+  {
+    Network net(32, 3);
+    core::MLightIndex index(net, balancedConfig());
+    index.bulkLoad(data);
+    for (std::size_t q = 0; q < 60; ++q) {
+      ASSERT_TRUE(queryOk(index, data[0].key));
+    }
+    ASSERT_GE(index.store().boostedLeafCount(), 1u);
+    for (const auto& r : data) index.erase(r.key, r.id);
+    ASSERT_EQ(index.size(), 0u);
+    // Every erase reads its leaf first, so the erase sweep itself
+    // promotes leaves that the merges then erase.
+    EXPECT_GE(index.store().hotPromotions(), 2u);
+    EXPECT_EQ(storedBoostedLabels(index), index.store().boostedLeafCount());
+    EXPECT_EQ(index.store().hotDemotions(), 0u);
+    index.checkInvariants();
+  }
+  {
+    // Store level, so the hot set is exactly the labels read here.
+    Network net(16, 3);
+    store::DistributedStore<core::LeafBucket> store(net, "lb/");
+    store::LoadBalancePolicy policy;
+    policy.enabled = true;
+    policy.promoteReads = 4;
+    policy.boostCopies = 2;
+    policy.maxHotLeaves = 2;
+    policy.windowMs = 1e9;
+    store.setLoadBalance(policy);
+    const auto label = [](const char* bits) {
+      return common::BitString::fromString(bits);
+    };
+    const common::BitString hot[] = {label("0010"), label("0111"),
+                                      label("1100")};
+    for (const auto& l : hot) store.placeLocal(l, core::LeafBucket{l, {}});
+    const auto heat = [&](const common::BitString& l) {
+      for (int i = 0; i < 4; ++i) {
+        store.refreshReadRouting();
+        ASSERT_NE(store.routeAndFind(net.peers()[0], l).bucket, nullptr);
+      }
+      store.drainLoadBalance();
+    };
+    heat(hot[0]);
+    heat(hot[1]);
+    ASSERT_TRUE(store.isBoosted(hot[0]));
+    ASSERT_TRUE(store.isBoosted(hot[1]));
+    // Both hot leaves merge away: their buckets are erased.
+    ASSERT_TRUE(store.erase(hot[0]));
+    ASSERT_TRUE(store.erase(hot[1]));
+    EXPECT_EQ(store.boostedLeafCount(), 0u);
+    EXPECT_FALSE(store.isBoosted(hot[0]));
+    heat(hot[2]);
+    EXPECT_TRUE(store.isBoosted(hot[2]));
+    EXPECT_EQ(store.hotPromotions(), 3u);
+    EXPECT_EQ(store.hotDemotions(), 0u);
+  }
+}
+
+class ScopedAuditLevel {
+ public:
+  explicit ScopedAuditLevel(common::AuditLevel level)
+      : previous_(common::auditLevel()) {
+    common::setAuditLevel(level);
+  }
+  ~ScopedAuditLevel() { common::setAuditLevel(previous_); }
+  ScopedAuditLevel(const ScopedAuditLevel&) = delete;
+  ScopedAuditLevel& operator=(const ScopedAuditLevel&) = delete;
+
+ private:
+  common::AuditLevel previous_;
+};
+
+// refreshReadRouting re-picks a boosted label only when the store's
+// copy-set epoch or the label's last winning load moved.  At the
+// paranoid level every refresh also re-picks every boosted label from
+// scratch (auditFrozenReadRoutes) and throws on any difference in
+// (routed, readSalt).  Each step below ends with a lookup, whose refresh
+// checks the state the step left; the mix moves every input of a route:
+// hot reads shift loads, batched inserts split leaves, deletes merge
+// them, joins, graceful leaves and crashes move copy sets and the
+// vnode→physical map, and a short heat window promotes and demotes.
+TEST(LoadBalance, IncrementalRoutesMatchFullRecompute) {
+  const ScopedAuditLevel paranoid(common::AuditLevel::kParanoid);
+  Network net(32, 13, /*vnodesPerPeer=*/4);
+  core::MLightConfig cfg = balancedConfig();
+  cfg.replication = 2;
+  cfg.loadBalance.windowMs = 12000.0;
+  core::MLightIndex index(net, cfg);
+  const auto data = workload::northeastDataset(300, 9);
+  index.bulkLoad(data);
+  auto fresh = workload::northeastDataset(400, 41);
+  for (auto& r : fresh) r.id += 1'000'000;
+  std::vector<core::MLightIndex::Record> live(data.begin(), data.end());
+  std::size_t nextFresh = 0;
+
+  common::Rng rng(20261017);
+  const auto failedBefore = common::auditCounters().failed;
+  std::size_t joins = 0;
+  std::size_t maxBoosted = 0;
+  for (std::size_t step = 0; step < 400; ++step) {
+    const std::uint64_t dice = rng.below(100);
+    if (dice < 70) {
+      // Hot reads: a handful of keys, skewed toward the first.
+      const std::size_t k = rng.below(1 + rng.below(12));
+      (void)index.pointQuery(live[k].key);
+    } else if (dice < 80 && nextFresh + 16 <= fresh.size()) {
+      const std::span<const core::MLightIndex::Record> batch(
+          fresh.data() + nextFresh, 16);
+      index.insertBatched(batch, 8);
+      live.insert(live.end(), fresh.begin() + nextFresh,
+                  fresh.begin() + nextFresh + 16);
+      nextFresh += 16;
+    } else if (dice < 90 && live.size() > 40) {
+      // Delete a cold record (merges), never the hot keys at the front.
+      const std::size_t k = 8 + rng.below(live.size() - 8);
+      index.erase(live[k].key, live[k].id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (dice < 94) {
+      net.addPeer("joiner:" + std::to_string(joins++));
+    } else if (dice < 97 && net.peers().size() > 24 * 4) {
+      ASSERT_TRUE(net.removePeer(net.peers()[rng.below(net.peers().size())]));
+    } else if (net.peers().size() > 24 * 4) {
+      ASSERT_TRUE(net.crashPeer(net.peers()[rng.below(net.peers().size())]));
+    }
+    (void)index.lookup(live[0].key);  // refresh + paranoid route audit
+    maxBoosted = std::max(maxBoosted, index.store().boostedLeafCount());
+  }
+  EXPECT_EQ(common::auditCounters().failed, failedBefore);
+  // Witnesses: the mix promoted and demoted, several labels were boosted
+  // at once, and the refresh kept routes without re-picking them.
+  EXPECT_GE(index.store().hotPromotions(), 2u);
+  EXPECT_GE(index.store().hotDemotions(), 1u);
+  EXPECT_GE(maxBoosted, 2u);
+  EXPECT_GT(index.store().skippedReadRoutes(), 0u);
+  EXPECT_EQ(storedBoostedLabels(index), index.store().boostedLeafCount());
 }
 
 TEST(LoadBalance, PeerLoadMeterSnapshotMath) {

@@ -230,6 +230,19 @@ TEST_F(InvariantsTest, ReplicaHoldersDetectsOverReplication) {
   EXPECT_THROW(auditReplicaHolders(empty, 2), AuditFailure);
 }
 
+// --- auditFrozenReadRoute -----------------------------------------------
+
+TEST_F(InvariantsTest, FrozenReadRouteDetectsStaleRoute) {
+  const BitString label = BitString::fromString("0101");
+  EXPECT_NO_THROW(auditFrozenReadRoute(label, true, 3, true, 3));
+  EXPECT_NO_THROW(auditFrozenReadRoute(label, false, 0, false, 0));
+  // A skipped refresh kept salt 3 while a full re-pick picks salt 5.
+  EXPECT_THROW(auditFrozenReadRoute(label, true, 3, true, 5), AuditFailure);
+  // Routed to a label that is no longer stored, and the reverse.
+  EXPECT_THROW(auditFrozenReadRoute(label, true, 0, false, 0), AuditFailure);
+  EXPECT_THROW(auditFrozenReadRoute(label, false, 0, true, 0), AuditFailure);
+}
+
 // --- auditRingOrder ------------------------------------------------------
 
 TEST_F(InvariantsTest, RingOrderDetectsDisorderAndDuplicates) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bitstring.h"
 #include "common/serde.h"
 #include "dht/network.h"
@@ -118,6 +120,57 @@ TEST(DistributedStore, EraseRemoves) {
   EXPECT_TRUE(store.erase(key));
   EXPECT_FALSE(store.erase(key));
   EXPECT_EQ(store.peek(key), nullptr);
+}
+
+// Continuations receive Bucket*, split/merge code holds one across
+// placements of other labels, and range harvests keep record pointers
+// until quiescence: a peek() pointer must survive placing and erasing
+// other labels, a re-place of its own label, and many doublings of the
+// label directory (including a longer label that re-strides it).
+TEST(DistributedStore, BucketPointersSurviveOtherPlacements) {
+  Network net(8);
+  DistributedStore<FakeBucket> store(net, "t/");
+  const BitString root;  // the empty label is a real key (PHT/DST root)
+  const BitString pinned = BitString::fromString("0110");
+  store.placeLocal(root, FakeBucket{-1});
+  store.placeLocal(pinned, FakeBucket{42});
+  FakeBucket* const rootBucket = store.peek(root);
+  FakeBucket* const bucket = store.peek(pinned);
+  ASSERT_NE(rootBucket, nullptr);
+  ASSERT_NE(bucket, nullptr);
+
+  std::vector<BitString> others;
+  for (int i = 0; i < 4096; ++i) {
+    BitString label = BitString::fromString("1");
+    label.appendWordBits(static_cast<std::uint64_t>(i), 20);
+    others.push_back(label);
+    store.placeLocal(label, FakeBucket{i});
+    (void)store.ringKey(label, 3);  // memo-only facets share the table
+  }
+  // A 300-bit label widens every slot of the directory.
+  store.placeLocal(BitString::repeated(true, 300), FakeBucket{7});
+  for (std::size_t i = 0; i < others.size(); i += 2) {
+    ASSERT_TRUE(store.erase(others[i]));
+  }
+  for (int i = 0; i < 512; ++i) {  // reuse the freed slots
+    BitString label = BitString::fromString("0");
+    label.appendWordBits(static_cast<std::uint64_t>(i), 20);
+    store.placeLocal(label, FakeBucket{i});
+  }
+
+  EXPECT_EQ(store.peek(root), rootBucket);
+  EXPECT_EQ(rootBucket->value, -1);
+  EXPECT_EQ(store.peek(pinned), bucket);
+  EXPECT_EQ(bucket->value, 42);
+  // Re-placing the label itself overwrites the bucket in place.
+  store.placeLocal(pinned, FakeBucket{43});
+  EXPECT_EQ(store.peek(pinned), bucket);
+  EXPECT_EQ(bucket->value, 43);
+  EXPECT_EQ(store.bucketCount(), 2u + 2048u + 1u + 512u);
+  for (std::size_t i = 1; i < others.size(); i += 2) {
+    ASSERT_NE(store.peek(others[i]), nullptr);
+    EXPECT_EQ(store.peek(others[i])->value, static_cast<int>(i));
+  }
 }
 
 TEST(DistributedStore, NamespacesIsolateIndexes) {
