@@ -195,6 +195,12 @@ TEST(CachedLookup, SplitChurnRepairsStaleHintsWithoutWrongAnswers) {
     for (const auto& r : jitteredAround(hot, 40, 5000)) index.insert(r);
   }
   EXPECT_GE(churn.staleHints, 1u);
+  // Exact repair-path counts: a change to the §5 search or the hint
+  // repair that alters probe order or count moves these.
+  EXPECT_EQ(churn.lookups, 63u);
+  EXPECT_EQ(churn.staleHints, 3u);
+  EXPECT_EQ(churn.cacheHits, 37u);
+  EXPECT_EQ(index.stateDigest(), 0x55160161f7d986b4ull);
 
   const auto repaired = index.lookup(hot);
   EXPECT_EQ(repaired.stats.cost.cacheHits + repaired.stats.cost.staleHints,
@@ -224,6 +230,12 @@ TEST(CachedLookup, MergeChurnRepairsStaleHintsWithoutWrongAnswers) {
     for (const auto& r : jittered) index.erase(r.key, r.id);
   }
   EXPECT_GE(churn.staleHints, 1u);
+  // Exact repair-path counts: a change to the §5 search or the hint
+  // repair that alters probe order or count moves these.
+  EXPECT_EQ(churn.lookups, 99u);
+  EXPECT_EQ(churn.staleHints, 2u);
+  EXPECT_EQ(churn.cacheHits, 38u);
+  EXPECT_EQ(index.stateDigest(), 0x9bb098f4d842703aull);
 
   const auto repaired = index.lookup(hot);
   EXPECT_EQ(repaired.stats.cost.cacheHits + repaired.stats.cost.staleHints,
@@ -333,6 +345,12 @@ TEST(CachedLookup, PhtSplitChurnRepairsStaleHints) {
     for (const auto& r : jitteredAround(hot, 40, 5000)) index.insert(r);
   }
   EXPECT_GE(churn.staleHints, 1u);
+  // Exact repair-path counts: a change to the §5 search or the hint
+  // repair that alters probe order or count moves these.
+  EXPECT_EQ(churn.lookups, 124u);
+  EXPECT_EQ(churn.staleHints, 9u);
+  EXPECT_EQ(churn.cacheHits, 26u);
+  EXPECT_EQ(index.stateDigest(), 0xf3645772ef25dff1ull);
 
   const auto query = index.pointQuery(hot);
   ASSERT_EQ(query.records.size(), 1u);
