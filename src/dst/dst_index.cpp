@@ -68,8 +68,8 @@ void DstIndex::insertAtLevel(const Record& record,
                              mlight::dht::RingId initiator, const Label& path,
                              std::size_t level, std::uint32_t round) {
   const Label label = path.prefix(level * config_.dims);
-  store_.asyncVisit(
-      initiator, label, round,
+  store_.asyncAccess(
+      mlight::dht::RpcKind::kVisit, initiator, label, round,
       [this, &record, &path, initiator, label, level](
           DstNode* node, const mlight::dht::RpcDelivery& d) {
         const bool isLeafLevel = (level == levels());
@@ -101,8 +101,8 @@ void DstIndex::insertAtLevel(const Record& record,
 void DstIndex::probeRange(const Rect& clipped, const Label& label,
                           mlight::dht::RingId source, std::uint32_t round,
                           std::vector<Record>& out) {
-  store_.asyncGet(
-      source, label, round,
+  store_.asyncAccess(
+      mlight::dht::RpcKind::kGet, source, label, round,
       [this, &clipped, &out, label](DstNode* node,
                                     const mlight::dht::RpcDelivery& d) {
         if (node == nullptr) return;  // empty region

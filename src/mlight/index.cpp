@@ -53,28 +53,34 @@ mlight::dht::RingId MLightIndex::randomPeer() {
   return peers[rng_.below(peers.size())];
 }
 
-MLightIndex::Located MLightIndex::locate(mlight::dht::RingId initiator,
-                                         const Point& p, std::size_t hiCap,
-                                         std::uint32_t roundBase) {
+MLightIndex::Located MLightIndex::search(mlight::dht::RingId initiator,
+                                         const Label& full, Window window,
+                                         std::uint32_t roundBase,
+                                         Located result) {
   const std::size_t m = config_.dims;
-  const Label full = pointPathLabel(p, m, config_.maxEdgeDepth);
-  std::size_t lo = 0;
-  std::size_t hi = std::min(config_.maxEdgeDepth, hiCap);
-  Located result;
-  // Distinct candidates can share a name (every candidate in
-  // (|f_md(λ)|, |λ|] names to f_md(λ)); a repeated key needs no second
-  // DHT-lookup, the earlier answer is definitive.  (Only hit-but-off-path
-  // keys can repeat: a NULL key caps `hi` below any candidate that could
-  // name to it again.)
-  std::vector<Label> probedKeys;
+  std::size_t& lo = window.lo;
+  std::size_t& hi = window.hi;
+  std::size_t step = 1;
   for (;;) {
-    const std::size_t t = lo + (hi - lo) / 2;
+    std::size_t t;
+    if (window.gallop) {
+      t = std::min(lo + step - 1, hi);
+      step *= 2;
+      if (t == hi) window.gallop = false;  // window exhausted: bisect
+    } else {
+      t = lo + (hi - lo) / 2;
+    }
     // Name the candidate prefix without materializing it: f_md's result
     // is itself a prefix of `full`, so one length computation + one
     // prefix() replaces two temporary labels per probe.
     const Label key = full.prefix(namedPrefixLength(full, m + 1 + t, m));
-    if (std::find(probedKeys.begin(), probedKeys.end(), key) !=
-        probedKeys.end()) {
+    // Distinct candidates can share a name (every candidate in
+    // (|f_md(λ)|, |λ|] names to f_md(λ)); a repeated key needs no second
+    // DHT-lookup, the earlier answer is definitive.  (Only hit-but-off-
+    // path keys can repeat: a NULL key caps `hi` below any candidate that
+    // could name to it again.)
+    if (std::find(window.probedKeys.begin(), window.probedKeys.end(),
+                  key) != window.probedKeys.end()) {
       lo = t + 1;
       mlight::common::auditLookupSearchBounds(lo, hi);
       continue;
@@ -91,7 +97,7 @@ MLightIndex::Located MLightIndex::locate(mlight::dht::RingId initiator,
       result.leaf = Label{};
       return result;
     }
-    probedKeys.push_back(key);
+    window.probedKeys.push_back(key);
     ++result.probes;
     result.ms += found.ms;
     if (trace_ != nullptr) {
@@ -107,6 +113,7 @@ MLightIndex::Located MLightIndex::locate(mlight::dht::RingId initiator,
       assert(key.size() >= m + 1 && "virtual-root bucket must exist");
       hi = edgeDepth(key, m);
       assert(hi < t || t == 0);
+      window.gallop = false;  // the depth direction reversed: bisect
     } else if (found.bucket->label.isPrefixOf(full)) {
       result.key = key;
       result.leaf = found.bucket->label;
@@ -125,180 +132,121 @@ MLightIndex::Located MLightIndex::locateCached(mlight::dht::RingId initiator,
                                                const Point& p,
                                                std::size_t hiCap,
                                                std::uint32_t roundBase) {
-  if (!config_.cache.enabled) return locate(initiator, p, hiCap, roundBase);
   const std::size_t m = config_.dims;
   const Label full = pointPathLabel(p, m, config_.maxEdgeDepth);
+  Window window;
+  window.hi = std::min(config_.maxEdgeDepth, hiCap);
+  if (!config_.cache.enabled) {
+    return search(initiator, full, std::move(window), roundBase, Located{});
+  }
   mlight::cache::LabelHintCache& cache = hintCaches_.forPeer(initiator.value);
   const mlight::cache::LabelHint* cached = cache.findCovering(full);
-  if (cached == nullptr) {
-    // Cold cell: the plain §5 search, plus learning its answer.
-    Located loc = locate(initiator, p, hiCap, roundBase);
-    if (!loc.leaf.empty()) {
-      auto info = store_.replicaReadInfo(loc.key);
-      if (cache.learn(loc.leaf,
-                      static_cast<std::uint32_t>(edgeDepth(loc.leaf, m)),
-                      std::move(info.salts), std::move(info.loads))) {
-        net_->noteHintEviction();
-      }
-    }
-    return loc;
-  }
-  // Copy before any repair: learn/forget below invalidate the pointer.
-  const mlight::cache::LabelHint used = *cached;
-  std::size_t lo = 0;
-  std::size_t hi = std::min(config_.maxEdgeDepth, hiCap);
-  // A caller-capped window (the range query's NULL-at-LCA fallback)
-  // already proves the leaf is shallow; clamp a deeper hint to it — any
-  // on-path probe depth is sound, so the clamped probe still verifies
-  // or refutes the hint.
-  const std::size_t t0 = std::min<std::size_t>(used.depth, hi);
-  const Label probeKey = full.prefix(namedPrefixLength(full, m + 1 + t0, m));
   Located result;
-  // Least-loaded replica routing (query-load balancing): a hint learned
-  // for a boosted leaf carries the replica set plus the loads observed
-  // at learn time — probe the copy with the smallest load, ties broken
-  // toward the lowest replica index (strict < keeps the first minimum).
-  // Only when the probe key is the hint's own key (an unclamped t0):
-  // under a caller-capped window the probe targets an ancestor, whose
-  // copy set the hint knows nothing about.
-  std::size_t probeSalt = 0;
-  if (!used.replicaSalts.empty() && t0 == used.depth) {
-    std::uint32_t bestLoad = ~std::uint32_t{0};
-    for (std::size_t i = 0; i < used.replicaSalts.size(); ++i) {
-      const std::uint32_t load =
-          i < used.replicaLoads.size() ? used.replicaLoads[i] : 0;
-      if (load < bestLoad) {
-        bestLoad = load;
-        probeSalt = used.replicaSalts[i];
+  if (cached == nullptr) {
+    // Cold cell: the plain §5 search, plus learning its answer below.
+    result = search(initiator, full, std::move(window), roundBase, Located{});
+  } else {
+    // Copy before any repair: learn/forget invalidate the pointer.
+    const mlight::cache::LabelHint used = *cached;
+    // A caller-capped window (the range query's NULL-at-LCA fallback)
+    // already proves the leaf is shallow; clamp a deeper hint to it — any
+    // on-path probe depth is sound, so the clamped probe still verifies
+    // or refutes the hint.
+    const std::size_t t0 = std::min<std::size_t>(used.depth, window.hi);
+    const Label probeKey =
+        full.prefix(namedPrefixLength(full, m + 1 + t0, m));
+    // Least-loaded replica routing (query-load balancing): a hint learned
+    // for a boosted leaf carries the replica set plus the loads observed
+    // at learn time — probe the copy with the smallest load, ties broken
+    // toward the lowest replica index (strict < keeps the first minimum).
+    // Only when the probe key is the hint's own key (an unclamped t0):
+    // under a caller-capped window the probe targets an ancestor, whose
+    // copy set the hint knows nothing about.
+    std::size_t probeSalt = 0;
+    if (!used.replicaSalts.empty() && t0 == used.depth) {
+      std::uint32_t bestLoad = ~std::uint32_t{0};
+      for (std::size_t i = 0; i < used.replicaSalts.size(); ++i) {
+        const std::uint32_t load =
+            i < used.replicaLoads.size() ? used.replicaLoads[i] : 0;
+        if (load < bestLoad) {
+          bestLoad = load;
+          probeSalt = used.replicaSalts[i];
+        }
       }
     }
-  }
-  // The hint crosses the wire with the probe so the owner-side verdict
-  // works from the wire copy, like every other handler.
-  mlight::common::Writer hintWire(net_->acquireBuffer());
-  used.serialize(hintWire);
-  const auto probed = store_.hintProbeAndFind(
-      initiator, probeKey, std::move(hintWire).take(), roundBase, probeSalt);
-  if (probed.failed) {
-    // Unreachable probe (crash loss / exhausted retries): same give-up
-    // contract as locate() — callers detect the empty leaf.
-    return result;
-  }
-  ++result.probes;
-  result.ms += probed.ms;
-  if (trace_ != nullptr) {
-    trace_->push_back(TraceEvent{
-        result.probes, probeKey,
-        probed.bucket != nullptr ? probed.bucket->label : Label{},
-        probed.bucket != nullptr});
-  }
-  if (probed.bucket != nullptr && probed.bucket->label.isPrefixOf(full)) {
-    // Live hint: the whole binary search collapsed into this one probe.
-    // The leaf found may still differ from the remembered label — after
-    // a split one child keeps the parent's DHT key (Theorem 5), so the
-    // stale *label* resolves in one probe anyway; refresh it.
-    net_->noteCacheHit();
-    result.key = probeKey;
-    result.leaf = probed.bucket->label;
-    result.owner = probed.owner;
-    if (result.leaf != used.leaf) cache.forget(used.leaf);
-    // Refresh the replica routing info along with the hint: the reply
-    // piggybacks the current copy set and loads (read at this quiescent
-    // point — the probe's facade pumped the loop dry), so the next read
-    // of this leaf self-balances toward the then-coldest copy.
-    auto info = store_.replicaReadInfo(probeKey);
-    if (cache.learn(result.leaf,
-                    static_cast<std::uint32_t>(edgeDepth(result.leaf, m)),
-                    std::move(info.salts), std::move(info.loads))) {
-      net_->noteHintEviction();
-    }
-    if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
-      mlight::common::auditCacheCoherence(result.leaf,
-                                          uncachedLeafOracle(full, hiCap));
-    }
-    return result;
-  }
-  // Stale hint: the probed peer no longer holds an on-path leaf under
-  // this key (split/merge moved it).  Forget it and repair in place —
-  // the §5 search continues inside the window the failed probe already
-  // cut, so a hint that drifted by Δdepth levels costs O(log Δdepth)
-  // extra probes, never a wrong answer.
-  net_->noteStaleHint();
-  cache.forget(used.leaf);
-  std::vector<Label> probedKeys{probeKey};
-  bool gallop = false;
-  std::size_t step = 1;
-  if (probed.bucket == nullptr) {
-    // The tree got shallower here (merge): the leaf is no deeper than
-    // the probe key's edge depth — the standard NULL cut.
-    mlight::common::auditLookupSearchBounds(m + 1, probeKey.size());
-    hi = edgeDepth(probeKey, m);
-  } else {
-    // The tree grew below the hint (split): the leaf is deeper than t0.
-    // Gallop upward from the hint instead of bisecting the whole
-    // remaining window — splits move depth by a few levels, so the
-    // target is almost always just past the hint.
-    lo = t0 + 1;
-    gallop = true;
-  }
-  mlight::common::auditLookupSearchBounds(lo, hi);
-  for (;;) {
-    std::size_t t;
-    if (gallop) {
-      t = std::min(lo + step - 1, hi);
-      step *= 2;
-      if (t == hi) gallop = false;  // window exhausted: bisect from here
-    } else {
-      t = lo + (hi - lo) / 2;
-    }
-    const Label key = full.prefix(namedPrefixLength(full, m + 1 + t, m));
-    if (std::find(probedKeys.begin(), probedKeys.end(), key) !=
-        probedKeys.end()) {
-      lo = t + 1;
-      mlight::common::auditLookupSearchBounds(lo, hi);
-      continue;
-    }
-    const auto found = store_.routeAndFind(
-        initiator, key,
-        roundBase + static_cast<std::uint32_t>(result.probes));
-    if (found.failed) {
-      result.key = Label{};
-      result.leaf = Label{};
+    // The hint crosses the wire with the probe so the owner-side verdict
+    // works from the wire copy, like every other handler.
+    mlight::common::Writer hintWire(net_->acquireBuffer());
+    used.serialize(hintWire);
+    const auto probed = store_.accessAndFind(
+        mlight::dht::RpcKind::kHintProbe, initiator, probeKey, roundBase,
+        std::move(hintWire).take(), probeSalt);
+    if (probed.failed) {
+      // Unreachable probe (crash loss / exhausted retries): same give-up
+      // contract as search() — callers detect the empty leaf.
       return result;
     }
-    probedKeys.push_back(key);
     ++result.probes;
-    result.ms += found.ms;
+    result.ms += probed.ms;
     if (trace_ != nullptr) {
       trace_->push_back(TraceEvent{
-          result.probes, key,
-          found.bucket != nullptr ? found.bucket->label : Label{},
-          found.bucket != nullptr});
+          result.probes, probeKey,
+          probed.bucket != nullptr ? probed.bucket->label : Label{},
+          probed.bucket != nullptr});
     }
-    if (found.bucket == nullptr) {
-      hi = edgeDepth(key, m);
-      gallop = false;  // the depth direction reversed: bisect
-    } else if (found.bucket->label.isPrefixOf(full)) {
-      result.key = key;
-      result.leaf = found.bucket->label;
-      result.owner = found.owner;
-      auto info = store_.replicaReadInfo(key);
-      if (cache.learn(result.leaf,
-                      static_cast<std::uint32_t>(edgeDepth(result.leaf, m)),
-                      std::move(info.salts), std::move(info.loads))) {
-        net_->noteHintEviction();
-      }
-      if (mlight::common::auditEnabled(
-              mlight::common::AuditLevel::kParanoid)) {
-        mlight::common::auditCacheCoherence(
-            result.leaf, uncachedLeafOracle(full, hiCap));
-      }
-      return result;
+    if (probed.bucket != nullptr && probed.bucket->label.isPrefixOf(full)) {
+      // Live hint: the whole binary search collapsed into this one probe.
+      // The leaf found may still differ from the remembered label — after
+      // a split one child keeps the parent's DHT key (Theorem 5), so the
+      // stale *label* resolves in one probe anyway; refresh it below.
+      net_->noteCacheHit();
+      result.key = probeKey;
+      result.leaf = probed.bucket->label;
+      result.owner = probed.owner;
+      if (result.leaf != used.leaf) cache.forget(used.leaf);
     } else {
-      lo = t + 1;
+      // Stale hint: the probed peer no longer holds an on-path leaf under
+      // this key (split/merge moved it).  Forget it and repair in place —
+      // the §5 search continues inside the window the failed probe
+      // already cut, so a hint that drifted by Δdepth levels costs
+      // O(log Δdepth) extra probes, never a wrong answer.
+      net_->noteStaleHint();
+      cache.forget(used.leaf);
+      if (probed.bucket == nullptr) {
+        // The tree got shallower here (merge): the leaf is no deeper than
+        // the probe key's edge depth — the standard NULL cut.
+        mlight::common::auditLookupSearchBounds(m + 1, probeKey.size());
+        window.hi = edgeDepth(probeKey, m);
+      } else {
+        // The tree grew below the hint (split): the leaf is deeper than
+        // t0.  Gallop upward from the hint instead of bisecting the whole
+        // remaining window — splits move depth by a few levels, so the
+        // target is almost always just past the hint.
+        window.lo = t0 + 1;
+        window.gallop = true;
+      }
+      mlight::common::auditLookupSearchBounds(window.lo, window.hi);
+      window.probedKeys.push_back(probeKey);
+      result = search(initiator, full, std::move(window), roundBase,
+                      std::move(result));
     }
-    mlight::common::auditLookupSearchBounds(lo, hi);
   }
+  if (result.leaf.empty()) return result;
+  // Learn the answer, with the replica routing info the reply piggybacks
+  // (read at this quiescent point — every probe's facade pumped the loop
+  // dry), so the next read of this leaf self-balances toward the
+  // then-coldest copy.
+  auto info = store_.replicaReadInfo(result.key);
+  if (cache.learn(result.leaf,
+                  static_cast<std::uint32_t>(edgeDepth(result.leaf, m)),
+                  std::move(info.salts), std::move(info.loads))) {
+    net_->noteHintEviction();
+  }
+  if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
+    mlight::common::auditCacheCoherence(result.leaf,
+                                        uncachedLeafOracle(full, hiCap));
+  }
+  return result;
 }
 
 MLightIndex::Label MLightIndex::uncachedLeafOracle(const Label& full,

@@ -318,23 +318,39 @@ class MLightIndex final : public mlight::index::IndexBase {
     double ms = 0.0;  ///< accumulated routing latency (sequential probes)
   };
 
-  /// §5 binary search over candidate prefixes.  Meters one DHT-lookup per
-  /// probe; probes are sequential (rounds == probes).  `hiCap` bounds the
-  /// initial upper edge-depth when the caller already knows the leaf is
-  /// shallow (the range query's NULL-at-LCA fallback).  `roundBase` is
-  /// the RPC round of the first probe — callers continuing an existing
-  /// chain (the fallback runs after the round-1 LCA probe) pass the next
-  /// depth so the event timeline counts their probes as further rounds.
-  Located locate(mlight::dht::RingId initiator, const Point& p,
-                 std::size_t hiCap = static_cast<std::size_t>(-1),
-                 std::uint32_t roundBase = 1);
+  /// The §5 search window: candidate edge depths [lo, hi], whether to
+  /// gallop up from `lo` before bisecting, and the DHT keys already
+  /// answered (a repeated key needs no second probe).
+  struct Window {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    bool gallop = false;
+    std::vector<Label> probedKeys;
+  };
 
-  /// Cache-aware locate: with the hint cache enabled, probes the deepest
-  /// cached leaf covering `p` first (one kHintProbe DHT-lookup on a
-  /// live hint, metered as CostMeter::cacheHits) and repairs stale hints
-  /// in place with a search seeded from the hint's depth (metered as
-  /// staleHints).  With the cache disabled this *is* locate() — same
-  /// probes, same rounds, same trace.
+  /// The §5 binary search for the leaf on `full`'s path inside `window`,
+  /// continuing `result` (probe count, latency).  Meters one DHT-lookup
+  /// per probe; probes are sequential, the first at round `roundBase +
+  /// result.probes`.  A NULL probe cuts the window at the key's edge
+  /// depth; an unanswered probe gives up with an empty leaf.
+  Located search(mlight::dht::RingId initiator, const Label& full,
+                 Window window, std::uint32_t roundBase, Located result);
+
+  /// Point location: the §5 search over [0, min(D, hiCap)].  `hiCap`
+  /// bounds the initial upper edge-depth when the caller already knows
+  /// the leaf is shallow (the range query's NULL-at-LCA fallback).
+  /// `roundBase` is the RPC round of the first probe — callers
+  /// continuing an existing chain (the fallback runs after the round-1
+  /// LCA probe) pass the next depth so the event timeline counts their
+  /// probes as further rounds.
+  ///
+  /// With the hint cache enabled, the deepest cached leaf covering `p`
+  /// is probed first (one kHintProbe DHT-lookup on a live hint, metered
+  /// as CostMeter::cacheHits); a stale hint (metered as staleHints)
+  /// continues the search inside the window its probe cut.  Every
+  /// answer is learned, and at the paranoid level audited against the
+  /// uncached oracle.  With the cache disabled this is the plain search
+  /// — same probes, same rounds, same trace.
   Located locateCached(mlight::dht::RingId initiator, const Point& p,
                        std::size_t hiCap = static_cast<std::size_t>(-1),
                        std::uint32_t roundBase = 1);

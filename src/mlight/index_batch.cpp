@@ -172,8 +172,9 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
         bool present = false;
         mlight::dht::RingId answeredBy{};
         std::vector<Record> wireRecs;
-        store_.asyncBatchPut(
-            initiator, g.loc.key, std::move(groupWire).take(), /*round=*/1,
+        store_.asyncAccess(
+            mlight::dht::RpcKind::kBatchPut, initiator, g.loc.key,
+            /*round=*/1,
             [&](LeafBucket* bucket, const mlight::dht::RpcDelivery& d) {
               answered = true;
               present = bucket != nullptr;
@@ -193,7 +194,8 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
                 wireRecs.push_back(Record::deserialize(body));
               }
               net_->releaseBuffer(std::move(blob));
-            });
+            },
+            std::move(groupWire).take());
         net_->run();
 
         LeafBucket* bucket =

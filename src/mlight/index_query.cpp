@@ -106,7 +106,7 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
 
   const double t0 = net_->beginTimeline();
   // Freeze the read routes of boosted leaves at this quiescent point:
-  // the cascade's handlers issue asyncGet reads mid-flight, and they
+  // the cascade's handlers issue kGet reads mid-flight, and they
   // must consult a table fixed for the whole operation — never the live
   // load counters — to stay order-free under tie shuffling.
   store_.refreshReadRouting();
@@ -210,8 +210,8 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
   std::function<void(const Task&, std::uint32_t)> issueTask =
       [&](const Task& task, std::uint32_t round) {
         const Label key = naming(task.target, config_.dims);
-        store_.asyncGet(
-            task.source, key, round,
+        store_.asyncAccess(
+            mlight::dht::RpcKind::kGet, task.source, key, round,
             // `issueTask` and the locals captured by reference outlive
             // every handler: the event loop is pumped dry below, inside
             // this frame.

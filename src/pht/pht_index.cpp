@@ -46,14 +46,21 @@ mlight::dht::RingId PhtIndex::randomPeer() {
   return peers[rng_.below(peers.size())];
 }
 
-PhtIndex::Located PhtIndex::locate(mlight::dht::RingId initiator,
-                                   const Point& p, std::uint32_t roundBase) {
-  const Label full = interleave(p, config_.maxDepth);
-  std::size_t lo = 0;
-  std::size_t hi = config_.maxDepth;
-  Located result;
+PhtIndex::Located PhtIndex::search(mlight::dht::RingId initiator,
+                                   const Label& full, Window window,
+                                   std::uint32_t roundBase, Located result) {
+  std::size_t& lo = window.lo;
+  std::size_t& hi = window.hi;
+  std::size_t step = 1;
   for (;;) {
-    const std::size_t t = lo + (hi - lo) / 2;
+    std::size_t t;
+    if (window.gallop) {
+      t = std::min(lo + step - 1, hi);
+      step *= 2;
+      if (t == hi) window.gallop = false;  // window exhausted: bisect
+    } else {
+      t = lo + (hi - lo) / 2;
+    }
     const Label candidate = full.prefix(t);
     const auto found = store_.routeAndFind(
         initiator, candidate,
@@ -72,6 +79,7 @@ PhtIndex::Located PhtIndex::locate(mlight::dht::RingId initiator,
       // not exist, so the leaf is strictly shorter.
       mlight::common::auditLookupSearchBounds(1, t);  // trie root exists
       hi = t - 1;
+      window.gallop = false;
     } else if (found.bucket->isLeaf) {
       result.leaf = candidate;
       result.owner = found.owner;
@@ -86,99 +94,60 @@ PhtIndex::Located PhtIndex::locate(mlight::dht::RingId initiator,
 PhtIndex::Located PhtIndex::locateCached(mlight::dht::RingId initiator,
                                          const Point& p,
                                          std::uint32_t roundBase) {
-  if (!config_.cache.enabled) return locate(initiator, p, roundBase);
   const Label full = interleave(p, config_.maxDepth);
+  Window window;
+  window.hi = config_.maxDepth;
+  if (!config_.cache.enabled) {
+    return search(initiator, full, window, roundBase, Located{});
+  }
   mlight::cache::LabelHintCache& cache = hintCaches_.forPeer(initiator.value);
   const mlight::cache::LabelHint* cached = cache.findCovering(full);
-  if (cached == nullptr) {
-    Located loc = locate(initiator, p, roundBase);
-    if (!loc.failed) {
-      cache.learn(loc.leaf, static_cast<std::uint32_t>(loc.leaf.size()));
-    }
-    return loc;
-  }
-  const mlight::cache::LabelHint used = *cached;  // copy: repair mutates
-  std::size_t lo = 0;
-  std::size_t hi = config_.maxDepth;
-  const std::size_t t0 = std::min<std::size_t>(used.depth, hi);
-  const Label probeLabel = full.prefix(t0);
   Located result;
-  mlight::common::Writer hintWire(net_->acquireBuffer());
-  used.serialize(hintWire);
-  const auto probed = store_.hintProbeAndFind(
-      initiator, probeLabel, std::move(hintWire).take(), roundBase);
-  if (probed.failed) {
-    result.failed = true;
-    return result;
-  }
-  ++result.probes;
-  result.ms += probed.ms;
-  if (probed.bucket != nullptr && probed.bucket->isLeaf) {
-    // Live hint: the prefix still exists and is still a leaf.
-    net_->noteCacheHit();
-    result.leaf = probeLabel;
-    result.owner = probed.owner;
-    cache.learn(result.leaf, static_cast<std::uint32_t>(result.leaf.size()));
-    if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
-      mlight::common::auditCacheCoherence(result.leaf,
-                                          uncachedLeafOracle(full));
-    }
-    return result;
-  }
-  // Stale hint: the prefix vanished (merge pruned it) or turned into an
-  // internal routing marker (split).  Repair with the prefix search
-  // seeded from the hint's length.
-  net_->noteStaleHint();
-  cache.forget(used.leaf);
-  bool gallop = false;
-  std::size_t step = 1;
-  if (probed.bucket == nullptr) {
-    mlight::common::auditLookupSearchBounds(1, t0);  // trie root exists
-    hi = t0 - 1;
+  if (cached == nullptr) {
+    result = search(initiator, full, window, roundBase, Located{});
   } else {
-    lo = t0 + 1;
-    gallop = true;  // splits deepen by a few levels: creep up from t0
-  }
-  mlight::common::auditLookupSearchBounds(lo, hi);
-  for (;;) {
-    std::size_t t;
-    if (gallop) {
-      t = std::min(lo + step - 1, hi);
-      step *= 2;
-      if (t == hi) gallop = false;
-    } else {
-      t = lo + (hi - lo) / 2;
-    }
-    const Label candidate = full.prefix(t);
-    const auto found = store_.routeAndFind(
-        initiator, candidate,
-        roundBase + static_cast<std::uint32_t>(result.probes));
-    if (found.failed) {
+    const mlight::cache::LabelHint used = *cached;  // copy: repair mutates
+    const std::size_t t0 = std::min<std::size_t>(used.depth, window.hi);
+    const Label probeLabel = full.prefix(t0);
+    mlight::common::Writer hintWire(net_->acquireBuffer());
+    used.serialize(hintWire);
+    const auto probed = store_.accessAndFind(
+        mlight::dht::RpcKind::kHintProbe, initiator, probeLabel, roundBase,
+        std::move(hintWire).take());
+    if (probed.failed) {
       result.failed = true;
       return result;
     }
     ++result.probes;
-    result.ms += found.ms;
-    if (found.bucket == nullptr) {
-      mlight::common::auditLookupSearchBounds(1, t);
-      hi = t - 1;
-      gallop = false;
-    } else if (found.bucket->isLeaf) {
-      result.leaf = candidate;
-      result.owner = found.owner;
-      cache.learn(result.leaf,
-                  static_cast<std::uint32_t>(result.leaf.size()));
-      if (mlight::common::auditEnabled(
-              mlight::common::AuditLevel::kParanoid)) {
-        mlight::common::auditCacheCoherence(result.leaf,
-                                            uncachedLeafOracle(full));
-      }
-      return result;
+    result.ms += probed.ms;
+    if (probed.bucket != nullptr && probed.bucket->isLeaf) {
+      // Live hint: the prefix still exists and is still a leaf.
+      net_->noteCacheHit();
+      result.leaf = probeLabel;
+      result.owner = probed.owner;
     } else {
-      lo = t + 1;
+      // Stale hint: the prefix vanished (merge pruned it) or turned into
+      // an internal routing marker (split).  Repair with the prefix
+      // search continuing from the hint's length.
+      net_->noteStaleHint();
+      cache.forget(used.leaf);
+      if (probed.bucket == nullptr) {
+        mlight::common::auditLookupSearchBounds(1, t0);  // trie root exists
+        window.hi = t0 - 1;
+      } else {
+        window.lo = t0 + 1;
+        window.gallop = true;  // splits deepen by a few levels: creep up
+      }
+      mlight::common::auditLookupSearchBounds(window.lo, window.hi);
+      result = search(initiator, full, window, roundBase, std::move(result));
     }
-    mlight::common::auditLookupSearchBounds(lo, hi);
   }
+  if (result.failed) return result;
+  cache.learn(result.leaf, static_cast<std::uint32_t>(result.leaf.size()));
+  if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
+    mlight::common::auditCacheCoherence(result.leaf, uncachedLeafOracle(full));
+  }
+  return result;
 }
 
 PhtIndex::Label PhtIndex::uncachedLeafOracle(const Label& full) const {
@@ -370,8 +339,8 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
         if (!cellOfPath(label, config_.dims).intersects(clipped)) {
           return;  // pruned locally, no DHT traffic
         }
-        store_.asyncGet(
-            source, label, round,
+        store_.asyncAccess(
+            mlight::dht::RpcKind::kGet, source, label, round,
             [&, label](PhtNode* node, const mlight::dht::RpcDelivery& d) {
               MLIGHT_CHECK(node != nullptr, "trie prefix closure violated");
               if (node->isLeaf) {

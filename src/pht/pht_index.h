@@ -143,13 +143,26 @@ class PhtIndex final : public mlight::index::IndexBase {
     /// meaningless then — the empty label legitimately names the root.
     bool failed = false;
   };
-  Located locate(mlight::dht::RingId initiator, const Point& p,
-                 std::uint32_t roundBase = 1);
 
-  /// Cache-aware locate (see MLightIndex::locateCached): one direct
-  /// probe of the remembered leaf prefix on a live hint, stale hints
-  /// repaired by a search seeded from the hint's prefix length.  With
-  /// the cache disabled this is locate().
+  /// The prefix-length search window [lo, hi], galloping up from `lo`
+  /// first when `gallop` is set.
+  struct Window {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    bool gallop = false;
+  };
+
+  /// The prefix binary search for the leaf on `full`'s path inside
+  /// `window`, continuing `result` (see MLightIndex::search).  A missing
+  /// prefix cuts the window below its length; an unanswered probe sets
+  /// `failed`.
+  Located search(mlight::dht::RingId initiator, const Label& full,
+                 Window window, std::uint32_t roundBase, Located result);
+
+  /// Point location (see MLightIndex::locateCached): the search over
+  /// [0, D]; with the cache enabled, one direct probe of the remembered
+  /// leaf prefix first, a stale hint continuing the search from the
+  /// hint's prefix length.
   Located locateCached(mlight::dht::RingId initiator, const Point& p,
                        std::uint32_t roundBase = 1);
 

@@ -58,8 +58,8 @@ void RstIndex::insert(const Record& record) {
   std::function<void(std::size_t, std::uint32_t)> visitLevel =
       [&](std::size_t level, std::uint32_t round) {
         const Label label = path.prefix(level);
-        store_.asyncVisit(
-            initiator, label, round,
+        store_.asyncAccess(
+            mlight::dht::RpcKind::kVisit, initiator, label, round,
             [&, label, level](RstNode* node,
                               const mlight::dht::RpcDelivery& d) {
               const bool isLeafLevel = (level == config_.maxDepth);
@@ -174,8 +174,8 @@ mlight::index::RangeResult RstIndex::rangeQuery(const Rect& range) {
   std::function<void(const Label&, mlight::dht::RingId, std::uint32_t)>
       probe = [&](const Label& label, mlight::dht::RingId source,
                   std::uint32_t round) {
-        store_.asyncGet(
-            source, label, round,
+        store_.asyncAccess(
+            mlight::dht::RpcKind::kGet, source, label, round,
             [&, label](RstNode* node, const mlight::dht::RpcDelivery& d) {
               if (node == nullptr) return;  // empty segment
               if (node->complete) {

@@ -35,6 +35,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -416,16 +417,6 @@ class DistributedStore {
     return targets;
   }
 
-  /// The peers holding the copies of `label` (holders[0] = primary) —
-  /// the holder projection of copyTargets().
-  std::vector<RingId> copyHolders(const Label& label) const {
-    const std::vector<CopyTarget> targets = copyTargets(label);
-    std::vector<RingId> holders;
-    holders.reserve(targets.size());
-    for (const CopyTarget& t : targets) holders.push_back(t.holder);
-    return holders;
-  }
-
   struct Found {
     RingId owner;
     std::size_t hops;
@@ -447,6 +438,9 @@ class DistributedStore {
   // executes "at" the owning peer when the message arrives, working from
   // the wire copy of the request.  The synchronous methods below are
   // thin drivers that issue the RPC and pump the event loop dry.
+  //
+  // The owner side has two handlers: one for every access kind
+  // (asyncAccess) and one for puts (asyncPut).
 
   /// Continuation invoked at the owner: the bucket stored under the
   /// requested label (nullptr if none) plus the delivery metadata
@@ -454,29 +448,63 @@ class DistributedStore {
   using VisitFn =
       std::function<void(Bucket*, const mlight::dht::RpcDelivery&)>;
 
-  /// Async DHT-get: routes a kGet envelope carrying `label` to its
-  /// owner; `fn` runs at arrival with the bucket found there.  `round`
-  /// is the RPC chain depth — handlers issuing follow-ups pass their
-  /// delivery's round + 1.
-  void asyncGet(RingId initiator, const Label& label, std::uint32_t round,
-                VisitFn fn) {
-    asyncAccess(mlight::dht::RpcKind::kGet, initiator, label, round,
-                std::move(fn));
+  /// Pure reads: kGet (search probes, range cascades) and kHintProbe
+  /// (lookup-cache verdicts).  Reads may start at any copy and feed the
+  /// owner-side heat counters; every other kind may mutate the bucket
+  /// (kVisit read-modify-write, kBatchPut group append) and starts at
+  /// the primary.
+  static constexpr bool isRead(mlight::dht::RpcKind kind) noexcept {
+    return kind == mlight::dht::RpcKind::kGet ||
+           kind == mlight::dht::RpcKind::kHintProbe;
   }
 
-  /// Async read-modify-write: like asyncGet but typed kVisit — the
-  /// continuation may mutate the bucket or the store (split, append,
-  /// re-place) on the owner's behalf.
-  void asyncVisit(RingId initiator, const Label& label, std::uint32_t round,
-                  VisitFn fn) {
-    asyncAccess(mlight::dht::RpcKind::kVisit, initiator, label, round,
-                std::move(fn));
+  /// The one access verb: routes a `kind` envelope carrying `label`,
+  /// followed by `extra` opaque bytes (a kHintProbe's serialized hint, a
+  /// kBatchPut's record group; re-read them from `d.env.payload` past the
+  /// leading label), and runs `fn` at the holder that answers with the
+  /// bucket stored there.  `round` is the RPC chain depth — handlers
+  /// issuing follow-ups pass their delivery's round + 1.  The kind only
+  /// tells traces and dead letters the verbs apart, and picks the
+  /// starting copy (see isRead).
+  ///
+  /// A read starts at copy `salt` when one is given (the initiator's
+  /// hint carries a boosted leaf's replica set), else at the store's
+  /// frozen read route for the label (the primary unless balancing
+  /// boosted it).  A salt that stopped being a copy (demotion, churn) is
+  /// caught by the owner-side holds-copy check and fails over — never a
+  /// wrong answer.
+  ///
+  /// Failover: an access is answered by the owner of the starting key
+  /// when it holds a copy.  If that owner reports no copy after a crash
+  /// (repair not yet caught up) or never answers (timeout dead letter
+  /// under fault injection), the request is re-issued — one round
+  /// deeper — to the next holder from the copy-target walk, until some
+  /// holder answers or every candidate was tried (a failed access; the
+  /// continuation never runs).  A successful failover read-repairs the
+  /// bucket back to R copies on the current ring.
+  void asyncAccess(mlight::dht::RpcKind kind, RingId initiator,
+                   const Label& label, std::uint32_t round, VisitFn fn,
+                   std::vector<std::uint8_t> extra = {},
+                   std::size_t salt = 0) {
+    auto state = std::make_shared<AccessState>();
+    state->kind = kind;
+    state->label = label;
+    state->extra = std::move(extra);
+    state->fn = std::move(fn);
+    if (!isRead(kind)) {
+      salt = 0;
+    } else if (salt == 0) {
+      salt = frozenSaltFor(label);
+    }
+    issueAccess(std::move(state), initiator, round, salt);
   }
 
   /// Async DHT-put: serializes the bucket, ships it (and its replica
   /// copies) toward the owners, and stores the decoded copy when the
   /// primary envelope arrives.  Payload bytes are metered at issue, like
-  /// the old synchronous put; replica envelopes are fire-and-forget.
+  /// the old synchronous put; replica envelopes are fire-and-forget.  A
+  /// primary envelope that dead-letters stored the bucket nowhere: its
+  /// label is mourned like a bucket whose every holder crashed.
   void asyncPut(RingId source, const Label& label, Bucket bucket,
                 std::uint32_t round = 1) {
     // The bucket crosses the (simulated) wire: serialize for real, both
@@ -519,110 +547,44 @@ class DistributedStore {
           walAppendPlace(d.route.owner, wireLabel, bucketBytes);
           storeEntry(wireLabel, std::move(copies), std::move(decoded));
           net_->releaseBuffer(std::move(bucketBytes));
+        },
+        [this](const mlight::dht::RpcEnvelope& deadEnv,
+               std::size_t /*attempts*/) {
+          mlight::common::Reader r(deadEnv.payload);
+          mourn(labels_.insert(r.readBitString()));
         });
     net_->shipPayload(source, targets[0].holder, bucketWire.size(),
                       bucket.recordCount());
-    for (std::size_t i = 1; i < targets.size(); ++i) {
-      net_->sendRpc(ringKey(label, targets[i].salt), env,
-                    [](const mlight::dht::RpcDelivery&) {});
-      net_->shipPayload(source, targets[i].holder, bucketWire.size(),
-                        bucket.recordCount());
-    }
+    pushToReplicas(source, label, targets, bucketWire.size(),
+                   bucket.recordCount(), &env);
     net_->releaseBuffer(std::move(bucketWire).take());
   }
 
-  /// Async hint probe (lookup-cache subsystem): a kHintProbe envelope
-  /// carrying the label under test plus `extra` opaque bytes (the
-  /// serialized hint — shipped so the owner-side verdict works from the
-  /// wire copy like every other handler; re-read it from
-  /// `d.env.payload` past the leading label).  Routes, meters, and fails
-  /// over exactly like asyncGet; only the verb differs so traces and
-  /// dead letters can tell hint traffic from search probes.
-  ///
-  /// `salt` targets a specific copy of a boosted leaf (the initiator's
-  /// hint carries the replica set; least-loaded routing picks one).  The
-  /// default 0 falls back to the store's frozen read route for the label
-  /// (identity when balancing is off).  A salt that stopped being a copy
-  /// (demotion, churn) is caught by the owner-side holdsCopy check and
-  /// fails over — never a wrong answer.
-  void asyncHintProbe(RingId initiator, const Label& label,
-                      std::vector<std::uint8_t> extra, std::uint32_t round,
-                      VisitFn fn, std::size_t salt = 0) {
-    auto state = std::make_shared<AccessState>();
-    state->kind = mlight::dht::RpcKind::kHintProbe;
-    state->label = label;
-    state->extra = std::move(extra);
-    state->fn = std::move(fn);
-    issueAccess(std::move(state), initiator, round,
-                salt != 0 ? salt : frozenSaltFor(label));
-  }
-
-  /// Async batched put (durable write path): one kBatchPut envelope
-  /// carrying the target label plus `recordsWire` — the serialized
-  /// record group the client-side batcher assembled in a pooled buffer.
-  /// Routes, retries, and fails over exactly like asyncGet (same
-  /// AccessState machinery), so one envelope replaces N per-record
-  /// round-trips.  The store does not apply the group itself: owner-side
-  /// application (dedup, append, group split planning, WAL framing)
-  /// belongs to the index layer, which runs it from the continuation —
-  /// the wire copy of the group is re-read from `d.env.payload` past the
-  /// leading label, like every other handler works from the wire.
-  void asyncBatchPut(RingId initiator, const Label& label,
-                     std::vector<std::uint8_t> recordsWire,
-                     std::uint32_t round, VisitFn fn) {
-    auto state = std::make_shared<AccessState>();
-    state->kind = mlight::dht::RpcKind::kBatchPut;
-    state->label = label;
-    state->extra = std::move(recordsWire);
-    state->fn = std::move(fn);
-    issueAccess(std::move(state), initiator, round, /*salt=*/0);
-  }
-
-  /// One DHT-lookup: routes from `initiator` to the key's owner and
-  /// returns the bucket stored there, if any.  Synchronous facade over
-  /// asyncGet — issues the RPC and pumps the event loop to completion,
-  /// so the simulated clock advances by the routing latency.
-  Found routeAndFind(RingId initiator, const Label& label,
-                     std::uint32_t round = 1) {
+  /// Synchronous facade over asyncAccess: issues the RPC and pumps the
+  /// event loop to completion, so the simulated clock advances by the
+  /// routing latency.
+  Found accessAndFind(mlight::dht::RpcKind kind, RingId initiator,
+                      const Label& label, std::uint32_t round = 1,
+                      std::vector<std::uint8_t> extra = {},
+                      std::size_t salt = 0) {
     Found out{};
     out.failed = true;  // cleared iff some holder actually answers
-    asyncGet(initiator, label, round,
-             [&out](Bucket* bucket, const mlight::dht::RpcDelivery& d) {
-               out = Found{d.route.owner, d.route.hops, d.route.ms, bucket};
-             });
-    net_->run();
-    return out;
-  }
-
-  /// Synchronous facade over asyncHintProbe, mirroring routeAndFind.
-  Found hintProbeAndFind(RingId initiator, const Label& label,
-                         std::vector<std::uint8_t> extra,
-                         std::uint32_t round = 1, std::size_t salt = 0) {
-    Found out{};
-    out.failed = true;  // cleared iff some holder actually answers
-    asyncHintProbe(
-        initiator, label, std::move(extra), round,
+    asyncAccess(
+        kind, initiator, label, round,
         [&out](Bucket* bucket, const mlight::dht::RpcDelivery& d) {
           out = Found{d.route.owner, d.route.hops, d.route.ms, bucket};
         },
-        salt);
+        std::move(extra), salt);
     net_->run();
     return out;
   }
 
-  /// Synchronous facade over asyncBatchPut, mirroring routeAndFind.
-  Found batchPutAndFind(RingId initiator, const Label& label,
-                        std::vector<std::uint8_t> recordsWire,
-                        std::uint32_t round = 1) {
-    Found out{};
-    out.failed = true;  // cleared iff some holder actually answers
-    asyncBatchPut(
-        initiator, label, std::move(recordsWire), round,
-        [&out](Bucket* bucket, const mlight::dht::RpcDelivery& d) {
-          out = Found{d.route.owner, d.route.hops, d.route.ms, bucket};
-        });
-    net_->run();
-    return out;
+  /// One DHT-lookup: routes from `initiator` to the key's owner and
+  /// returns the bucket stored there, if any (accessAndFind for kGet).
+  Found routeAndFind(RingId initiator, const Label& label,
+                     std::uint32_t round = 1) {
+    return accessAndFind(mlight::dht::RpcKind::kGet, initiator, label,
+                         round);
   }
 
   /// DHT-put: routes from `source`, ships the bucket payload to the owner
@@ -651,17 +613,9 @@ class DistributedStore {
       walAppendPlace(copies[0].holder, label, w.bytes());
       net_->releaseBuffer(std::move(w).take());
     }
-    for (std::size_t i = 1; i < copies.size(); ++i) {
-      mlight::common::Writer body(net_->acquireBuffer());
-      body.writeBitString(label);
-      mlight::dht::RpcEnvelope env;
-      env.kind = mlight::dht::RpcKind::kPut;
-      env.from = copies[0].holder;
-      env.payload = std::move(body).take();
-      net_->sendRpc(ringKey(label, copies[i].salt), std::move(env),
-                    [](const mlight::dht::RpcDelivery&) {});
-      net_->shipPayload(copies[0].holder, copies[i].holder,
-                        bucket.byteSize(), bucket.recordCount());
+    if (copies.size() > 1) {
+      pushToReplicas(copies[0].holder, label, copies, bucket.byteSize(),
+                     bucket.recordCount());
     }
     storeEntry(label, std::move(copies), std::move(bucket));
   }
@@ -679,18 +633,8 @@ class DistributedStore {
     // list can be stale across churn); any holder found missing gets
     // the full bucket first, then everyone receives the delta.
     ensureReplicated(label, slot, source);
-    const std::vector<CopyTarget>& copies = labels_[slot].entry->copies;
-    for (std::size_t i = 1; i < copies.size(); ++i) {
-      mlight::common::Writer body(net_->acquireBuffer());
-      body.writeBitString(label);
-      mlight::dht::RpcEnvelope env;
-      env.kind = mlight::dht::RpcKind::kPut;
-      env.from = source;
-      env.payload = std::move(body).take();
-      net_->sendRpc(ringKey(label, copies[i].salt), std::move(env),
-                    [](const mlight::dht::RpcDelivery&) {});
-      net_->shipPayload(source, copies[i].holder, bytes, records);
-    }
+    pushToReplicas(source, label, labels_[slot].entry->copies, bytes,
+                   records);
   }
 
   /// Removes the bucket under `label`; returns true if one existed.  A
@@ -1126,17 +1070,20 @@ class DistributedStore {
                         }) != entry.copies.end();
   }
 
-  /// The shared repair/refresh primitive: recomputes the copy set on the
-  /// current ring, ships the full bucket (from `source`) to every wanted
-  /// holder that lacks a copy, and installs the fresh set on the entry.
-  /// Returns true when at least one copy had to be shipped.
+  /// The one copy-shipping loop, shared by repair, promotion and
+  /// re-homing: recomputes the copy set on the current ring, ships the
+  /// full bucket (from `source`) to every wanted holder that lacks a
+  /// copy — a copy on a `dead` vnode counts as missing — and installs
+  /// the fresh set on the entry.  Returns true when at least one copy
+  /// had to be shipped.
   bool ensureReplicated(const Label& label, std::uint32_t slot,
-                        RingId source) {
+                        RingId source, std::span<const RingId> dead = {}) {
     std::vector<CopyTarget> want = copyTargets(label);
     const Entry& entry = *labels_[slot].entry;
     bool shipped = false;
     for (const CopyTarget& t : want) {
-      if (!holdsCopy(entry, t.holder)) {
+      if (!holdsCopy(entry, t.holder) ||
+          std::find(dead.begin(), dead.end(), t.holder) != dead.end()) {
         net_->shipPayload(source, t.holder, entry.bucket.byteSize(),
                           entry.bucket.recordCount());
         shipped = true;
@@ -1144,6 +1091,63 @@ class DistributedStore {
     }
     installCopies(slot, std::move(want));
     return shipped;
+  }
+
+  /// The one replica fan-out: a fire-and-forget kPut envelope to every
+  /// non-primary copy, plus its payload (`bytes`, `records`) shipped from
+  /// `source`.  Each envelope is a copy of `full` (asyncPut's body and
+  /// round) when given, else carries the label alone at the default
+  /// round; the fault model draws each attempt's loss from that content.
+  void pushToReplicas(RingId source, const Label& label,
+                      const std::vector<CopyTarget>& copies,
+                      std::size_t bytes, std::size_t records,
+                      const mlight::dht::RpcEnvelope* full = nullptr) {
+    for (std::size_t i = 1; i < copies.size(); ++i) {
+      mlight::dht::RpcEnvelope env;
+      if (full != nullptr) {
+        env = *full;
+      } else {
+        mlight::common::Writer body(net_->acquireBuffer());
+        body.writeBitString(label);
+        env.kind = mlight::dht::RpcKind::kPut;
+        env.from = source;
+        env.payload = std::move(body).take();
+      }
+      net_->sendRpc(ringKey(label, copies[i].salt), std::move(env),
+                    [](const mlight::dht::RpcDelivery&) {});
+      net_->shipPayload(source, copies[i].holder, bytes, records);
+    }
+  }
+
+  /// The one mourning routine: `slot`'s bucket is stored nowhere (every
+  /// holder crashed, or its put dead-lettered), so reads of the label
+  /// fail instead of answering NULL until something re-places it.
+  void mourn(std::uint32_t slot) {
+    LabelState& st = labels_[slot];
+    if (st.entry != nullptr) {
+      st.entry.reset();
+      --entryCount_;
+      ++copyEpoch_;
+    }
+    if (st.underReplicated) {  // nothing stored to be degraded
+      st.underReplicated = false;
+      --underReplicatedCount_;
+    }
+    if (!st.mourned) {
+      st.mourned = true;
+      ++mournedCount_;
+    }
+    // A mourned label will never be probed through the cache again
+    // (reads fail fast); dropping its memoized ring keys keeps the
+    // cache from growing without bound across churn epochs.
+    if (st.memo) {
+      st.memo = false;
+      st.saltKeys = {};
+      --ringKeysMemoized_;
+    }
+    // Nor read again, so no demotion would ever free its boost.
+    releaseBoost(slot);
+    ++lostBuckets_;
   }
 
   /// Level-triggered under-replication bookkeeping, updated by
@@ -1175,14 +1179,14 @@ class DistributedStore {
         .appendCommitted(mlight::wal::FrameKind::kPlace, label, bucketBytes);
   }
 
-  /// Failover bookkeeping shared by the attempts of one logical read:
+  /// Failover bookkeeping shared by the attempts of one logical access:
   /// which holders already missed (or went dark), and the copy-target
   /// list (resolved lazily — the fault-free fast path never computes
   /// it).
   struct AccessState {
     mlight::dht::RpcKind kind;
     Label label;
-    /// Opaque bytes appended after the label (hint-probe body); empty
+    /// Opaque bytes appended after the label (hint, record group); empty
     /// for plain get/visit.  Kept in the state so failover retransmits
     /// carry the same wire body as the original attempt.
     std::vector<std::uint8_t> extra;
@@ -1192,31 +1196,9 @@ class DistributedStore {
     bool failedOver = false;
   };
 
-  /// Shared body of asyncGet/asyncVisit: the label travels in the
-  /// envelope; the handler re-reads it from the wire and resolves the
-  /// bucket in owner-side state at delivery time.
-  ///
-  /// Failover: a read is answered by the owner of the primary key when
-  /// it holds a copy.  If that owner reports no copy after a crash
-  /// (repair not yet caught up) or never answers (timeout dead letter
-  /// under fault injection), the request is re-issued — one round
-  /// deeper — to the next holder from the copy-target walk, until some
-  /// holder answers or every candidate was tried (a failed read; the
-  /// continuation never runs).  A successful failover read-repairs the
-  /// bucket back to R copies on the current ring.
-  void asyncAccess(mlight::dht::RpcKind kind, RingId initiator,
-                   const Label& label, std::uint32_t round, VisitFn fn) {
-    auto state = std::make_shared<AccessState>();
-    state->kind = kind;
-    state->label = label;
-    state->fn = std::move(fn);
-    // Pure reads of boosted leaves route to the frozen least-loaded
-    // copy; visits may mutate and always start at the primary.
-    const std::size_t salt =
-        kind == mlight::dht::RpcKind::kGet ? frozenSaltFor(label) : 0;
-    issueAccess(std::move(state), initiator, round, salt);
-  }
-
+  /// The owner-side access handler: the label travels in the envelope;
+  /// the handler re-reads it from the wire and resolves the bucket in
+  /// owner-side state at delivery time (see asyncAccess for failover).
   void issueAccess(std::shared_ptr<AccessState> state, RingId initiator,
                    std::uint32_t round, std::size_t salt) {
     mlight::common::Writer body(net_->acquireBuffer());
@@ -1259,10 +1241,7 @@ class DistributedStore {
               ++readRepairs_;
             }
           }
-          if (state->kind == mlight::dht::RpcKind::kGet ||
-              state->kind == mlight::dht::RpcKind::kHintProbe) {
-            noteHeat(wireLabel, slot);
-          }
+          if (isRead(state->kind)) noteHeat(wireLabel, slot);
           state->fn(&entry->bucket, d);
         },
         [this, state](const mlight::dht::RpcEnvelope& deadEnv,
@@ -1339,39 +1318,9 @@ class DistributedStore {
       }
       // Bring every copy to the peers now responsible on the new ring,
       // shipping from the (surviving) source.
-      std::vector<CopyTarget> want = copyTargets(label);
-      for (const CopyTarget& t : want) {
-        const bool alreadyHeld = holdsCopy(entry, t.holder) &&
-                                 !isDead(t.holder);
-        if (!alreadyHeld) {
-          net_->shipPayload(source, t.holder, entry.bucket.byteSize(),
-                            entry.bucket.recordCount());
-        }
-      }
-      installCopies(slot, std::move(want));
+      ensureReplicated(label, slot, source, change.removedVnodes);
     }
-    for (const std::uint32_t slot : lost) {
-      LabelState& st = labels_[slot];
-      st.entry.reset();
-      --entryCount_;
-      if (st.underReplicated) {  // nothing stored to be degraded
-        st.underReplicated = false;
-        --underReplicatedCount_;
-      }
-      st.mourned = true;
-      ++mournedCount_;
-      // A mourned label will never be probed through the cache again
-      // (reads fail fast); dropping its memoized ring keys keeps the
-      // cache from growing without bound across churn epochs.
-      if (st.memo) {
-        st.memo = false;
-        st.saltKeys = {};
-        --ringKeysMemoized_;
-      }
-      // Nor read again, so no demotion would ever free its boost.
-      releaseBoost(slot);
-      ++lostBuckets_;
-    }
+    for (const std::uint32_t slot : lost) mourn(slot);
   }
 
   mlight::dht::Network* net_;

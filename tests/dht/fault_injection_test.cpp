@@ -3,6 +3,7 @@
 // DistributedStore's replica failover + read-repair on top of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -10,10 +11,14 @@
 
 #include "common/bitstring.h"
 #include "common/check.h"
+#include "common/invariants.h"
+#include "common/rng.h"
 #include "common/serde.h"
 #include "dht/network.h"
 #include "dht/rpc.h"
 #include "dht/sim.h"
+#include "mlight/index.h"
+#include "pht/pht_index.h"
 #include "store/distributed_store.h"
 
 namespace mlight::dht {
@@ -368,7 +373,8 @@ TEST(Failover, ReadRepairAfterCrashUnderOnReadPolicy) {
   EXPECT_GT(store.readRepairs(), 0u);
   // Read-repair restored R copies, on the peers the current ring names.
   EXPECT_EQ(store.holdersOf(target).size(), 2u);
-  const auto current = store.copyHolders(target);
+  std::vector<RingId> current;
+  for (const auto& t : store.copyTargets(target)) current.push_back(t.holder);
   EXPECT_EQ(store.holdersOf(target), current);
 }
 
@@ -379,8 +385,8 @@ TEST(Failover, TotalLossReadFailsInsteadOfAnsweringNull) {
   ASSERT_TRUE(net.crashPeer(store.ownerOf(label(1))));
   ASSERT_EQ(store.lostBuckets(), 1u);
   bool invoked = false;
-  store.asyncGet(net.peers()[0], label(1), 1,
-                 [&](FakeBucket*, const RpcDelivery&) { invoked = true; });
+  store.asyncAccess(RpcKind::kGet, net.peers()[0], label(1), 1,
+                    [&](FakeBucket*, const RpcDelivery&) { invoked = true; });
   net.run();
   EXPECT_FALSE(invoked);  // a mourned label must not masquerade as NULL
   EXPECT_EQ(store.failedReads(), 1u);
@@ -403,7 +409,8 @@ TEST(Failover, DeadLetterFailsOverToSurvivingReplica) {
   Network net(24);
   store::DistributedStore<FakeBucket> store(net, "f/", 2);
   store.placeLocal(label(5), FakeBucket{5});
-  const auto holders = store.copyHolders(label(5));
+  std::vector<RingId> holders;
+  for (const auto& t : store.copyTargets(label(5))) holders.push_back(t.holder);
   ASSERT_EQ(holders.size(), 2u);
   // Every attempt is lost: the primary read dead-letters, and the store
   // walks to the replica holder — whose read also dead-letters, so the
@@ -414,8 +421,8 @@ TEST(Failover, DeadLetterFailsOverToSurvivingReplica) {
   faults.maxAttempts = 2;
   net.setFaultModel(faults);
   bool invoked = false;
-  store.asyncGet(holders[0], label(5), 1,
-                 [&](FakeBucket*, const RpcDelivery&) { invoked = true; });
+  store.asyncAccess(RpcKind::kGet, holders[0], label(5), 1,
+                    [&](FakeBucket*, const RpcDelivery&) { invoked = true; });
   net.run();
   EXPECT_FALSE(invoked);
   EXPECT_EQ(store.failedReads(), 1u);
@@ -427,6 +434,128 @@ TEST(Failover, DeadLetterFailsOverToSurvivingReplica) {
   const auto found = store.routeAndFind(holders[0], label(5));
   ASSERT_NE(found.bucket, nullptr);
   EXPECT_EQ(found.bucket->value, 5);
+}
+
+// A put whose primary envelope dead-letters stored its bucket nowhere:
+// the label is mourned like a bucket whose every holder crashed, so a
+// read fails instead of answering an authoritative NULL.
+TEST(Failover, DeadLetteredPutMournsItsLabel) {
+  Network net(16);
+  store::DistributedStore<FakeBucket> store(net, "f/", 1);
+  const BitString target = label(2);
+  RingId source{};
+  for (const RingId p : net.peers()) {
+    if (p != store.ownerOf(target)) {
+      source = p;
+      break;
+    }
+  }
+  FaultModel faults;
+  faults.enabled = true;
+  faults.lossProbability = 1.0;
+  faults.maxAttempts = 2;
+  net.setFaultModel(faults);
+  store.place(source, target, FakeBucket{2});
+  net.setFaultModel(FaultModel{});
+  EXPECT_EQ(net.deadLetterCount(), 1u);
+  EXPECT_EQ(store.peek(target), nullptr);
+  EXPECT_TRUE(store.isMourned(target));
+  EXPECT_EQ(store.lostBuckets(), 1u);
+  const auto found = store.routeAndFind(source, target);
+  EXPECT_TRUE(found.failed);
+  EXPECT_EQ(found.bucket, nullptr);
+  EXPECT_EQ(store.failedReads(), 1u);
+}
+
+class ScopedLevel {
+ public:
+  explicit ScopedLevel(mlight::common::AuditLevel level)
+      : previous_(mlight::common::auditLevel()) {
+    mlight::common::setAuditLevel(level);
+  }
+  ~ScopedLevel() { mlight::common::setAuditLevel(previous_); }
+  ScopedLevel(const ScopedLevel&) = delete;
+  ScopedLevel& operator=(const ScopedLevel&) = delete;
+
+ private:
+  mlight::common::AuditLevel previous_;
+};
+
+FaultModel lossyLinks(std::uint64_t seed) {
+  FaultModel faults;
+  faults.enabled = true;
+  faults.lossProbability = 0.3;
+  faults.maxAttempts = 6;
+  faults.seed = seed;
+  return faults;
+}
+
+mlight::index::Record uniformRecord(mlight::common::Rng& rng,
+                                    std::uint64_t id) {
+  mlight::index::Record r;
+  r.key = mlight::common::Point{rng.uniform(), rng.uniform()};
+  r.id = id;
+  return r;
+}
+
+/// Inserts `n` uniform records into an m-LIGHT index over a lossy
+/// overlay, then reads back every acknowledged one.  Returns the number
+/// of lost buckets; fails the test on any silent miss (an acknowledged
+/// record neither found nor reported as a failed probe).
+std::size_t lossyMLightRun(std::uint64_t seed, std::size_t n) {
+  Network net(32, seed);
+  net.setFaultModel(lossyLinks(seed));
+  core::MLightConfig cfg;  // cfg.cache stays at its environment default
+  cfg.thetaSplit = 8;
+  cfg.thetaMerge = 4;
+  cfg.seed = seed;
+  core::MLightIndex index(net, cfg);
+  mlight::common::Rng rng(7 * seed);
+  std::vector<mlight::index::Record> acked;
+  for (std::size_t i = 0; i < n; ++i) {
+    const mlight::index::Record r = uniformRecord(rng, i);
+    const std::size_t failedBefore = index.failedInserts();
+    index.insert(r);
+    if (index.failedInserts() == failedBefore) acked.push_back(r);
+  }
+  std::size_t silentMisses = 0;
+  for (const auto& r : acked) {
+    const auto res = index.pointQuery(r.key);
+    const bool found =
+        std::any_of(res.records.begin(), res.records.end(),
+                    [&](const mlight::index::Record& x) { return x.id == r.id; });
+    if (!found && res.stats.failedProbes == 0) ++silentMisses;
+  }
+  EXPECT_EQ(silentMisses, 0u) << "seed " << seed;
+  return index.store().lostBuckets();
+}
+
+/// The PHT half: the same lossy overlay must never abort its searches.
+std::size_t lossyPhtRun(std::uint64_t seed, std::size_t n) {
+  Network net(32, seed);
+  net.setFaultModel(lossyLinks(seed));
+  pht::PhtConfig cfg;
+  cfg.thetaSplit = 8;
+  cfg.thetaMerge = 4;
+  cfg.seed = seed;
+  pht::PhtIndex index(net, cfg);
+  mlight::common::Rng rng(7 * seed);
+  for (std::size_t i = 0; i < n; ++i) index.insert(uniformRecord(rng, i));
+  return index.store().lostBuckets();
+}
+
+// Under lossy links some split puts dead-letter.  The moved child is then
+// stored nowhere; the searches that later cross the hole must fail loudly
+// (failedProbes) rather than read it as NULL and lose the binary search.
+// The tiling audit at paranoid would rightly flag the hole, as after an
+// R=1 crash, so the level is pinned to boundaries.
+TEST(Failover, LossySplitPutsFailLoudlyNeverAbort) {
+  const ScopedLevel level(mlight::common::AuditLevel::kBoundaries);
+  EXPECT_GT(lossyMLightRun(9, 3000), 0u);
+  EXPECT_GT(lossyPhtRun(9, 2000), 0u);
+  const std::uint64_t envSeed = faultSeedFromEnv(1);
+  lossyMLightRun(envSeed, 3000);
+  lossyPhtRun(envSeed, 2000);
 }
 
 TEST(Failover, AsyncPutResolvesHoldersAtDeliveryTime) {

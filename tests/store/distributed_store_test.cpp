@@ -237,6 +237,85 @@ TEST(DistributedStore, PerPeerRecordsAggregates) {
   EXPECT_EQ(total, 7u);
 }
 
+// One rule picks where an access starts.  Reads (kGet, kHintProbe) of a
+// boosted label start at its frozen least-loaded copy unless the caller
+// names a salt; mutating kinds (kVisit, kBatchPut) always start at the
+// primary.  Only reads feed the heat counters that promote a label.
+TEST(DistributedStore, AccessKindsPickTheirStartingCopy) {
+  using mlight::dht::RingId;
+  using mlight::dht::RpcKind;
+  Network net(16, 3);
+  DistributedStore<FakeBucket> store(net, "ak/");
+  LoadBalancePolicy policy;
+  policy.enabled = true;
+  policy.promoteReads = 4;
+  policy.boostCopies = 2;
+  policy.windowMs = 1e9;
+  store.setLoadBalance(policy);
+  const auto arrivesAt = [&](RpcKind kind, const BitString& label,
+                             std::size_t salt) {
+    RingId at{};
+    store.asyncAccess(
+        kind, net.peers()[0], label, 1,
+        [&](FakeBucket* bucket, const mlight::dht::RpcDelivery& d) {
+          EXPECT_NE(bucket, nullptr);
+          at = d.route.owner;
+        },
+        {}, salt);
+    net.run();
+    return at;
+  };
+  const auto readUntilDrained = [&](RpcKind kind, const BitString& label) {
+    for (std::uint32_t i = 0; i < policy.promoteReads; ++i) {
+      store.refreshReadRouting();
+      arrivesAt(kind, label, 0);
+    }
+    store.drainLoadBalance();
+  };
+
+  const BitString hot = BitString::fromString("0110");
+  store.placeLocal(hot, FakeBucket{1});
+  readUntilDrained(RpcKind::kGet, hot);
+  ASSERT_TRUE(store.isBoosted(hot));
+  store.refreshReadRouting();
+  // The frozen route: the least-loaded copy, first minimum wins.  The
+  // primary served the promoting reads, so a replica wins.
+  const auto info = store.replicaReadInfo(hot);
+  ASSERT_EQ(info.salts.size(), 3u);
+  std::size_t frozen = 0;
+  std::size_t other = 0;
+  std::uint32_t best = ~std::uint32_t{0};
+  for (std::size_t i = 0; i < info.salts.size(); ++i) {
+    if (info.loads[i] < best) {
+      best = info.loads[i];
+      frozen = info.salts[i];
+    }
+  }
+  ASSERT_NE(frozen, 0u);
+  for (const std::uint32_t salt : info.salts) {
+    if (salt != 0 && salt != frozen) other = salt;
+  }
+  ASSERT_NE(other, 0u);
+  const RingId primary = store.ownerOf(hot);
+  const RingId frozenHolder = net.responsible(store.ringKey(hot, frozen));
+  const RingId otherHolder = net.responsible(store.ringKey(hot, other));
+  ASSERT_NE(frozenHolder, primary);
+
+  EXPECT_EQ(arrivesAt(RpcKind::kGet, hot, 0), frozenHolder);
+  EXPECT_EQ(arrivesAt(RpcKind::kHintProbe, hot, 0), frozenHolder);
+  EXPECT_EQ(arrivesAt(RpcKind::kGet, hot, other), otherHolder);
+  EXPECT_EQ(arrivesAt(RpcKind::kHintProbe, hot, other), otherHolder);
+  EXPECT_EQ(arrivesAt(RpcKind::kVisit, hot, 0), primary);
+  EXPECT_EQ(arrivesAt(RpcKind::kBatchPut, hot, 0), primary);
+
+  const BitString cold = BitString::fromString("1001");
+  store.placeLocal(cold, FakeBucket{2});
+  readUntilDrained(RpcKind::kVisit, cold);
+  EXPECT_FALSE(store.isBoosted(cold));
+  readUntilDrained(RpcKind::kGet, cold);
+  EXPECT_TRUE(store.isBoosted(cold));
+}
+
 TEST(DistributedStore, DestructionUnregistersFromNetwork) {
   Network net(4);
   {
