@@ -8,7 +8,6 @@
 #include "dst/dst_index.h"
 #include "mlight/index.h"
 #include "pht/pht_index.h"
-#include "rst/rst_index.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
 
@@ -37,11 +36,14 @@ int main(int argc, char** argv) {
   dc.maxDepth = 24;
   dc.gamma = 100;
   dst::DstIndex ds(net, dc);
-  rst::RstConfig rc;
+  dst::DstConfig rc;
   rc.maxDepth = 24;
   rc.gamma = 100;
+  rc.levelWidth = dst::LevelWidth::kOneBit;
   rc.bandCeiling = 4;
-  rst::RstIndex rs(net, rc);
+  rc.seed = 45;
+  rc.dhtNamespace = "rst/";
+  dst::DstIndex rs(net, rc);
 
   const auto data = workload::northeastDataset(args.records, 20090401);
   dht::CostMeter meters[4];

@@ -179,9 +179,9 @@ int main(int argc, char** argv) {
     cfg.cache.perDimCapacity = 4096;
     pht::PhtIndex index(net, cfg);
     for (const auto& r : data) index.insert(r);
-    index.store().forEach([&](const common::BitString&, const pht::PhtNode& n,
-                              dht::RingId) {
-      if (!n.isLeaf) return;
+    index.store().forEach([&](const common::BitString&,
+                              const mlight::index::CellNode& n, dht::RingId) {
+      if (!n.complete) return;
       for (const auto peer : net.peers()) {
         index.hintCaches().forPeer(peer.value).learn(
             n.label, static_cast<std::uint32_t>(n.label.size()));

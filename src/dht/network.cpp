@@ -31,6 +31,34 @@ std::string toString(RingId id) {
   return buf;
 }
 
+std::string bulkPeerName(std::size_t i) {
+  return "node:" + std::to_string(i);
+}
+
+std::vector<BulkVnode> bulkRing(std::size_t peerCount,
+                                std::size_t vnodesPerPeer) {
+  std::vector<BulkVnode> ring;
+  ring.reserve(peerCount * vnodesPerPeer);
+  for (std::size_t i = 0; i < peerCount; ++i) {
+    const std::string name = bulkPeerName(i);
+    for (std::size_t v = 0; v < vnodesPerPeer; ++v) {
+      ring.push_back(BulkVnode{
+          keyId("peer-id:" + name + "#" + std::to_string(v)), i, v});
+    }
+  }
+  std::sort(ring.begin(), ring.end(),
+            [](const BulkVnode& a, const BulkVnode& b) {
+              if (a.id != b.id) return a.id < b.id;
+              return a.physical < b.physical;  // total order on collision
+            });
+  // Resolve the (astronomically unlikely) id collision deterministically,
+  // mirroring addPeer's bump-until-free.
+  for (std::size_t k = 1; k < ring.size(); ++k) {
+    if (ring[k].id == ring[k - 1].id) ring[k].id.value += 1;
+  }
+  return ring;
+}
+
 Network::Network(std::size_t peerCount, std::uint64_t seed,
                  std::size_t vnodesPerPeer, LatencyModel latency)
     : vnodesPerPeer_(vnodesPerPeer), latency_(latency), rng_(seed) {
@@ -42,35 +70,14 @@ Network::Network(std::size_t peerCount, std::uint64_t seed,
   // 10k-peer ring bootstrap (n sorted inserts plus n full finger
   // rebuilds is O(n^2 log n) probe work; this is O(n log n) up to the
   // 64-finger constant).
-  peers_.reserve(peerCount * vnodesPerPeer);
   physicalNames_.reserve(peerCount);
-  struct Vnode {
-    RingId id;
-    std::size_t physical;
-  };
-  std::vector<Vnode> vnodes;
-  vnodes.reserve(peerCount * vnodesPerPeer);
   for (std::size_t i = 0; i < peerCount; ++i) {
-    const std::string name = "node:" + std::to_string(nextPeerSerial_++);
-    const std::size_t physical = physicalNames_.size();
-    physicalNames_.push_back(name);
-    for (std::size_t v = 0; v < vnodesPerPeer_; ++v) {
-      const RingId id = keyId("peer-id:" + name + "#" + std::to_string(v));
-      vnodes.push_back(Vnode{id, physical});
-    }
+    physicalNames_.push_back(bulkPeerName(i));
   }
-  std::sort(vnodes.begin(), vnodes.end(),
-            [](const Vnode& a, const Vnode& b) {
-              if (a.id != b.id) return a.id < b.id;
-              return a.physical < b.physical;  // total order on collision
-            });
-  // Resolve the (astronomically unlikely) id collision deterministically,
-  // mirroring addPeer's bump-until-free.
-  for (std::size_t k = 1; k < vnodes.size(); ++k) {
-    if (vnodes[k].id == vnodes[k - 1].id) vnodes[k].id.value += 1;
-  }
-  physicalOfIdx_.reserve(vnodes.size());
-  for (const Vnode& v : vnodes) {
+  const std::vector<BulkVnode> ring = bulkRing(peerCount, vnodesPerPeer);
+  peers_.reserve(ring.size());
+  physicalOfIdx_.reserve(ring.size());
+  for (const BulkVnode& v : ring) {
     peers_.push_back(v.id);
     physicalOfIdx_.push_back(static_cast<std::uint32_t>(v.physical));
   }

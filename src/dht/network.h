@@ -111,6 +111,26 @@ struct FaultModel {
 /// red, not green-under-the-wrong-seed.
 std::uint64_t faultSeedFromEnv(std::uint64_t fallback = 1);
 
+/// One ring position of a bulk-built overlay.
+struct BulkVnode {
+  RingId id;
+  std::size_t physical;  ///< peer index; the peer is bulkPeerName(physical)
+  std::size_t vnode;     ///< position among the peer's vnodes
+};
+
+/// Name of physical peer `i` of a bulk-built overlay: "node:<i>".
+std::string bulkPeerName(std::size_t i);
+
+/// The ring of `peerCount` bulk-built peers with `vnodesPerPeer` vnodes
+/// each, in ring order: vnode v of peer i at
+/// keyId("peer-id:" + bulkPeerName(i) + "#" + v), sorted ascending with
+/// the peer index breaking ties, each colliding id bumped one past its
+/// predecessor.  Network's bulk constructor and transport::RingMap both
+/// build from it, so the simulated and the wire world agree on every
+/// key's owner.
+std::vector<BulkVnode> bulkRing(std::size_t peerCount,
+                                std::size_t vnodesPerPeer);
+
 class Network {
  public:
   /// Builds an overlay with `peerCount` physical peers named "node:<i>",
@@ -520,7 +540,6 @@ class Network {
   CostMeter total_;
   PeerLoadMeter peerLoads_;
   std::size_t maxHops_ = 0;
-  std::uint64_t nextPeerSerial_ = 0;
 
   SimScheduler sched_;
   /// Next free departure time of each sender, by ring slot (aligned with

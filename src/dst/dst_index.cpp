@@ -1,13 +1,12 @@
 #include "dst/dst_index.h"
 
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "common/check.h"
 #include "common/invariants.h"
 #include "common/zorder.h"
+#include "index/op_stats.h"
 
 namespace mlight::dst {
 
@@ -15,13 +14,6 @@ namespace {
 
 using mlight::common::cellOfPath;
 using mlight::common::interleave;
-
-void collectInRange(const DstNode& node, const mlight::common::Rect& range,
-                    std::vector<mlight::index::Record>& out) {
-  for (const auto& r : node.records) {
-    if (range.contains(r.key)) out.push_back(r);
-  }
-}
 
 }  // namespace
 
@@ -33,12 +25,20 @@ DstIndex::DstIndex(mlight::dht::Network& net, DstConfig config)
   if (config_.dims < 1 || config_.dims > mlight::common::kMaxDims) {
     throw std::invalid_argument("DstIndex: dims out of range");
   }
-  if (config_.maxDepth % config_.dims != 0) {
+  if (config_.maxDepth % levelBits() != 0) {
     throw std::invalid_argument(
-        "DstIndex: maxDepth must be a multiple of dims");
+        "DstIndex: maxDepth must be a multiple of the level width");
   }
   if (config_.gamma == 0) {
     throw std::invalid_argument("DstIndex: gamma must be positive");
+  }
+  if (config_.bandCeiling % levelBits() != 0) {
+    throw std::invalid_argument(
+        "DstIndex: bandCeiling must be on a level boundary");
+  }
+  // A band leaves at least one registration level above the leaf's.
+  if (config_.bandCeiling > 0 && config_.bandCeiling >= config_.maxDepth) {
+    throw std::invalid_argument("DstIndex: bandCeiling must be < maxDepth");
   }
 }
 
@@ -53,28 +53,31 @@ void DstIndex::insert(const Record& record) {
   }
   const auto initiator = randomPeer();
   const Label path = interleave(record.key, config_.maxDepth);
-  // Replicate at every ancestor (subject to saturation): one visit RPC
-  // per level — the maintenance price of DST's O(1) queries.  The levels
-  // form a continuation chain (each handler issues the next level one
-  // round deeper); the saturation check runs at the owning peer, against
-  // the owner's copy of the node.  `record` and `path` stay alive for
-  // the whole chain: the continuations all run inside net_->run() below.
-  insertAtLevel(record, initiator, path, 0, 1);
+  // Replicate at every ancestor inside the band (subject to saturation):
+  // one visit RPC per level — the maintenance price of O(1) queries.  The
+  // levels form a continuation chain (each handler issues the next level
+  // one round deeper); the saturation check runs at the owning peer,
+  // against the owner's copy of the node.  `record` and `path` stay alive
+  // for the whole chain: the continuations all run inside net_->run()
+  // below.  The record counts once the leaf level applied it; a chain
+  // that dead-lettered on the way never gets there.
+  const std::size_t before = size_;
+  insertAtDepth(record, initiator, path, config_.bandCeiling, 1);
   net_->run();
-  ++size_;
+  if (size_ == before) ++failedInserts_;
 }
 
-void DstIndex::insertAtLevel(const Record& record,
+void DstIndex::insertAtDepth(const Record& record,
                              mlight::dht::RingId initiator, const Label& path,
-                             std::size_t level, std::uint32_t round) {
-  const Label label = path.prefix(level * config_.dims);
+                             std::size_t depth, std::uint32_t round) {
+  const Label label = path.prefix(depth);
   store_.asyncAccess(
       mlight::dht::RpcKind::kVisit, initiator, label, round,
-      [this, &record, &path, initiator, label, level](
-          DstNode* node, const mlight::dht::RpcDelivery& d) {
-        const bool isLeafLevel = (level == levels());
+      [this, &record, &path, initiator, label, depth](
+          CellNode* node, const mlight::dht::RpcDelivery& d) {
+        const bool isLeafLevel = (depth == config_.maxDepth);
         if (node == nullptr) {
-          DstNode fresh;
+          CellNode fresh;
           fresh.label = label;
           fresh.records.push_back(record);
           net_->shipPayload(initiator, d.route.owner, record.byteSize(), 1);
@@ -92,10 +95,35 @@ void DstIndex::insertAtLevel(const Record& record,
             net_->shipPayload(initiator, d.route.owner, record.byteSize(), 1);
           }
         }  // else: saturated long ago; skip
-        if (level < levels()) {
-          insertAtLevel(record, initiator, path, level + 1, d.env.round + 1);
+        if (isLeafLevel) {
+          ++size_;
+        } else {
+          insertAtDepth(record, initiator, path, depth + levelBits(),
+                        d.env.round + 1);
         }
       });
+}
+
+template <typename Fn>
+void DstIndex::forEachChild(const Label& node, const Rect& cell,
+                            Fn&& fn) const {
+  // Child cells derive from the node's cell by one halving per bit —
+  // the same composition cellOfPath performs, so the geometry is
+  // bit-identical to the from-scratch walk at a fraction of its cost.
+  const std::size_t bits = levelBits();
+  const std::size_t fan = std::size_t{1} << bits;
+  for (std::size_t child = 0; child < fan; ++child) {
+    Label childLabel = node;
+    Rect childCell = cell;
+    for (std::size_t b = 0; b < bits; ++b) {
+      const bool bit = (child >> (bits - 1 - b)) & 1u;
+      childCell = childCell.halved(
+          mlight::common::dimensionAtDepth(node.size() + b, config_.dims),
+          bit);
+      childLabel.pushBack(bit);
+    }
+    fn(childLabel, childCell);
+  }
 }
 
 void DstIndex::probeRange(const Rect& clipped, const Label& label,
@@ -103,35 +131,21 @@ void DstIndex::probeRange(const Rect& clipped, const Label& label,
                           std::vector<Record>& out) {
   store_.asyncAccess(
       mlight::dht::RpcKind::kGet, source, label, round,
-      [this, &clipped, &out, label](DstNode* node,
+      [this, &clipped, &out, label](CellNode* node,
                                     const mlight::dht::RpcDelivery& d) {
         if (node == nullptr) return;  // empty region
         if (node->complete) {
-          collectInRange(*node, clipped, out);
+          mlight::index::collectInRange(*node, clipped, out);
           return;
         }
-        // Saturated: replica set incomplete, descend one level.  Child
-        // cells derive from the node's cell by m halvings — the same
-        // composition cellOfPath performs, at a fraction of the cost of
-        // re-walking each child label.
-        const Rect nodeCell = cellOfPath(label, config_.dims);
-        const std::size_t fan = std::size_t{1} << config_.dims;
-        for (std::size_t child = 0; child < fan; ++child) {
-          Label childLabel = label;
-          Rect childCell = nodeCell;
-          for (std::size_t b = 0; b < config_.dims; ++b) {
-            const bool bit = (child >> (config_.dims - 1 - b)) & 1u;
-            childCell = childCell.halved(
-                mlight::common::dimensionAtDepth(label.size() + b,
-                                                 config_.dims),
-                bit);
-            childLabel.pushBack(bit);
-          }
-          if (childCell.intersects(clipped)) {
-            probeRange(clipped, childLabel, d.route.owner, d.env.round + 1,
-                       out);
-          }
-        }
+        // Saturated: replica set incomplete, descend one level.
+        forEachChild(label, cellOfPath(label, config_.dims),
+                     [&](const Label& child, const Rect& childCell) {
+                       if (childCell.intersects(clipped)) {
+                         probeRange(clipped, child, d.route.owner,
+                                    d.env.round + 1, out);
+                       }
+                     });
       });
 }
 
@@ -139,15 +153,15 @@ std::size_t DstIndex::erase(const Point& key, std::uint64_t id) {
   const auto initiator = randomPeer();
   const Label path = interleave(key, config_.maxDepth);
   std::size_t removedAtLeaf = 0;
-  for (std::size_t level = 0; level <= levels(); ++level) {
-    const Label label = path.prefix(level * config_.dims);
-    const auto found = store_.routeAndFind(initiator, label);
+  for (std::size_t depth = config_.bandCeiling; depth <= config_.maxDepth;
+       depth += levelBits()) {
+    const auto found = store_.routeAndFind(initiator, path.prefix(depth));
     if (found.bucket == nullptr) continue;
     const auto before = found.bucket->records.size();
     std::erase_if(found.bucket->records, [&](const Record& r) {
       return r.id == id && r.key == key;
     });
-    if (level == levels()) {
+    if (depth == config_.maxDepth) {
       removedAtLeaf = before - found.bucket->records.size();
     }
   }
@@ -156,13 +170,10 @@ std::size_t DstIndex::erase(const Point& key, std::uint64_t id) {
 }
 
 mlight::index::PointResult DstIndex::pointQuery(const Point& key) {
-  const double t0 = net_->beginTimeline();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_);
   mlight::index::PointResult out;
   // The leaf-level cell is computable locally and always complete: exact
-  // match is a single DHT-lookup (DST's strength).
+  // match is a single DHT-lookup (the static tree's strength).
   const Label leaf = interleave(key, config_.maxDepth);
   const auto found = store_.routeAndFind(randomPeer(), leaf);
   if (found.bucket != nullptr) {
@@ -170,38 +181,23 @@ mlight::index::PointResult DstIndex::pointQuery(const Point& key) {
       if (r.key == key) out.records.push_back(r);
     }
   }
-  out.stats.cost = meter;
-  out.stats.rounds = net_->timelineMaxRound();
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
   return out;
 }
 
 void DstIndex::decomposeInto(const Rect& range, const Label& node,
                              const Rect& cell, std::vector<Label>& out) const {
-  // `cell` is cellOfPath(node, dims), threaded down the recursion so each
-  // child costs m halvings instead of re-walking the whole label (the
-  // halvings compose exactly as cellOfPath computes them, so the
-  // geometry is bit-identical to the from-scratch walk).
+  // `cell` is cellOfPath(node, dims), threaded down the recursion.
   if (!cell.intersects(range)) return;
-  if (range.containsRect(cell) || node.size() >= config_.maxDepth) {
+  // Inside the band, emit fully-covered or leaf-level cells.
+  if (node.size() >= config_.bandCeiling &&
+      (range.containsRect(cell) || node.size() >= config_.maxDepth)) {
     out.push_back(node);
     return;
   }
-  // Enumerate the 2^m level-children of the node.
-  const std::size_t fan = std::size_t{1} << config_.dims;
-  for (std::size_t child = 0; child < fan; ++child) {
-    Label childLabel = node;
-    Rect childCell = cell;
-    for (std::size_t b = 0; b < config_.dims; ++b) {
-      const bool bit = (child >> (config_.dims - 1 - b)) & 1u;
-      childCell = childCell.halved(
-          mlight::common::dimensionAtDepth(node.size() + b, config_.dims),
-          bit);
-      childLabel.pushBack(bit);
-    }
-    decomposeInto(range, childLabel, childCell, out);
-  }
+  forEachChild(node, cell, [&](const Label& child, const Rect& childCell) {
+    decomposeInto(range, child, childCell, out);
+  });
 }
 
 std::vector<DstIndex::Label> DstIndex::decompose(const Rect& range) const {
@@ -218,10 +214,7 @@ mlight::index::RangeResult DstIndex::rangeQuery(const Rect& range) {
   const Rect clipped = range.intersection(Rect::unit(config_.dims));
   if (clipped.empty()) return out;
 
-  const double t0 = net_->beginTimeline();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_);
   const auto initiator = randomPeer();
 
   // The canonical decomposition is computed locally (the tree is static),
@@ -235,19 +228,18 @@ mlight::index::RangeResult DstIndex::rangeQuery(const Rect& range) {
   }
 
   net_->run();
-  out.stats.cost = meter;
-  out.stats.rounds = net_->timelineMaxRound();
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
   return out;
 }
 
 void DstIndex::checkInvariants() const {
   std::size_t leafRecords = 0;
-  store_.forEach([&](const Label& key, const DstNode& n,
+  store_.forEach([&](const Label& key, const CellNode& n,
                      mlight::dht::RingId) {
     MLIGHT_CHECK(key == n.label, "node stored under wrong key");
-    MLIGHT_CHECK(n.label.size() % config_.dims == 0, "off-level node");
+    MLIGHT_CHECK(n.label.size() % levelBits() == 0, "off-level node");
+    MLIGHT_CHECK(n.label.size() >= config_.bandCeiling,
+                 "node above the registration band");
     MLIGHT_CHECK(n.label.size() <= config_.maxDepth, "node too deep");
     mlight::common::auditRecordPlacement(
         cellOfPath(n.label, config_.dims), n.records,

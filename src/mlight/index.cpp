@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/invariants.h"
+#include "index/op_stats.h"
 
 #include "mlight/kdspace.h"
 #include "mlight/naming.h"
@@ -277,14 +278,13 @@ MLightIndex::Label MLightIndex::uncachedLeafOracle(const Label& full,
 }
 
 MLightIndex::LookupResult MLightIndex::lookupLinear(const Point& key) {
-  const double t0 = net_->beginTimeline();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_);
   const std::size_t m = config_.dims;
   const Label full = pointPathLabel(key, m, config_.maxEdgeDepth);
   const auto initiator = randomPeer();
   LookupResult out;
+  // One probe per round, counted here rather than read off the timeline.
+  std::size_t rounds = 0;
   Label lastProbed;
   for (std::size_t t = 0; t <= config_.maxEdgeDepth; ++t) {
     const Label probeKey =
@@ -292,38 +292,29 @@ MLightIndex::LookupResult MLightIndex::lookupLinear(const Point& key) {
     if (probeKey == lastProbed) continue;  // consecutive shared name
     lastProbed = probeKey;
     const auto found = store_.routeAndFind(
-        initiator, probeKey,
-        static_cast<std::uint32_t>(out.stats.rounds) + 1);
-    ++out.stats.rounds;
+        initiator, probeKey, static_cast<std::uint32_t>(rounds) + 1);
+    ++rounds;
     if (found.bucket != nullptr &&
         found.bucket->label.isPrefixOf(full)) {
       out.leaf = found.bucket->label;
       break;
     }
   }
-  out.stats.cost = meter;
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
+  out.stats.rounds = rounds;
   return out;
 }
 
 MLightIndex::LookupResult MLightIndex::lookup(const Point& key) {
-  const double t0 = net_->beginTimeline();
-  store_.refreshReadRouting();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
   const Located loc = locateCached(randomPeer(), key);
   store_.drainLoadBalance();
   LookupResult out;
   out.leaf = loc.leaf;
-  out.stats.cost = meter;
   // Probes are sequential RPCs at rounds 1..probes, so the deepest round
   // delivered equals the probe count and the elapsed simulated time is
   // the accumulated routing latency.
-  out.stats.rounds = net_->timelineMaxRound();
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
   return out;
 }
 
@@ -403,11 +394,7 @@ std::size_t MLightIndex::erase(const Point& key, std::uint64_t id) {
 }
 
 mlight::index::PointResult MLightIndex::pointQuery(const Point& key) {
-  const double t0 = net_->beginTimeline();
-  store_.refreshReadRouting();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
   const Located loc = locateCached(randomPeer(), key);
   store_.drainLoadBalance();
   mlight::index::PointResult out;
@@ -418,10 +405,7 @@ mlight::index::PointResult MLightIndex::pointQuery(const Point& key) {
       if (r.key == key) out.records.push_back(r);
     }
   }
-  out.stats.cost = meter;
-  out.stats.rounds = net_->timelineMaxRound();
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
   return out;
 }
 

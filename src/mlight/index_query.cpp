@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/invariants.h"
+#include "index/op_stats.h"
 
 #include "mlight/kdspace.h"
 #include "mlight/naming.h"
@@ -104,15 +105,11 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
   const Rect clipped = box.intersection(Rect::unit(config_.dims));
   if (clipped.empty()) return out;
 
-  const double t0 = net_->beginTimeline();
   // Freeze the read routes of boosted leaves at this quiescent point:
   // the cascade's handlers issue kGet reads mid-flight, and they
   // must consult a table fixed for the whole operation — never the live
   // load counters — to stay order-free under tie shuffling.
-  store_.refreshReadRouting();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
   const auto initiator = randomPeer();
   countOut = 0;
 
@@ -342,10 +339,7 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
       }
     }
   }
-  out.stats.cost = meter;
-  out.stats.rounds = net_->timelineMaxRound();
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
   return out;
 }
 

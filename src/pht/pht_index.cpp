@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/invariants.h"
 #include "common/zorder.h"
+#include "index/op_stats.h"
 
 namespace mlight::pht {
 
@@ -17,12 +18,7 @@ using mlight::common::cellOfPath;
 using mlight::common::interleave;
 using mlight::common::lowestCoveringPath;
 
-void collectInRange(const PhtNode& node, const mlight::common::Rect& range,
-                    std::vector<mlight::index::Record>& out) {
-  for (const auto& r : node.records) {
-    if (range.contains(r.key)) out.push_back(r);
-  }
-}
+using mlight::index::collectInRange;
 
 }  // namespace
 
@@ -37,7 +33,7 @@ PhtIndex::PhtIndex(mlight::dht::Network& net, PhtConfig config)
   }
   // Bootstrap: the root (empty prefix) as an empty leaf.
   const Label rootLabel;
-  PhtNode root;
+  CellNode root;
   store_.placeLocal(rootLabel, std::move(root));
 }
 
@@ -80,7 +76,7 @@ PhtIndex::Located PhtIndex::search(mlight::dht::RingId initiator,
       mlight::common::auditLookupSearchBounds(1, t);  // trie root exists
       hi = t - 1;
       window.gallop = false;
-    } else if (found.bucket->isLeaf) {
+    } else if (found.bucket->complete) {
       result.leaf = candidate;
       result.owner = found.owner;
       return result;
@@ -120,7 +116,7 @@ PhtIndex::Located PhtIndex::locateCached(mlight::dht::RingId initiator,
     }
     ++result.probes;
     result.ms += probed.ms;
-    if (probed.bucket != nullptr && probed.bucket->isLeaf) {
+    if (probed.bucket != nullptr && probed.bucket->complete) {
       // Live hint: the prefix still exists and is still a leaf.
       net_->noteCacheHit();
       result.leaf = probeLabel;
@@ -156,11 +152,11 @@ PhtIndex::Label PhtIndex::uncachedLeafOracle(const Label& full) const {
   while (lo <= hi) {
     const std::size_t t = lo + (hi - lo) / 2;
     const Label candidate = full.prefix(t);
-    const PhtNode* node = store_.peek(candidate);
+    const CellNode* node = store_.peek(candidate);
     if (node == nullptr) {
       if (t == 0) break;
       hi = t - 1;
-    } else if (node->isLeaf) {
+    } else if (node->complete) {
       return candidate;
     } else {
       lo = t + 1;
@@ -176,13 +172,15 @@ void PhtIndex::insert(const Record& record) {
   const auto initiator = randomPeer();
   const Located loc = locateCached(initiator, record.key);
   if (loc.failed) {
-    net_->run();  // leaf unreachable under faults: drop, don't corrupt
+    // Leaf unreachable under faults: drop and count, don't corrupt.
+    ++failedInserts_;
+    net_->run();
     return;
   }
   net_->shipPayload(initiator, loc.owner, record.byteSize(), 1);
   breakdown_.insertShipBytes += record.byteSize();
-  PhtNode* leaf = store_.peek(loc.leaf);
-  assert(leaf != nullptr && leaf->isLeaf);
+  CellNode* leaf = store_.peek(loc.leaf);
+  assert(leaf != nullptr && leaf->complete);
   leaf->records.push_back(record);
   ++size_;
   splitLoop(loc.leaf);
@@ -193,8 +191,8 @@ void PhtIndex::splitLoop(Label leafLabel) {
   while (!pending.empty()) {
     const Label label = std::move(pending.back());
     pending.pop_back();
-    PhtNode* node = store_.peek(label);
-    if (node == nullptr || !node->isLeaf ||
+    CellNode* node = store_.peek(label);
+    if (node == nullptr || !node->complete ||
         node->records.size() <= config_.thetaSplit ||
         label.size() >= config_.maxDepth) {
       continue;
@@ -203,9 +201,9 @@ void PhtIndex::splitLoop(Label leafLabel) {
     const std::size_t dim =
         mlight::common::dimensionAtDepth(label.size(), config_.dims);
     const double mid = cellOfPath(label, config_.dims).mid(dim);
-    PhtNode lo;
+    CellNode lo;
     lo.label = label.withBack(false);
-    PhtNode hi;
+    CellNode hi;
     hi.label = label.withBack(true);
     for (const auto& r : node->records) {
       (r.key[dim] >= mid ? hi : lo).records.push_back(r);
@@ -213,7 +211,7 @@ void PhtIndex::splitLoop(Label leafLabel) {
     const auto owner = store_.ownerOf(label);
     // The split node becomes a routing-only internal marker in place
     // (local flag update, no DHT traffic)...
-    node->isLeaf = false;
+    node->complete = false;
     node->records.clear();
     node->records.shrink_to_fit();
     // ...but BOTH children are assigned fresh DHT keys: two DHT-puts and
@@ -239,7 +237,7 @@ std::size_t PhtIndex::erase(const Point& key, std::uint64_t id) {
     net_->run();
     return 0;
   }
-  PhtNode* leaf = store_.peek(loc.leaf);
+  CellNode* leaf = store_.peek(loc.leaf);
   assert(leaf != nullptr);
   const auto before = leaf->records.size();
   std::erase_if(leaf->records, [&](const Record& r) {
@@ -253,13 +251,13 @@ std::size_t PhtIndex::erase(const Point& key, std::uint64_t id) {
 
 void PhtIndex::mergeLoop(Label leafLabel) {
   while (!leafLabel.empty()) {
-    PhtNode* leaf = store_.peek(leafLabel);
-    if (leaf == nullptr || !leaf->isLeaf) return;
+    CellNode* leaf = store_.peek(leafLabel);
+    if (leaf == nullptr || !leaf->complete) return;
     const Label sibLabel = leafLabel.sibling();
     // Probe the sibling (one DHT-lookup).
     const auto found = store_.routeAndFind(store_.ownerOf(leafLabel),
                                            sibLabel);
-    if (found.bucket == nullptr || !found.bucket->isLeaf) return;
+    if (found.bucket == nullptr || !found.bucket->complete) return;
     if (leaf->records.size() + found.bucket->records.size() >=
         config_.thetaMerge) {
       return;
@@ -268,7 +266,7 @@ void PhtIndex::mergeLoop(Label leafLabel) {
     parentLabel.popBack();
     // Both children's records move to the parent's peer (two transfers —
     // m-LIGHT's merge moves only one bucket).
-    PhtNode merged;
+    CellNode merged;
     merged.label = parentLabel;
     merged.records = leaf->records;
     merged.records.insert(merged.records.end(),
@@ -285,33 +283,27 @@ void PhtIndex::mergeLoop(Label leafLabel) {
     store_.erase(sibLabel);
     // The parent marker exists (every prefix of a leaf is materialized);
     // flipping it back to a leaf is local to its peer.
-    PhtNode* parent = store_.peek(parentLabel);
-    MLIGHT_CHECK(parent != nullptr && !parent->isLeaf,
+    CellNode* parent = store_.peek(parentLabel);
+    MLIGHT_CHECK(parent != nullptr && !parent->complete,
                  "trie prefix closure violated");
     *parent = std::move(merged);
-    parent->isLeaf = true;
+    parent->complete = true;
     leafLabel = parentLabel;
   }
 }
 
 mlight::index::PointResult PhtIndex::pointQuery(const Point& key) {
-  const double t0 = net_->beginTimeline();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_);
   const Located loc = locateCached(randomPeer(), key);
   mlight::index::PointResult out;
   if (!loc.failed) {
-    const PhtNode* leaf = store_.peek(loc.leaf);
+    const CellNode* leaf = store_.peek(loc.leaf);
     assert(leaf != nullptr);
     for (const auto& r : leaf->records) {
       if (r.key == key) out.records.push_back(r);
     }
   }
-  out.stats.cost = meter;
-  out.stats.rounds = net_->timelineMaxRound();
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
   return out;
 }
 
@@ -324,10 +316,7 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
       range.intersection(Rect::unit(config_.dims));
   if (clipped.empty()) return out;
 
-  const double t0 = net_->beginTimeline();
-  const std::size_t failedBefore = store_.failedReads();
-  mlight::dht::CostMeter meter;
-  mlight::dht::MeterScope scope(*net_, meter);
+  const mlight::index::OpStats op(*net_, store_);
   const auto initiator = randomPeer();
 
   // Trie descent as RPC continuations: probing a child is an envelope
@@ -341,9 +330,9 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
         }
         store_.asyncAccess(
             mlight::dht::RpcKind::kGet, source, label, round,
-            [&, label](PhtNode* node, const mlight::dht::RpcDelivery& d) {
+            [&, label](CellNode* node, const mlight::dht::RpcDelivery& d) {
               MLIGHT_CHECK(node != nullptr, "trie prefix closure violated");
-              if (node->isLeaf) {
+              if (node->complete) {
                 if (config_.cache.enabled) {
                   // Range traversals warm the cache for free: every leaf
                   // touched is a future point-lookup hint.
@@ -374,11 +363,11 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
     const Located loc =
         locateCached(first.owner, clipped.lo(), /*roundBase=*/2);
     if (!loc.failed) {
-      const PhtNode* leaf = store_.peek(loc.leaf);
+      const CellNode* leaf = store_.peek(loc.leaf);
       assert(leaf != nullptr);
       collectInRange(*leaf, clipped, out.records);
     }
-  } else if (first.bucket->isLeaf) {
+  } else if (first.bucket->complete) {
     if (config_.cache.enabled) {
       hintCaches_.forPeer(initiator.value)
           .learn(first.bucket->label,
@@ -393,17 +382,14 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
   }
 
   net_->run();
-  out.stats.cost = meter;
-  out.stats.rounds = net_->timelineMaxRound();
-  out.stats.latencyMs = net_->now() - t0;
-  out.stats.failedProbes = store_.failedReads() - failedBefore;
+  op.finish(out.stats);
   return out;
 }
 
 std::size_t PhtIndex::leafCount() const {
   std::size_t count = 0;
-  store_.forEach([&](const Label&, const PhtNode& n, mlight::dht::RingId) {
-    if (n.isLeaf) ++count;
+  store_.forEach([&](const Label&, const CellNode& n, mlight::dht::RingId) {
+    if (n.complete) ++count;
   });
   return count;
 }
@@ -414,10 +400,10 @@ void PhtIndex::checkInvariants() const {
   // records must sit inside their leaf cell.
   std::size_t totalRecords = 0;
   std::vector<Label> leaves;
-  store_.forEach([&](const Label& key, const PhtNode& n,
+  store_.forEach([&](const Label& key, const CellNode& n,
                      mlight::dht::RingId) {
     MLIGHT_CHECK(key == n.label, "node stored under wrong key");
-    if (n.isLeaf) {
+    if (n.complete) {
       mlight::common::auditRecordPlacement(
           cellOfPath(n.label, config_.dims), n.records,
           [](const Record& r) -> const Point& { return r.key; });

@@ -22,10 +22,10 @@
 #include "cache/hint_cache.h"
 #include "common/bitstring.h"
 #include "common/digest.h"
-#include "common/serde.h"
 #include "common/geometry.h"
 #include "common/rng.h"
 #include "dht/network.h"
+#include "index/cell_node.h"
 #include "index/index_base.h"
 #include "store/distributed_store.h"
 
@@ -45,46 +45,15 @@ struct PhtConfig {
   mlight::cache::CachePolicy cache;
 };
 
-/// A trie node: internal nodes are pure routing markers, leaves carry the
-/// record store.
-struct PhtNode {
-  mlight::common::BitString label;
-  bool isLeaf = true;
-  std::vector<mlight::index::Record> records;
-
-  std::size_t recordCount() const noexcept { return records.size(); }
-  std::size_t byteSize() const noexcept {
-    std::size_t bytes = 4 + 8 * ((label.size() + 63) / 64) + 1 + 4;
-    for (const auto& r : records) bytes += r.byteSize();
-    return bytes;
-  }
-
-  void serialize(mlight::common::Writer& w) const {
-    w.writeBitString(label);
-    w.writeU8(isLeaf ? 1 : 0);
-    w.writeU32(static_cast<std::uint32_t>(records.size()));
-    for (const auto& r : records) r.serialize(w);
-  }
-
-  static PhtNode deserialize(mlight::common::Reader& r) {
-    PhtNode n;
-    n.label = r.readBitString();
-    n.isLeaf = r.readU8() != 0;
-    const std::uint32_t count = r.readCount(16);
-    n.records.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      n.records.push_back(mlight::index::Record::deserialize(r));
-    }
-    return n;
-  }
-};
-
 class PhtIndex final : public mlight::index::IndexBase {
  public:
   using Label = mlight::common::BitString;
   using Point = mlight::common::Point;
   using Rect = mlight::common::Rect;
   using Record = mlight::index::Record;
+  /// A trie node: `complete` marks a leaf carrying the records; an
+  /// internal node is a pure routing marker holding none.
+  using CellNode = mlight::index::CellNode;
 
   PhtIndex(mlight::dht::Network& net, PhtConfig config);
 
@@ -93,6 +62,10 @@ class PhtIndex final : public mlight::index::IndexBase {
   mlight::index::RangeResult rangeQuery(const Rect& range) override;
   mlight::index::PointResult pointQuery(const Point& key) override;
   std::size_t size() const override { return size_; }
+
+  /// Inserts dropped because their leaf was unreachable (fault
+  /// injection): not counted in size().
+  std::size_t failedInserts() const noexcept { return failedInserts_; }
 
   /// Logical split/merge traffic (counted independently of hashing luck;
   /// both children of every PHT split are re-assigned to fresh keys).
@@ -111,7 +84,7 @@ class PhtIndex final : public mlight::index::IndexBase {
   std::size_t nodeCount() const noexcept { return store_.bucketCount(); }
   void checkInvariants() const;
 
-  const mlight::store::DistributedStore<PhtNode>& store() const noexcept {
+  const mlight::store::DistributedStore<CellNode>& store() const noexcept {
     return store_;
   }
 
@@ -176,11 +149,12 @@ class PhtIndex final : public mlight::index::IndexBase {
 
   mlight::dht::Network* net_;
   PhtConfig config_;
-  mlight::store::DistributedStore<PhtNode> store_;
+  mlight::store::DistributedStore<CellNode> store_;
   mlight::common::Rng rng_;
   mlight::cache::HintCacheSet hintCaches_;
   MaintenanceBreakdown breakdown_;
   std::size_t size_ = 0;
+  std::size_t failedInserts_ = 0;
 };
 
 }  // namespace mlight::pht

@@ -1,46 +1,20 @@
 #include "transport/ring_map.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/check.h"
+#include "dht/network.h"
 
 namespace mlight::transport {
 
 RingMap::RingMap(std::size_t peerCount, std::size_t vnodesPerPeer) {
   MLIGHT_CHECK(peerCount >= 1, "RingMap needs at least one peer");
   MLIGHT_CHECK(vnodesPerPeer >= 1, "RingMap needs at least one vnode");
-  // Mirror of Network's bulk constructor: same names, same hash, same
-  // sort tie-break, same collision bump — any divergence here is an
-  // ownership disagreement between the simulated and the wire world.
-  struct Vnode {
-    dht::RingId id;
-    std::size_t physical;
-  };
-  std::vector<Vnode> vnodes;
-  vnodes.reserve(peerCount * vnodesPerPeer);
-  firstVnode_.reserve(peerCount);
-  for (std::size_t i = 0; i < peerCount; ++i) {
-    const std::string name = "node:" + std::to_string(i);
-    for (std::size_t v = 0; v < vnodesPerPeer; ++v) {
-      const dht::RingId id =
-          dht::keyId("peer-id:" + name + "#" + std::to_string(v));
-      vnodes.push_back(Vnode{id, i});
-      if (v == 0) firstVnode_.push_back(id);
-    }
-  }
-  std::sort(vnodes.begin(), vnodes.end(),
-            [](const Vnode& a, const Vnode& b) {
-              if (a.id != b.id) return a.id < b.id;
-              return a.physical < b.physical;
-            });
-  for (std::size_t k = 1; k < vnodes.size(); ++k) {
-    if (vnodes[k].id == vnodes[k - 1].id) vnodes[k].id.value += 1;
-  }
-  ring_.reserve(vnodes.size());
-  for (const Vnode& v : vnodes) {
+  firstVnode_.resize(peerCount);
+  for (const dht::BulkVnode& v : dht::bulkRing(peerCount, vnodesPerPeer)) {
     ring_.push_back(v.id);
     vnodeToPeer_[v.id] = v.physical;
+    if (v.vnode == 0) firstVnode_[v.physical] = v.id;
   }
 }
 

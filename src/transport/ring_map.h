@@ -4,10 +4,8 @@
 // The TCP backend must place records on exactly the ring the simulator
 // would build for the same peer count, or the two worlds answer queries
 // from different owners and the simulated predictions stop describing
-// the measured run.  RingMap reproduces Network's bulk construction
-// bit-for-bit: physical peers named "node:<i>", vnode v of peer p at
-// keyId("peer-id:node:<p>#<v>"), sorted ascending with the same
-// deterministic collision bump, ownership by predecessor mapping
+// the measured run.  RingMap builds from the same dht::bulkRing as
+// Network's bulk constructor, with ownership by predecessor mapping
 // (greatest vnode id <= key, wrapping).  Pinned against
 // Network::responsible by tests/transport/wire_parity_test.cpp.
 #pragma once

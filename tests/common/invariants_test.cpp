@@ -443,9 +443,10 @@ TEST_F(InvariantsTest, CorruptedPhtLeafCellTripsAudit) {
   ASSERT_NO_THROW(index.checkInvariants());
 
   bool corrupted = false;
-  index.store().forEach([&](const BitString&, const pht::PhtNode& n,
+  index.store().forEach([&](const BitString&,
+                            const mlight::index::CellNode& n,
                             mlight::dht::RingId) {
-    if (corrupted || !n.isLeaf || n.records.empty() || n.label.empty()) {
+    if (corrupted || !n.complete || n.records.empty() || n.label.empty()) {
       return;
     }
     const Rect cell = cellOfPath(n.label, 2);
@@ -453,7 +454,7 @@ TEST_F(InvariantsTest, CorruptedPhtLeafCellTripsAudit) {
     // just outside the cell along it — deterministic escape.
     for (std::size_t d = 0; d < 2; ++d) {
       if (cell.hi()[d] - cell.lo()[d] >= 1.0) continue;
-      auto& node = const_cast<pht::PhtNode&>(n);
+      auto& node = const_cast<mlight::index::CellNode&>(n);
       Point p = node.records[0].key;
       p[d] = cell.lo()[d] > 0.0 ? cell.lo()[d] / 2.0
                                 : (cell.hi()[d] + 1.0) / 2.0;

@@ -5,11 +5,9 @@
 #include "cache/hint_cache.h"
 #include "common/rng.h"
 #include "common/serde.h"
-#include "dst/dst_index.h"
+#include "index/cell_node.h"
 #include "index/record.h"
 #include "mlight/bucket.h"
-#include "pht/pht_index.h"
-#include "rst/rst_index.h"
 
 namespace mlight::common {
 namespace {
@@ -82,35 +80,16 @@ TEST(SerdeFuzz, LeafBucketDecoderNeverCrashes) {
 }
 
 TEST(SerdeFuzz, BaselineNodeDecodersNeverCrash) {
+  // The one node type of PHT and DST/RST, three sampled nodes.
   Rng rng(3);
-  {
-    mlight::pht::PhtNode node;
+  for (const std::uint64_t seed : {17u, 19u, 23u}) {
+    mlight::index::CellNode node;
     node.label = BitString::fromString("0101");
     node.records.push_back(sampleRecord(rng));
     Writer w;
     node.serialize(w);
-    fuzzDecoder<mlight::pht::PhtNode>(17, w.bytes(), [](Reader& r) {
-      return mlight::pht::PhtNode::deserialize(r);
-    });
-  }
-  {
-    mlight::dst::DstNode node;
-    node.label = BitString::fromString("0101");
-    node.records.push_back(sampleRecord(rng));
-    Writer w;
-    node.serialize(w);
-    fuzzDecoder<mlight::dst::DstNode>(19, w.bytes(), [](Reader& r) {
-      return mlight::dst::DstNode::deserialize(r);
-    });
-  }
-  {
-    mlight::rst::RstNode node;
-    node.label = BitString::fromString("0101");
-    node.records.push_back(sampleRecord(rng));
-    Writer w;
-    node.serialize(w);
-    fuzzDecoder<mlight::rst::RstNode>(23, w.bytes(), [](Reader& r) {
-      return mlight::rst::RstNode::deserialize(r);
+    fuzzDecoder<mlight::index::CellNode>(seed, w.bytes(), [](Reader& r) {
+      return mlight::index::CellNode::deserialize(r);
     });
   }
 }

@@ -17,6 +17,7 @@
 #include "dht/network.h"
 #include "dht/rpc.h"
 #include "dht/sim.h"
+#include "dst/dst_index.h"
 #include "mlight/index.h"
 #include "pht/pht_index.h"
 #include "store/distributed_store.h"
@@ -556,6 +557,55 @@ TEST(Failover, LossySplitPutsFailLoudlyNeverAbort) {
   const std::uint64_t envSeed = faultSeedFromEnv(1);
   lossyMLightRun(envSeed, 3000);
   lossyPhtRun(envSeed, 2000);
+}
+
+/// Inserts `n` uniform records into a static segment tree over a lossy
+/// overlay whose envelopes give up after two attempts, so some level
+/// chains dead-letter before the leaf level.
+void lossyDstRun(const dst::DstConfig& cfg, std::size_t n) {
+  Network net(32, 1);
+  FaultModel faults = lossyLinks(1);
+  faults.maxAttempts = 2;
+  net.setFaultModel(faults);
+  dst::DstIndex index(net, cfg);
+  mlight::common::Rng rng(7);
+  for (std::size_t i = 0; i < n; ++i) index.insert(uniformRecord(rng, i));
+  std::size_t leafRecords = 0;
+  index.store().forEach([&](const BitString& key,
+                            const mlight::index::CellNode& node, RingId) {
+    if (key.size() == cfg.maxDepth) leafRecords += node.records.size();
+  });
+  EXPECT_EQ(index.size(), leafRecords);
+  EXPECT_GT(index.failedInserts(), 0u);
+  EXPECT_EQ(index.size() + index.failedInserts(), n);
+  EXPECT_NO_THROW(index.checkInvariants());
+}
+
+// A DST/RST insert whose level chain dead-letters never reaches the leaf
+// level: it is counted in failedInserts(), not in size(), so the record
+// count audit holds.  PHT's failed locates land in the same counter.
+TEST(Failover, LostBaselineInsertsAreCountedNotStored) {
+  const ScopedLevel level(mlight::common::AuditLevel::kBoundaries);
+  dst::DstConfig dstCfg;
+  lossyDstRun(dstCfg, 300);
+  dst::DstConfig rstCfg;
+  rstCfg.levelWidth = dst::LevelWidth::kOneBit;
+  rstCfg.bandCeiling = 3;
+  rstCfg.seed = 45;
+  rstCfg.dhtNamespace = "rst/";
+  lossyDstRun(rstCfg, 300);
+
+  Network net(32, 9);
+  net.setFaultModel(lossyLinks(9));
+  pht::PhtConfig cfg;
+  cfg.thetaSplit = 8;
+  cfg.thetaMerge = 4;
+  cfg.seed = 9;
+  pht::PhtIndex pht(net, cfg);
+  mlight::common::Rng rng(63);
+  for (std::size_t i = 0; i < 2000; ++i) pht.insert(uniformRecord(rng, i));
+  EXPECT_GT(pht.failedInserts(), 0u);
+  EXPECT_EQ(pht.size() + pht.failedInserts(), 2000u);
 }
 
 TEST(Failover, AsyncPutResolvesHoldersAtDeliveryTime) {

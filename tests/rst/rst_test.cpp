@@ -1,4 +1,6 @@
-#include "rst/rst_index.h"
+// RST: the static segment tree in its binary shape, one interleaved bit
+// per level, with a registration band (dst::DstIndex, LevelWidth::kOneBit).
+#include "dst/dst_index.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +11,7 @@
 #include "workload/datasets.h"
 #include "workload/queries.h"
 
-namespace mlight::rst {
+namespace mlight::dst {
 namespace {
 
 using mlight::common::Point;
@@ -18,6 +20,7 @@ using mlight::common::Rng;
 using mlight::dht::CostMeter;
 using mlight::dht::MeterScope;
 using mlight::dht::Network;
+using mlight::index::CellNode;
 using mlight::index::Oracle;
 using mlight::index::Record;
 
@@ -29,17 +32,27 @@ Record rec(double x, double y, std::uint64_t id) {
   return r;
 }
 
-RstConfig smallConfig() {
-  RstConfig cfg;
+/// The RST baseline's configuration: binary levels below a three-bit
+/// registration band.
+DstConfig rstConfig() {
+  DstConfig cfg;
+  cfg.levelWidth = LevelWidth::kOneBit;
+  cfg.bandCeiling = 3;
+  cfg.seed = 45;
+  cfg.dhtNamespace = "rst/";
+  return cfg;
+}
+
+DstConfig smallConfig() {
+  DstConfig cfg = rstConfig();
   cfg.maxDepth = 16;
   cfg.gamma = 8;
-  cfg.bandCeiling = 3;
   return cfg;
 }
 
 TEST(RstIndex, EmptyIndexAnswersEmptyQueries) {
   Network net(32);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   EXPECT_TRUE(index.rangeQuery(Rect(Point{0.1, 0.1}, Point{0.9, 0.9}))
                   .records.empty());
   EXPECT_TRUE(index.pointQuery(Point{0.5, 0.5}).records.empty());
@@ -47,7 +60,7 @@ TEST(RstIndex, EmptyIndexAnswersEmptyQueries) {
 
 TEST(RstIndex, InsertRegistersOnlyInsideTheBand) {
   Network net(32);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   CostMeter meter;
   {
     MeterScope scope(net, meter);
@@ -57,14 +70,14 @@ TEST(RstIndex, InsertRegistersOnlyInsideTheBand) {
   EXPECT_EQ(meter.lookups, 16u - 3u + 1u);
   index.checkInvariants();
   // Nothing stored above the ceiling: the root and levels 1-2 are empty.
-  index.store().forEach([&](const auto& key, const RstNode&, auto) {
+  index.store().forEach([&](const auto& key, const CellNode&, auto) {
     EXPECT_GE(key.size(), 3u);
   });
 }
 
 TEST(RstIndex, RangeQueryMatchesOracle) {
   Network net(64);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   Oracle oracle;
   Rng rng(11);
   for (std::uint64_t i = 0; i < 300; ++i) {
@@ -85,7 +98,7 @@ TEST(RstIndex, RangeQueryMatchesOracle) {
 
 TEST(RstIndex, RangeQueryMatchesOracleClustered) {
   Network net(64);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   Oracle oracle;
   for (const Record& r :
        mlight::workload::clusteredDataset(400, 2, 3, 0.05, 17)) {
@@ -102,7 +115,7 @@ TEST(RstIndex, RangeQueryMatchesOracleClustered) {
 
 TEST(RstIndex, DecompositionRespectsBandCeiling) {
   Network net(8);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   // Even the full space decomposes into segments at the ceiling, never
   // the root.
   const auto cells = index.decompose(Rect::unit(2));
@@ -115,12 +128,12 @@ TEST(RstIndex, BandCeilingAvoidsRootHotspot) {
   // absorbs every insert (the root would otherwise take the first gamma
   // records and then saturate).
   Network net(32);
-  RstConfig banded = smallConfig();
-  RstIndex a(net, banded);
-  RstConfig unbanded = smallConfig();
+  DstConfig banded = smallConfig();
+  DstIndex a(net, banded);
+  DstConfig unbanded = smallConfig();
   unbanded.bandCeiling = 0;
   unbanded.dhtNamespace = "rst-unbanded/";
-  RstIndex b(net, unbanded);
+  DstIndex b(net, unbanded);
   Rng rng(23);
   CostMeter mA;
   CostMeter mB;
@@ -143,7 +156,7 @@ TEST(RstIndex, BandCeilingAvoidsRootHotspot) {
 
 TEST(RstIndex, EraseRemovesEverywhere) {
   Network net(32);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   Rng rng(29);
   std::vector<Record> records;
   for (std::uint64_t i = 0; i < 100; ++i) {
@@ -158,7 +171,7 @@ TEST(RstIndex, EraseRemovesEverywhere) {
 
 TEST(RstIndex, PointQueryIsSingleLookup) {
   Network net(32);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   index.insert(rec(0.25, 0.75, 5));
   const auto res = index.pointQuery(Point{0.25, 0.75});
   EXPECT_EQ(res.records.size(), 1u);
@@ -167,7 +180,7 @@ TEST(RstIndex, PointQueryIsSingleLookup) {
 
 TEST(RstIndex, SurvivesChurn) {
   Network net(48);
-  RstIndex index(net, smallConfig());
+  DstIndex index(net, smallConfig());
   Oracle oracle;
   Rng rng(31);
   for (std::uint64_t i = 0; i < 200; ++i) {
@@ -190,13 +203,13 @@ TEST(RstIndex, SurvivesChurn) {
 
 TEST(RstIndex, RejectsBadConfig) {
   Network net(8);
-  RstConfig cfg;
+  DstConfig cfg = rstConfig();
   cfg.gamma = 0;
-  EXPECT_THROW(RstIndex(net, cfg), std::invalid_argument);
-  cfg = RstConfig{};
+  EXPECT_THROW(DstIndex(net, cfg), std::invalid_argument);
+  cfg = rstConfig();
   cfg.bandCeiling = cfg.maxDepth;
-  EXPECT_THROW(RstIndex(net, cfg), std::invalid_argument);
+  EXPECT_THROW(DstIndex(net, cfg), std::invalid_argument);
 }
 
 }  // namespace
-}  // namespace mlight::rst
+}  // namespace mlight::dst
