@@ -55,7 +55,7 @@ double relativeBucketVariance(const core::MLightIndex& index) {
   common::RunningStat stat;
   index.store().forEach(
       [&](const auto&, const core::LeafBucket& b, auto) {
-        stat.add(static_cast<double>(b.records.size()));
+        stat.add(static_cast<double>(b.recordCount()));
       });
   const double mean = stat.mean();
   return mean == 0.0 ? 0.0 : stat.variance() / (mean * mean);

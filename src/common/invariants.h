@@ -25,6 +25,7 @@
 // that corruption makes them fire.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -150,6 +151,46 @@ void auditRecordPlacement(const Rect& region, const Records& records,
                             region.toString());
     }
     ++i;
+  }
+  detail::passAudit();
+}
+
+// --- Leaf buckets: the key array matches the records --------------------
+//
+// A leaf bucket keeps each record's coordinates a second time, in a flat
+// array with stride `dims`, which range harvests filter on.  The array
+// must hold exactly records.size() * dims values, every record must have
+// `dims` coordinates, and value d of record i must be bit-identical to
+// coordinate d of its key.  O(n * dims); call sites gate on kParanoid.
+template <typename Records, typename KeyOf>
+void auditBucketKeys(const Records& records, std::span<const double> keys,
+                     std::size_t dims, KeyOf keyOf) {
+  detail::beginAudit();
+  std::size_t i = 0;
+  for (const auto& r : records) {
+    const Point& key = keyOf(r);
+    if (key.dims() != dims || keys.size() < (i + 1) * dims) {
+      detail::failAudit("auditBucketKeys",
+                        "record " + std::to_string(i) + " has no " +
+                            std::to_string(dims) + "-wide key array entry");
+    }
+    for (std::size_t d = 0; d < dims; ++d) {
+      if (std::bit_cast<std::uint64_t>(keys[i * dims + d]) !=
+          std::bit_cast<std::uint64_t>(key[d])) {
+        detail::failAudit("auditBucketKeys",
+                          "record " + std::to_string(i) + " at " +
+                              key.toString() + ": key array coordinate " +
+                              std::to_string(d) + " is " +
+                              std::to_string(keys[i * dims + d]));
+      }
+    }
+    ++i;
+  }
+  if (keys.size() != i * dims) {
+    detail::failAudit("auditBucketKeys",
+                      std::to_string(keys.size()) + " key values for " +
+                          std::to_string(i) + " records of " +
+                          std::to_string(dims) + " dims");
   }
   detail::passAudit();
 }

@@ -10,6 +10,7 @@
 // SerdeError on truncated or malformed input.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -66,10 +67,17 @@ class Writer {
   std::vector<std::uint8_t> take() && noexcept { return std::move(bytes_); }
 
  private:
+  /// One capacity check and one copy per field on little-endian hosts;
+  /// the byte loop is the portable fallback.  Same bytes either way.
   template <typename T>
   void writeLe(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    if constexpr (std::endian::native == std::endian::little) {
+      const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+      bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
     }
   }
 
@@ -154,8 +162,13 @@ class Reader {
   T readLe() {
     require(sizeof(T));
     T v{};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(bytes_[pos_ + i]) << (8 * i)));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v = static_cast<T>(v |
+                           (static_cast<T>(bytes_[pos_ + i]) << (8 * i)));
+      }
     }
     pos_ += sizeof(T);
     return v;

@@ -43,9 +43,7 @@ MLightIndex::MLightIndex(mlight::dht::Network& net, MLightConfig config)
   // Bootstrap: a single leaf # named to the virtual root.  Index creation
   // is not part of any measured workload, so the bucket is placed locally.
   const Label rootKey = naming(rootLabel(config_.dims), config_.dims);
-  LeafBucket root;
-  root.label = rootLabel(config_.dims);
-  store_.placeLocal(rootKey, std::move(root));
+  store_.placeLocal(rootKey, LeafBucket(rootLabel(config_.dims)));
   net_->run();  // deliver bootstrap replica envelopes, if any
 }
 
@@ -350,7 +348,7 @@ void MLightIndex::insert(const Record& record) {
   breakdown_.insertShipBytes += record.byteSize();
   LeafBucket* bucket = store_.peek(loc.key);
   assert(bucket != nullptr);
-  bucket->records.push_back(record);
+  bucket->append(record);
   ++size_;
   if (config_.strategy == SplitStrategy::kThreshold) {
     thresholdSplitLoop(loc.key);
@@ -372,11 +370,8 @@ std::size_t MLightIndex::erase(const Point& key, std::uint64_t id) {
   if (loc.leaf.empty()) return 0;  // leaf unreachable (see insert)
   LeafBucket* bucket = store_.peek(loc.key);
   assert(bucket != nullptr);
-  const auto before = bucket->records.size();
-  std::erase_if(bucket->records, [&](const Record& r) {
-    return r.id == id && r.key == key;
-  });
-  const std::size_t removed = before - bucket->records.size();
+  const std::size_t removed = bucket->eraseIf(
+      [&](const Record& r) { return r.id == id && r.key == key; });
   size_ -= removed;
   if (removed > 0) {
     // Propagate the deletion to replica copies (tombstone message).
@@ -401,7 +396,7 @@ mlight::index::PointResult MLightIndex::pointQuery(const Point& key) {
   if (!loc.leaf.empty()) {
     const LeafBucket* bucket = store_.peek(loc.key);
     assert(bucket != nullptr);
-    for (const auto& r : bucket->records) {
+    for (const auto& r : bucket->records()) {
       if (r.key == key) out.records.push_back(r);
     }
   }
@@ -432,9 +427,7 @@ void MLightIndex::installTreeForTesting(const std::vector<Label>& leaves) {
     const Label key = naming(leaf, config_.dims);
     MLIGHT_CHECK(store_.peek(key) == nullptr,
                  "duplicate key — leaves do not form a valid tree");
-    LeafBucket bucket;
-    bucket.label = leaf;
-    store_.placeLocal(key, std::move(bucket));
+    store_.placeLocal(key, LeafBucket(leaf));
   }
   net_->run();
   checkInvariants();
@@ -443,7 +436,7 @@ void MLightIndex::installTreeForTesting(const std::vector<Label>& leaves) {
 std::size_t MLightIndex::emptyBucketCount() const {
   std::size_t count = 0;
   store_.forEach([&](const Label&, const LeafBucket& b, mlight::dht::RingId) {
-    if (b.records.empty()) ++count;
+    if (b.records().empty()) ++count;
   });
   return count;
 }
@@ -476,17 +469,24 @@ void MLightIndex::checkInvariants() const {
   std::vector<std::pair<Label, Label>> leafToKey;
   std::vector<Label> leaves;
   std::size_t totalRecords = 0;
+  const bool paranoid =
+      mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid);
   store_.forEach([&](const Label& key, const LeafBucket& b,
                      mlight::dht::RingId owner) {
     MLIGHT_CHECK(isTreeNodeLabel(b.label, m), "bad leaf label");
     MLIGHT_CHECK(naming(b.label, m) == key, "bucket stored under wrong key");
     MLIGHT_CHECK(owner == store_.ownerOf(key), "bucket on wrong peer");
     mlight::common::auditRecordPlacement(
-        labelRegion(b.label, m), b.records,
+        labelRegion(b.label, m), b.records(),
         [](const Record& r) -> const Point& { return r.key; });
+    if (paranoid) {
+      mlight::common::auditBucketKeys(
+          b.records(), b.keys(), b.keyDims(),
+          [](const Record& r) -> const Point& { return r.key; });
+    }
     leafToKey.emplace_back(b.label, key);
     leaves.push_back(b.label);
-    totalRecords += b.records.size();
+    totalRecords += b.recordCount();
   });
   mlight::common::auditNamingBijection(leafToKey, m);
   mlight::common::auditSpaceTiling(leaves, m + 1);

@@ -377,6 +377,7 @@ class MLightIndex final : public mlight::index::IndexBase {
   /// One range-query forwarding step (Algorithm 3 body).
   struct Task {
     Rect range;
+    Rect cell;       ///< region of `target`, threaded down by Rect::halved
     Label target;    ///< node whose f_md key is probed (may be speculative)
     Label fallback;  ///< in-tree node to re-probe if speculation missed
     mlight::dht::RingId source;
@@ -385,9 +386,40 @@ class MLightIndex final : public mlight::index::IndexBase {
     /// rounds) rare on trees of roughly uniform local depth.
     std::size_t depthHint = 0;
   };
-  void enqueueForward(std::vector<Task>& wave, const Rect& subRange,
-                      const Label& branch, mlight::dht::RingId source,
-                      std::size_t depthHint);
+  /// Consecutive records of one owner bucket that belong to an answer.
+  struct HarvestRun {
+    const Record* first;
+    std::size_t n;
+  };
+  /// One visited bucket's share of an answer: its runs end at `runEnd`
+  /// (they start where the previous bucket's ended), and `data`/`size`
+  /// snapshot its storage for the paranoid stable-storage audit.
+  struct Harvested {
+    const LeafBucket* bucket;
+    const Record* data;
+    std::size_t size;
+    mlight::dht::RingId owner;
+    std::size_t runEnd;
+  };
+  /// A speculative piece of a forwarded subrange (parallel variant).
+  struct Piece {
+    Rect range;
+    Rect cell;
+    Label node;
+  };
+  /// Storage the range cascade reuses from query to query: cleared at
+  /// the start of each query, capacities kept, so a warmed-up cascade
+  /// allocates nothing but its answer.
+  struct RangeScratch {
+    std::vector<Task> tasks;  ///< the query's task arena
+    std::vector<HarvestRun> runs;
+    std::vector<Harvested> harvested;
+    std::vector<Piece> kept;
+    std::vector<Piece> queue;
+    std::vector<Label> learned;
+  };
+  /// One query's cascade (index_query.cpp).
+  struct RangeCascade;
 
   /// Shared engine behind regionQuery/rangeCount: when `collectRecords`
   /// is false only counts flow back (8 bytes per visited bucket).
@@ -407,6 +439,7 @@ class MLightIndex final : public mlight::index::IndexBase {
   MaintenanceBreakdown breakdown_;
   std::vector<TraceEvent>* trace_ = nullptr;
   std::size_t size_ = 0;
+  RangeScratch rangeScratch_;
 };
 
 }  // namespace mlight::core

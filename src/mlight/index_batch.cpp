@@ -240,16 +240,16 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
         }
         std::uint64_t haveMin = std::numeric_limits<std::uint64_t>::max();
         std::uint64_t haveMax = 0;
-        for (const Record& have : bucket->records) {
+        for (const Record& have : bucket->records()) {
           haveMin = std::min(haveMin, have.id);
           haveMax = std::max(haveMax, have.id);
         }
         const bool mayDup =
-            !bucket->records.empty() && inMin <= haveMax && inMax >= haveMin;
+            !bucket->records().empty() && inMin <= haveMax && inMax >= haveMin;
         std::unordered_set<std::uint64_t> heldIds;
         if (mayDup) {
-          heldIds.reserve(bucket->records.size());
-          for (const Record& have : bucket->records) heldIds.insert(have.id);
+          heldIds.reserve(bucket->recordCount());
+          for (const Record& have : bucket->records()) heldIds.insert(have.id);
         }
         std::vector<std::size_t> fresh;
         std::vector<bool> requeued(wireRecs.size(), false);
@@ -261,7 +261,7 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
             continue;
           }
           if (mayDup && heldIds.count(wr.id) != 0 &&
-              holdsRecord(bucket->records, wr)) {
+              holdsRecord(bucket->records(), wr)) {
             continue;
           }
           fresh.push_back(k);
@@ -284,7 +284,7 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
 
         for (const std::size_t k : fresh) {
           breakdown_.insertShipBytes += wireRecs[k].byteSize();
-          bucket->records.push_back(std::move(wireRecs[k]));
+          bucket->append(std::move(wireRecs[k]));
           ++size_;
         }
         // The group delta reaches the replicas as one update, like the
@@ -371,8 +371,8 @@ MLightIndex::RecoveryStats MLightIndex::recoverFromWal(
     const std::uint32_t n = r.readCount(16);
     for (std::uint32_t k = 0; k < n; ++k) {
       Record rec = Record::deserialize(r);
-      if (!holdsRecord(it->second.records, rec)) {
-        it->second.records.push_back(std::move(rec));
+      if (!holdsRecord(it->second.records(), rec)) {
+        it->second.append(std::move(rec));
       }
     }
   }
@@ -386,7 +386,7 @@ MLightIndex::RecoveryStats MLightIndex::recoverFromWal(
   for (auto& [key, bucket] : rebuilt) {
     if (!store_.isMourned(key)) continue;
     ++out.bucketsRestored;
-    out.recordsRestored += bucket.records.size();
+    out.recordsRestored += bucket.recordCount();
     store_.place(rejoined, key, std::move(bucket));
   }
   net_->run();

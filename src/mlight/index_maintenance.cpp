@@ -75,10 +75,8 @@ void MLightIndex::bulkLoad(std::span<const Record> records) {
   const auto initiator = randomPeer();
   for (PlanLeaf& leaf : leaves) {
     const Label key = naming(leaf.label, config_.dims);
-    LeafBucket bucket;
-    bucket.label = std::move(leaf.label);
-    bucket.records = std::move(leaf.records);
-    size_ += bucket.records.size();
+    LeafBucket bucket(std::move(leaf.label), std::move(leaf.records));
+    size_ += bucket.recordCount();
     breakdown_.insertShipBytes += bucket.byteSize();
     store_.place(initiator, key, std::move(bucket));
   }
@@ -94,7 +92,7 @@ void MLightIndex::thresholdSplitLoop(Label key) {
     pending.pop_back();
     LeafBucket* bucket = store_.peek(k);
     if (bucket == nullptr ||
-        bucket->records.size() <= config_.thetaSplit) {
+        bucket->recordCount() <= config_.thetaSplit) {
       continue;
     }
     const Label lambda = bucket->label;
@@ -102,7 +100,7 @@ void MLightIndex::thresholdSplitLoop(Label key) {
 
     auto [loRecords, hiRecords] =
         partitionOnce(lambda, labelRegion(lambda, config_.dims),
-                      bucket->records, config_.dims);
+                      bucket->records(), config_.dims);
     const Label child0 = lambda.withBack(false);
     const Label child1 = lambda.withBack(true);
     const Label key0 = naming(child0, config_.dims);
@@ -112,12 +110,10 @@ void MLightIndex::thresholdSplitLoop(Label key) {
     mlight::common::auditIncrementalSplit(lambda, k, key0, key1);
     const bool child0Stays = (key0 == k);
 
-    LeafBucket stay;
-    stay.label = child0Stays ? child0 : child1;
-    stay.records = child0Stays ? std::move(loRecords) : std::move(hiRecords);
-    LeafBucket move;
-    move.label = child0Stays ? child1 : child0;
-    move.records = child0Stays ? std::move(hiRecords) : std::move(loRecords);
+    LeafBucket stay(child0Stays ? child0 : child1,
+                    child0Stays ? std::move(loRecords) : std::move(hiRecords));
+    LeafBucket move(child0Stays ? child1 : child0,
+                    child0Stays ? std::move(hiRecords) : std::move(loRecords));
 
     const auto owner = store_.ownerOf(k);
     MLIGHT_CHECK(store_.peek(lambda) == nullptr,
@@ -138,7 +134,7 @@ void MLightIndex::dataAwareAdjust(const Label& key) {
   assert(bucket != nullptr);
   const Label lambda = bucket->label;
   SplitPlan plan = planDataAwareSplit(
-      lambda, labelRegion(lambda, config_.dims), bucket->records,
+      lambda, labelRegion(lambda, config_.dims), bucket->records(),
       config_.epsilon, config_.dims, config_.maxEdgeDepth);
   if (!plan.splits()) return;
 
@@ -160,9 +156,7 @@ void MLightIndex::dataAwareAdjust(const Label& key) {
   bool placedStay = false;
   for (PlanLeaf& leaf : plan.leaves) {
     const Label leafKey = naming(leaf.label, config_.dims);
-    LeafBucket newBucket;
-    newBucket.label = std::move(leaf.label);
-    newBucket.records = std::move(leaf.records);
+    LeafBucket newBucket(std::move(leaf.label), std::move(leaf.records));
     if (leafKey == key) {
       // The one leaf named to the old key stays on this peer (Theorem 5
       // generalized to whole split subtrees).
@@ -199,7 +193,7 @@ void MLightIndex::thresholdMergeLoop(Label key) {
     const auto found = store_.routeAndFind(store_.ownerOf(key), sibKey);
     MLIGHT_CHECK(found.bucket != nullptr, "tree keys must be dense");
     if (found.bucket->label != sib) return;  // sibling is internal
-    if (bucket->records.size() + found.bucket->records.size() >=
+    if (bucket->recordCount() + found.bucket->recordCount() >=
         config_.thetaMerge) {
       return;
     }
@@ -208,12 +202,11 @@ void MLightIndex::thresholdMergeLoop(Label key) {
     // the one under f_md(parent) absorbs the other (one bucket transfer).
     const Label stayKey = naming(parent, config_.dims);
     mlight::common::auditIncrementalSplit(parent, stayKey, key, sibKey);
-    LeafBucket merged;
-    merged.label = parent;
-    merged.records = bucket->records;
-    merged.records.insert(merged.records.end(),
-                          found.bucket->records.begin(),
-                          found.bucket->records.end());
+    std::vector<Record> mergedRecords = bucket->records();
+    mergedRecords.insert(mergedRecords.end(),
+                         found.bucket->records().begin(),
+                         found.bucket->records().end());
+    LeafBucket merged(parent, std::move(mergedRecords));
 
     const LeafBucket* moving = store_.peek(parent);
     assert(moving != nullptr);

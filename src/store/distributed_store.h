@@ -486,17 +486,18 @@ class DistributedStore {
                    const Label& label, std::uint32_t round, VisitFn fn,
                    std::vector<std::uint8_t> extra = {},
                    std::size_t salt = 0) {
-    auto state = std::make_shared<AccessState>();
-    state->kind = kind;
-    state->label = label;
-    state->extra = std::move(extra);
-    state->fn = std::move(fn);
+    const std::uint32_t at = acquireAccessState();
+    AccessState& state = accessStates_[at];
+    state.kind = kind;
+    state.label = label;
+    state.extra = std::move(extra);
+    state.fn = std::move(fn);
     if (!isRead(kind)) {
       salt = 0;
     } else if (salt == 0) {
       salt = frozenSaltFor(label);
     }
-    issueAccess(std::move(state), initiator, round, salt);
+    issueAccess(at, initiator, round, salt);
   }
 
   /// Async DHT-put: serializes the bucket, ships it (and its replica
@@ -710,6 +711,19 @@ class DistributedStore {
   /// re-placing the bucket — removes it.  Empty means fully replicated.
   std::size_t underReplicatedBuckets() const noexcept {
     return underReplicatedCount_;
+  }
+
+  /// Access states the store has ever created.  Each access takes one
+  /// from a free list and gives it back when it resolves (answered,
+  /// mourned, or out of candidates), so this equals the peak number of
+  /// accesses in flight at once, and a steady workload stops growing it
+  /// (host-side introspection; never digested).
+  std::size_t accessStatePoolSize() const noexcept {
+    return accessStates_.size();
+  }
+  /// Accesses issued and not yet resolved.
+  std::size_t accessesInFlight() const noexcept {
+    return accessStates_.size() - freeAccessStates_.size();
   }
 
   /// Labels with memoized ring keys (the ringKey() cache).  Bounded by
@@ -1182,9 +1196,12 @@ class DistributedStore {
   /// Failover bookkeeping shared by the attempts of one logical access:
   /// which holders already missed (or went dark), and the copy-target
   /// list (resolved lazily — the fault-free fast path never computes
-  /// it).
+  /// it).  States live in a store-owned pool and are named by index, so
+  /// the network's handler and dead-letter closures capture {this,
+  /// index} and fit std::function's inline buffer: an access allocates
+  /// nothing once the pool and the states' vectors have warmed up.
   struct AccessState {
-    mlight::dht::RpcKind kind;
+    mlight::dht::RpcKind kind{};
     Label label;
     /// Opaque bytes appended after the label (hint, record group); empty
     /// for plain get/visit.  Kept in the state so failover retransmits
@@ -1194,78 +1211,119 @@ class DistributedStore {
     std::vector<RingId> tried;
     std::vector<CopyTarget> targets;
     bool failedOver = false;
+    bool live = false;
   };
 
-  /// The owner-side access handler: the label travels in the envelope;
-  /// the handler re-reads it from the wire and resolves the bucket in
-  /// owner-side state at delivery time (see asyncAccess for failover).
-  void issueAccess(std::shared_ptr<AccessState> state, RingId initiator,
-                   std::uint32_t round, std::size_t salt) {
+  std::uint32_t acquireAccessState() {
+    std::uint32_t at;
+    if (freeAccessStates_.empty()) {
+      at = static_cast<std::uint32_t>(accessStates_.size());
+      accessStates_.emplace_back();
+    } else {
+      at = freeAccessStates_.back();
+      freeAccessStates_.pop_back();
+    }
+    accessStates_[at].live = true;
+    return at;
+  }
+
+  /// Resolves access `at`: returns its continuation and puts the state
+  /// back on the free list (capacities kept).  The caller runs the
+  /// continuation afterwards, so follow-up accesses it issues may reuse
+  /// this very state.
+  VisitFn releaseAccessState(std::uint32_t at) {
+    AccessState& state = accessStates_[at];
+    VisitFn fn = std::move(state.fn);
+    state.fn = nullptr;
+    state.extra.clear();
+    state.tried.clear();
+    state.targets.clear();
+    state.failedOver = false;
+    state.live = false;
+    freeAccessStates_.push_back(at);
+    return fn;
+  }
+
+  /// Sends one attempt of access `at` toward the holder of copy `salt`.
+  void issueAccess(std::uint32_t at, RingId initiator, std::uint32_t round,
+                   std::size_t salt) {
+    const AccessState& state = accessStates_[at];
     mlight::common::Writer body(net_->acquireBuffer());
-    body.writeBitString(state->label);
-    if (!state->extra.empty()) body.writeBytes(state->extra);
+    body.writeBitString(state.label);
+    if (!state.extra.empty()) body.writeBytes(state.extra);
     mlight::dht::RpcEnvelope env;
-    env.kind = state->kind;
+    env.kind = state.kind;
     env.from = initiator;
     env.round = round;
     env.payload = std::move(body).take();
     net_->sendRpc(
-        ringKey(state->label, salt), std::move(env),
-        [this, state](const mlight::dht::RpcDelivery& d) {
-          mlight::common::Reader r(d.env.payload);
-          const Label wireLabel = r.readBitString();
-          const std::uint32_t slot = labels_.find(wireLabel);
-          Entry* entry =
-              slot == kNoSlot ? nullptr : labels_[slot].entry.get();
-          if (entry == nullptr) {
-            if (slot != kNoSlot && labels_[slot].mourned) {
-              // Every copy died with its holders: nobody can answer.
-              ++failedReads_;
-              return;
-            }
-            // Authoritative NULL: the key was never stored.
-            state->fn(nullptr, d);
-            return;
-          }
-          if (!holdsCopy(*entry, d.route.owner)) {
-            // The owner of this salted key holds no copy (a crash moved
-            // ownership before repair caught up): fail over to the next
-            // holder, forwarding from this peer one round deeper.
-            state->tried.push_back(d.route.owner);
-            failoverNext(state, d.route.owner, d.env.round + 1);
-            return;
-          }
-          if (state->failedOver) {
-            ++failoverReads_;
-            if (ensureReplicated(wireLabel, slot, d.route.owner)) {
-              ++readRepairs_;
-            }
-          }
-          if (isRead(state->kind)) noteHeat(wireLabel, slot);
-          state->fn(&entry->bucket, d);
+        ringKey(state.label, salt), std::move(env),
+        [this, at](const mlight::dht::RpcDelivery& d) {
+          onAccessDelivered(at, d);
         },
-        [this, state](const mlight::dht::RpcEnvelope& deadEnv,
-                      std::size_t /*attempts*/) {
+        [this, at](const mlight::dht::RpcEnvelope& deadEnv,
+                   std::size_t /*attempts*/) {
           // The target never answered despite retries (dead letter):
           // treat it as unreachable and fail over from the initiator.
-          state->tried.push_back(deadEnv.to);
-          failoverNext(state, deadEnv.from, deadEnv.round + 1);
+          MLIGHT_CHECK(accessStates_[at].live,
+                       "dead letter of a resolved access");
+          accessStates_[at].tried.push_back(deadEnv.to);
+          failoverNext(at, deadEnv.from, deadEnv.round + 1);
         });
   }
 
-  void failoverNext(const std::shared_ptr<AccessState>& state, RingId from,
-                    std::uint32_t round) {
-    state->failedOver = true;
-    if (state->targets.empty()) state->targets = copyTargets(state->label);
-    for (const CopyTarget& t : state->targets) {
-      if (std::find(state->tried.begin(), state->tried.end(), t.holder) !=
-          state->tried.end()) {
+  /// The owner-side access handler: the label travels in the envelope;
+  /// the handler re-reads it from the wire and resolves the bucket in
+  /// owner-side state at delivery time (see asyncAccess for failover).
+  void onAccessDelivered(std::uint32_t at, const mlight::dht::RpcDelivery& d) {
+    MLIGHT_CHECK(accessStates_[at].live, "delivery of a resolved access");
+    mlight::common::Reader r(d.env.payload);
+    const Label wireLabel = r.readBitString();
+    const std::uint32_t slot = labels_.find(wireLabel);
+    Entry* entry = slot == kNoSlot ? nullptr : labels_[slot].entry.get();
+    if (entry == nullptr) {
+      if (slot != kNoSlot && labels_[slot].mourned) {
+        // Every copy died with its holders: nobody can answer.
+        ++failedReads_;
+        releaseAccessState(at);
+        return;
+      }
+      // Authoritative NULL: the key was never stored.
+      releaseAccessState(at)(nullptr, d);
+      return;
+    }
+    if (!holdsCopy(*entry, d.route.owner)) {
+      // The owner of this salted key holds no copy (a crash moved
+      // ownership before repair caught up): fail over to the next
+      // holder, forwarding from this peer one round deeper.
+      accessStates_[at].tried.push_back(d.route.owner);
+      failoverNext(at, d.route.owner, d.env.round + 1);
+      return;
+    }
+    if (accessStates_[at].failedOver) {
+      ++failoverReads_;
+      if (ensureReplicated(wireLabel, slot, d.route.owner)) {
+        ++readRepairs_;
+      }
+    }
+    if (isRead(accessStates_[at].kind)) noteHeat(wireLabel, slot);
+    releaseAccessState(at)(&entry->bucket, d);
+  }
+
+  void failoverNext(std::uint32_t at, RingId from, std::uint32_t round) {
+    AccessState& state = accessStates_[at];
+    state.failedOver = true;
+    if (state.targets.empty()) state.targets = copyTargets(state.label);
+    for (const CopyTarget& t : state.targets) {
+      if (std::find(state.tried.begin(), state.tried.end(), t.holder) !=
+          state.tried.end()) {
         continue;
       }
-      issueAccess(state, from, round, t.salt);
+      issueAccess(at, from, round, t.salt);
       return;
     }
     ++failedReads_;  // every candidate holder missed or went dark
+    releaseAccessState(at);
   }
 
   void onMembershipChange(
@@ -1366,6 +1424,9 @@ class DistributedStore {
   /// Scratch for computeRingKey() — reused so uncached key derivations
   /// allocate nothing in steady state.
   mutable std::string keyScratch_;
+  /// The access-state pool (see AccessState) and its free list.
+  std::vector<AccessState> accessStates_;
+  std::vector<std::uint32_t> freeAccessStates_;
 };
 
 }  // namespace mlight::store

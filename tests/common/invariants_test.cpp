@@ -196,6 +196,35 @@ TEST_F(InvariantsTest, RecordPlacementDetectsEscapedRecord) {
       AuditFailure);
 }
 
+// --- auditBucketKeys -----------------------------------------------------
+
+TEST_F(InvariantsTest, BucketKeysDetectKeyArrayOutOfStep) {
+  std::vector<Record> records(3);
+  records[0].key = Point{0.1, 0.2};
+  records[1].key = Point{0.3, 0.4};
+  records[2].key = Point{0.5, 0.6};
+  const auto keyOf = [](const Record& r) -> const Point& { return r.key; };
+  const std::vector<double> good{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  EXPECT_NO_THROW(auditBucketKeys(records, good, 2, keyOf));
+
+  std::vector<double> stale = good;
+  stale[3] = 0.41;  // record 1 moved, its key array entry did not
+  EXPECT_THROW(auditBucketKeys(records, stale, 2, keyOf), AuditFailure);
+  const std::vector<double> shortArray(good.begin(), good.end() - 2);
+  EXPECT_THROW(auditBucketKeys(records, shortArray, 2, keyOf), AuditFailure);
+  std::vector<double> longArray = good;
+  longArray.push_back(0.7);
+  longArray.push_back(0.8);
+  EXPECT_THROW(auditBucketKeys(records, longArray, 2, keyOf), AuditFailure);
+  EXPECT_THROW(auditBucketKeys(records, good, 3, keyOf), AuditFailure);
+  // -0.0 == 0.0, but the key array must be a bit-exact copy.
+  records[0].key = Point{-0.0, 0.2};
+  std::vector<double> signedZero = good;
+  signedZero[0] = 0.0;
+  EXPECT_THROW(auditBucketKeys(records, signedZero, 2, keyOf), AuditFailure);
+  EXPECT_GE(auditCounters().failed, 5u);
+}
+
 // --- auditStableStorage --------------------------------------------------
 
 TEST_F(InvariantsTest, StableStorageDetectsMovedOrResizedRecords) {
@@ -342,13 +371,15 @@ TEST_F(InvariantsTest, CorruptedBucketRegionTripsRecordPlacementAudit) {
   bool corrupted = false;
   store.forEach([&](const BitString& key, const core::LeafBucket& b,
                     mlight::dht::RingId) {
-    if (corrupted || b.records.empty()) return;
+    if (corrupted || b.records().empty()) return;
     const Rect region = core::labelRegion(b.label, 2);
     if (region.volume() >= 1.0) return;  // need a proper sub-cell
     auto& bucket = const_cast<core::LeafBucket&>(b);
     // Move the record to the opposite corner of the unit square.
-    bucket.records[0].key = Point{1.0 - (region.lo()[0] + region.hi()[0]) / 2,
-                                  1.0 - (region.lo()[1] + region.hi()[1]) / 2};
+    std::vector<Record> records = bucket.records();
+    records[0].key = Point{1.0 - (region.lo()[0] + region.hi()[0]) / 2,
+                           1.0 - (region.lo()[1] + region.hi()[1]) / 2};
+    bucket.assign(std::move(records));
     (void)key;
     corrupted = true;
   });
@@ -366,12 +397,14 @@ TEST_F(InvariantsTest, CoveredRangeHarvestTripsPlacementAuditAtParanoid) {
   bool corrupted = false;
   store.forEach([&](const BitString&, const core::LeafBucket& b,
                     mlight::dht::RingId) {
-    if (corrupted || b.records.empty()) return;
+    if (corrupted || b.records().empty()) return;
     const Rect region = core::labelRegion(b.label, 2);
     if (region.volume() >= 1.0) return;
     auto& bucket = const_cast<core::LeafBucket&>(b);
-    bucket.records[0].key = Point{1.0 - (region.lo()[0] + region.hi()[0]) / 2,
-                                  1.0 - (region.lo()[1] + region.hi()[1]) / 2};
+    std::vector<Record> records = bucket.records();
+    records[0].key = Point{1.0 - (region.lo()[0] + region.hi()[0]) / 2,
+                           1.0 - (region.lo()[1] + region.hi()[1]) / 2};
+    bucket.assign(std::move(records));
     corrupted = true;
   });
   ASSERT_TRUE(corrupted);

@@ -71,7 +71,7 @@ TEST(SerdeFuzz, LeafBucketDecoderNeverCrashes) {
   Rng rng(2);
   mlight::core::LeafBucket bucket;
   bucket.label = BitString::fromString("0010110");
-  for (int i = 0; i < 5; ++i) bucket.records.push_back(sampleRecord(rng));
+  for (int i = 0; i < 5; ++i) bucket.append(sampleRecord(rng));
   Writer w;
   bucket.serialize(w);
   fuzzDecoder<mlight::core::LeafBucket>(13, w.bytes(), [](Reader& r) {

@@ -91,7 +91,7 @@ TEST_P(InvariantGridTest, MixedWorkloadHoldsAllInvariants) {
   if (p.strategy == core::SplitStrategy::kThreshold) {
     index.store().forEach([&](const auto&, const core::LeafBucket& b,
                               auto) {
-      EXPECT_LE(b.records.size(), p.theta);
+      EXPECT_LE(b.recordCount(), p.theta);
     });
   }
 

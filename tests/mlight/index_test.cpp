@@ -101,7 +101,7 @@ TEST(MLightIndex, SplitsKeepThresholdInvariant) {
   index.checkInvariants();
   std::size_t maxLoad = 0;
   index.store().forEach([&](const auto&, const LeafBucket& b, auto) {
-    maxLoad = std::max(maxLoad, b.records.size());
+    maxLoad = std::max(maxLoad, b.recordCount());
   });
   EXPECT_LE(maxLoad, index.config().thetaSplit);
 }

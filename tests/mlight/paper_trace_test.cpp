@@ -231,7 +231,7 @@ TEST_F(PaperTraceTest, IncrementalSplitOnFig1Tree) {
   EXPECT_EQ(idx.store().peek(tag2d("01"))->label, tag2d("011"));
   ASSERT_NE(idx.store().peek(tag2d("010")), nullptr);
   EXPECT_EQ(idx.store().peek(tag2d("010"))->label, tag2d("0100"));
-  EXPECT_EQ(idx.store().peek(tag2d("010"))->records.size(), 2u);
+  EXPECT_EQ(idx.store().peek(tag2d("010"))->recordCount(), 2u);
   idx.checkInvariants();
 }
 

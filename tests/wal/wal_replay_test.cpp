@@ -162,7 +162,7 @@ TEST(WalReplay, UnackedFrameFromACrashMidBatchIsNeverReplayed) {
   expectAllPresent(index, data);
   index.store().forEach([&](const BitString&, const core::LeafBucket& bucket,
                             RingId) {
-    for (const auto& r : bucket.records) EXPECT_NE(r.id, bogus.id);
+    for (const auto& r : bucket.records()) EXPECT_NE(r.id, bogus.id);
   });
 }
 
