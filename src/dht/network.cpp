@@ -65,11 +65,10 @@ Network::Network(std::size_t peerCount, std::uint64_t seed,
   assert(peerCount >= 1);
   assert(vnodesPerPeer >= 1);
   // Bulk construction: generate every vnode id, sort the ring once, and
-  // build finger tables once.  The incremental path (addPeer) re-sorts
-  // and rebuilds per join — fine for churn, quadratic-and-worse for a
-  // 10k-peer ring bootstrap (n sorted inserts plus n full finger
-  // rebuilds is O(n^2 log n) probe work; this is O(n log n) up to the
-  // 64-finger constant).
+  // build the ring-slot directory once.  The incremental path (addPeer)
+  // inserts into the sorted ring and reindexes per join — fine for churn,
+  // quadratic for a 10k-peer ring bootstrap (n sorted inserts, each
+  // followed by an O(n) reindex); this is O(n log n).
   physicalNames_.reserve(peerCount);
   for (std::size_t i = 0; i < peerCount; ++i) {
     physicalNames_.push_back(bulkPeerName(i));
@@ -81,7 +80,7 @@ Network::Network(std::size_t peerCount, std::uint64_t seed,
     peers_.push_back(v.id);
     physicalOfIdx_.push_back(static_cast<std::uint32_t>(v.physical));
   }
-  rebuildFingers();
+  reindexRing();
 }
 
 std::size_t Network::livePhysicalCount() const {
@@ -96,14 +95,18 @@ std::size_t Network::livePhysicalCount() const {
   return count;
 }
 
+std::uint32_t Network::lowerIndexOf(RingId h) const noexcept {
+  // Every slot before h's directory bucket holds a smaller id and every
+  // slot after it a larger one, so the bucket's lower bound is the ring's.
+  const std::size_t j = h.value >> ringDirShift_;
+  const auto it = std::lower_bound(peers_.begin() + ringDir_[j],
+                                   peers_.begin() + ringDir_[j + 1], h);
+  return static_cast<std::uint32_t>(it - peers_.begin());
+}
+
 std::size_t Network::ringIndexOf(RingId id) const noexcept {
-  // Only id's directory bucket can hold it.
-  const std::size_t j = id.value >> ringDirShift_;
-  const auto first = peers_.begin() + ringDir_[j];
-  const auto last = peers_.begin() + ringDir_[j + 1];
-  const auto it = std::lower_bound(first, last, id);
-  if (it == last || *it != id) return peers_.size();
-  return static_cast<std::size_t>(it - peers_.begin());
+  const std::size_t i = lowerIndexOf(id);
+  return i < peers_.size() && peers_[i] == id ? i : peers_.size();
 }
 
 std::uint32_t Network::ownerIndexOf(RingId h) const noexcept {
@@ -170,21 +173,19 @@ Network::Path Network::routePath(std::uint32_t from,
   double ms = 0.0;
   std::uint32_t cur = from;
   while (cur != target) {
-    // Greedy Chord step: jump to the contact that gets clockwise-closest
-    // to the target without passing it.  Fingers are stored in strictly
-    // increasing clockwise distance, so the last one before the first
-    // overshoot is the unique maximum.  The successor (finger[0] covers
-    // +1, but we keep an explicit fallback) guarantees progress.
+    // Greedy Chord step: jump to the finger that gets clockwise-closest
+    // to the target without passing it.  Finger k of cur is the first
+    // vnode at or clockwise after cur + 2^k.  For clockwise distance d,
+    // k = floor(log2 d) is that finger: the target itself lies in
+    // [cur + 2^k, cur + d], so finger k does not pass it, every higher
+    // finger starts at or beyond cur + 2^(k+1) > cur + d, and no lower
+    // finger lies farther on.  So each hop is one successor query.
     const std::uint64_t curId = peers_[cur].value;
     const std::uint64_t want = targetId - curId;  // clockwise, mod 2^64
-    std::uint32_t next = cur;
-    const Finger* f = fingers_.data() + fingerStart_[cur];
-    const Finger* const end = fingers_.data() + fingerStart_[cur + 1];
-    for (; f != end && f->id - curId <= want; ++f) next = f->ringIdx;
-    if (next == cur) {
-      // All fingers overshoot; step to the immediate successor.
-      next = cur + 1 == n ? 0 : cur + 1;
-    }
+    const std::uint64_t reach = std::uint64_t{1}
+                                << (63 - std::countl_zero(want));
+    std::uint32_t next = lowerIndexOf(RingId{curId + reach});
+    if (next == n) next = 0;  // wrapped past the largest id
     ms += hopMs(cur, next);
     cur = next;
     ++hops;
@@ -482,7 +483,7 @@ RingId Network::addPeer(std::string_view name) {
     peers_.insert(pos, id);
     if (v == 0) first = id;
   }
-  rebuildFingers();
+  reindexRing();
   const MembershipChange change{MembershipChange::Kind::kJoin, {}};
   for (const auto& [handle, fn] : stores_) fn(change);
   return first;
@@ -512,7 +513,7 @@ bool Network::dropPhysicalPeer(RingId id, MembershipChange::Kind kind) {
   }
   peers_.resize(kept);
   physicalOfIdx_.resize(kept);
-  rebuildFingers();
+  reindexRing();
   for (const auto& [handle, fn] : stores_) fn(change);
   return true;
 }
@@ -525,56 +526,26 @@ bool Network::crashPeer(RingId id) {
   return dropPhysicalPeer(id, MembershipChange::Kind::kCrash);
 }
 
-void Network::rebuildFingers() {
+void Network::reindexRing() {
   const bool audit =
       mlight::common::auditEnabled(mlight::common::AuditLevel::kBoundaries);
   std::vector<std::uint64_t> positions;
   if (audit) {
-    // Finger construction, the directory and the predecessor mapping all
-    // assume the ring is sorted and duplicate-free; audit it at every
-    // membership change (the only times fingers are rebuilt).
+    // The directory, routing and the predecessor mapping all assume the
+    // ring is sorted and duplicate-free; audit it at every membership
+    // change (the only times the ring moves).
     positions.reserve(peers_.size());
     for (const RingId p : peers_) positions.push_back(p.value);
     mlight::common::auditRingOrder(positions);
   }
-  MLIGHT_CHECK(64 * peers_.size() < UINT32_MAX &&
+  MLIGHT_CHECK(peers_.size() < UINT32_MAX &&
                    physicalNames_.size() < UINT32_MAX,
-               "ring, finger and physical-peer indices are 32-bit");
+               "ring and physical-peer indices are 32-bit");
   rebuildRingDirectory();
   if (audit) {
     mlight::common::auditRingDirectory(positions, ringDir_, ringDirShift_);
   }
   reindexSendQueues();
-  // One flat array for every table (the vectors keep their capacity
-  // across rebuilds; churn rebuilds fingers on every membership change).
-  // A table holds about log2 n distinct fingers; reserving that up front
-  // spares the growth copies, which would otherwise set peak RSS.
-  fingers_.clear();
-  fingers_.reserve(peers_.size() * std::bit_width(peers_.size()));
-  fingerStart_.resize(peers_.size() + 1);
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    fingerStart_[i] = static_cast<std::uint32_t>(fingers_.size());
-    const RingId p = peers_[i];
-    // finger[k] = first peer at or clockwise-after p + 2^k, duplicates
-    // dropped.  Probes move clockwise with k, so one that does not pass
-    // the last finger found maps to it again (skipped without a search),
-    // and once a probe wraps past every other peer back to p, all later
-    // ones do too.
-    std::uint64_t lastDist = 0;  // clockwise distance p -> last finger
-    for (int k = 0; k < 64; ++k) {
-      const std::uint64_t dist = std::uint64_t{1} << k;
-      if (dist <= lastDist) continue;
-      const auto it = std::lower_bound(peers_.begin(), peers_.end(),
-                                       RingId{p.value + dist});
-      const std::size_t fi =
-          it == peers_.end() ? 0 : static_cast<std::size_t>(it - peers_.begin());
-      if (fi == i) break;
-      fingers_.push_back(
-          Finger{peers_[fi].value, static_cast<std::uint32_t>(fi)});
-      lastDist = clockwise(p, peers_[fi]);
-    }
-  }
-  fingerStart_[peers_.size()] = static_cast<std::uint32_t>(fingers_.size());
 }
 
 void Network::rebuildRingDirectory() {

@@ -8,9 +8,11 @@
 //  * peers sit on a 64-bit identifier ring (SHA-1 of their names);
 //  * a key κ is owned by the peer whose identifier is *less than but
 //    closest to* hash(κ) (predecessor mapping, paper §3.1);
-//  * lookups route greedily through per-peer finger tables
-//    (finger[k] = first peer at or after self + 2^k), giving the O(log n)
-//    hop counts a real Chord/Bamboo deployment exhibits;
+//  * lookups route greedily along Chord fingers (finger[k] = first peer
+//    at or after self + 2^k), giving the O(log n) hop counts a real
+//    Chord/Bamboo deployment exhibits.  No table is stored: the one
+//    useful finger of each hop is found by a successor query on the
+//    sorted ring;
 //  * membership can change (churn); registered stores are told to migrate
 //    keys whose ownership moved.
 //
@@ -446,12 +448,16 @@ class Network {
   double sendOverheadMs() const noexcept { return latency_.sendOverheadMs; }
 
  private:
-  /// The membership-change hook: rebuilds the ring-slot directory, moves
-  /// busy send queues to their senders' new slots, and rebuilds fingers.
-  void rebuildFingers();
+  /// The membership-change hook: audits the ring order, rebuilds the
+  /// ring-slot directory, and moves busy send queues to their senders'
+  /// new slots.
+  void reindexRing();
   void rebuildRingDirectory();
   void reindexSendQueues();
   bool dropPhysicalPeer(RingId id, MembershipChange::Kind kind);
+  /// Ring index of the first vnode with id >= h, or peers_.size() if
+  /// every id is smaller (one directory bucket searched).
+  std::uint32_t lowerIndexOf(RingId h) const noexcept;
   /// Ring index of live vnode `id`, or peers_.size() if it is not live.
   std::size_t ringIndexOf(RingId id) const noexcept;
   /// Ring index of the peer owning position `h` (see responsible()).
@@ -507,29 +513,18 @@ class Network {
   /// (capped exponential backoff).
   double rpcTimeoutMs(std::size_t attempt, double routeMs) const noexcept;
 
-  /// One finger-table entry: the contact's ring id (scanned on every
-  /// hop) next to its ring index (where the walk continues).
-  struct Finger {
-    std::uint64_t id;
-    std::uint32_t ringIdx;
-  };
-
   std::vector<RingId> peers_;                       // vnodes, ring order
   /// Ring-slot directory over the top b = bit_width(n) + 1 id bits:
   /// ringDir_[j] is the first slot whose id is >= j << ringDirShift_, and
   /// the last of its 2^b + 1 entries is n.  Ids in bucket j = id >>
   /// ringDirShift_ therefore sit in peers_[ringDir_[j], ringDir_[j + 1]),
   /// with two to four buckets per vnode.  Rebuilt on membership change.
+  /// Serves owner lookups, liveness checks and every routing hop.
   std::vector<std::uint32_t> ringDir_;
   unsigned ringDirShift_ = 63;
   /// Physical peer of each ring slot, aligned with peers_ — the only
   /// vnode -> peer mapping; kept in lockstep by every membership change.
   std::vector<std::uint32_t> physicalOfIdx_;
-  /// Flat (CSR) finger tables: peers_[i]'s fingers are
-  /// fingers_[fingerStart_[i] .. fingerStart_[i + 1]), in increasing
-  /// clockwise distance from peers_[i].  Rebuilt on membership change.
-  std::vector<Finger> fingers_;
-  std::vector<std::uint32_t> fingerStart_;
   std::vector<std::string> physicalNames_;          // by peer index
   std::size_t vnodesPerPeer_ = 1;
   LatencyModel latency_;
