@@ -475,7 +475,7 @@ void MLightIndex::checkInvariants() const {
                      mlight::dht::RingId owner) {
     MLIGHT_CHECK(isTreeNodeLabel(b.label, m), "bad leaf label");
     MLIGHT_CHECK(naming(b.label, m) == key, "bucket stored under wrong key");
-    MLIGHT_CHECK(owner == store_.ownerOf(key), "bucket on wrong peer");
+    MLIGHT_CHECK(store_.readableAt(key, owner), "bucket on wrong peer");
     mlight::common::auditRecordPlacement(
         labelRegion(b.label, m), b.records(),
         [](const Record& r) -> const Point& { return r.key; });

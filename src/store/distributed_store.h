@@ -369,22 +369,7 @@ class DistributedStore {
     // here means placement, replica fan-out, crash repair, and read
     // failover all maintain the enlarged set without knowing about it.
     const std::size_t want = replication_ + boostOf(label);
-    std::vector<CopyTarget> targets{CopyTarget{ownerOf(label), 0}};
-    std::size_t salt = 1;
-    // On tiny overlays there may be fewer peers than copies; stop after
-    // a bounded number of attempts rather than spinning.
-    std::size_t attempts = 0;
-    while (targets.size() < want && attempts < 8 * want) {
-      const RingId candidate = net_->responsible(ringKey(label, salt));
-      const bool taken =
-          std::find_if(targets.begin(), targets.end(),
-                       [&](const CopyTarget& t) {
-                         return t.holder == candidate;
-                       }) != targets.end();
-      if (!taken) targets.push_back(CopyTarget{candidate, salt});
-      ++salt;
-      ++attempts;
-    }
+    std::vector<CopyTarget> targets = placementWalk(label, want);
     if (targets.size() < replication_) {
       // Degraded mode: the overlay has fewer distinct peers reachable
       // within the probe budget than the requested copies.  The bucket
@@ -744,6 +729,19 @@ class DistributedStore {
     return out;
   }
 
+  /// True when a read of `label` finds its bucket at `holder`: the
+  /// primary owner, or, while crash repair waits for a read (kOnRead),
+  /// any member of the current copy set, to which a read that misses at
+  /// the primary fails over.  Meters and counts nothing (audit helper).
+  bool readableAt(const Label& label, RingId holder) const {
+    if (holder == ownerOf(label)) return true;
+    if (repair_ != RepairPolicy::kOnRead) return false;
+    const std::vector<CopyTarget> targets =
+        placementWalk(label, replication_ + boostOf(label));
+    return std::any_of(targets.begin(), targets.end(),
+                       [&](const CopyTarget& t) { return t.holder == holder; });
+  }
+
   /// Visits every bucket in ascending label order (a sorted slot list,
   /// not slot or hash order — see the determinism contract in
   /// docs/THEORY.md: consumers feed logs, stats dumps, and digests, so
@@ -984,6 +982,29 @@ class DistributedStore {
     }
     boosted_.pop_back();
     labels_[slot].boost = kNotBoosted;
+  }
+
+  /// copyTargets() without its degraded-mode count and audits: up to
+  /// `want` copies on distinct peers, primary first.
+  std::vector<CopyTarget> placementWalk(const Label& label,
+                                        std::size_t want) const {
+    std::vector<CopyTarget> targets{CopyTarget{ownerOf(label), 0}};
+    std::size_t salt = 1;
+    // On tiny overlays there may be fewer peers than copies; stop after
+    // a bounded number of attempts rather than spinning.
+    std::size_t attempts = 0;
+    while (targets.size() < want && attempts < 8 * want) {
+      const RingId candidate = net_->responsible(ringKey(label, salt));
+      const bool taken =
+          std::find_if(targets.begin(), targets.end(),
+                       [&](const CopyTarget& t) {
+                         return t.holder == candidate;
+                       }) != targets.end();
+      if (!taken) targets.push_back(CopyTarget{candidate, salt});
+      ++salt;
+      ++attempts;
+    }
+    return targets;
   }
 
   /// The naming function behind ringKey(): "<ns><label bits>" for the

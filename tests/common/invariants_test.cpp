@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bitstring.h"
+#include "common/check.h"
 #include "common/geometry.h"
 #include "common/rng.h"
 #include "common/zorder.h"
@@ -19,6 +20,7 @@
 #include "mlight/index.h"
 #include "mlight/kdspace.h"
 #include "pht/pht_index.h"
+#include "workload/datasets.h"
 
 namespace mlight::common {
 namespace {
@@ -458,6 +460,101 @@ TEST_F(InvariantsTest, OffLevelSkipsOptionalAuditsButKeepsTheoremChecks) {
   EXPECT_EQ(c.failed, 0u);
   // ...but the boundary/paranoid sites were skipped and counted as such.
   EXPECT_GT(c.skipped, 0u);
+}
+
+/// R=2 with crash repair deferred to reads (kOnRead), θ 40/20.
+core::MLightConfig deferredRepairConfig() {
+  core::MLightConfig cfg;
+  cfg.replication = 2;
+  cfg.repair = mlight::store::RepairPolicy::kOnRead;
+  cfg.thetaSplit = 40;
+  cfg.thetaMerge = 20;
+  return cfg;
+}
+
+TEST_F(InvariantsTest, DeferredRepairBucketOnSurvivingReplicaPassesParanoid) {
+  // A crash under kOnRead leaves each bucket the dead peer held as
+  // primary on its surviving replica until a read repairs it.  The
+  // bucket is intact and a read fails over to it, so every paranoid
+  // audit after the crash must pass.
+  dht::Network net(64, 17);
+  core::MLightIndex index(net, deferredRepairConfig());
+  const auto data = mlight::workload::northeastDataset(2300, 21);
+  index.bulkLoad(std::vector<Record>(data.begin(), data.begin() + 2000));
+  ASSERT_TRUE(net.crashPeer(net.peers()[5]));
+  std::size_t degraded = 0;
+  index.store().forEach([&](const BitString& key, const core::LeafBucket&,
+                            dht::RingId holder) {
+    degraded += holder != index.store().ownerOf(key);
+  });
+  ASSERT_GT(degraded, 0u);
+
+  const ScopedLevel paranoid(AuditLevel::kParanoid);
+  for (std::size_t i = 2000; i < data.size(); ++i) {
+    ASSERT_NO_THROW(index.insert(data[i])) << "insert " << i;
+  }
+  EXPECT_NO_THROW(index.checkInvariants());
+  EXPECT_EQ(auditCounters().failed, 0u);
+}
+
+TEST_F(InvariantsTest, MisplacedBucketFailsUnderDeferredRepair) {
+  // The same index, but the store never hears of the crash (its
+  // membership callback, the network's first registration, is
+  // withdrawn): the buckets the dead peer held stay recorded on it.
+  // That holder is in no copy set, so the placement audit must fire
+  // even though the store defers repair.
+  dht::Network net(64, 17);
+  core::MLightIndex index(net, deferredRepairConfig());
+  const auto data = mlight::workload::northeastDataset(2000, 21);
+  index.bulkLoad(data);
+  ASSERT_NO_THROW(index.checkInvariants());
+  const dht::RingId victim = net.peers()[5];
+  BitString key;
+  bool found = false;
+  index.store().forEach([&](const BitString& k, const core::LeafBucket&,
+                            dht::RingId holder) {
+    if (holder == victim && !found) {
+      key = k;
+      found = true;
+    }
+  });
+  ASSERT_TRUE(found) << "peer 5 holds no primary copy";
+  net.unregisterStore(0);
+  ASSERT_TRUE(net.crashPeer(victim));
+  ASSERT_EQ(index.store().holdersOf(key).front(), victim);
+  EXPECT_FALSE(index.store().readableAt(key, victim));
+  EXPECT_THROW(index.checkInvariants(), CheckFailure);
+}
+
+TEST_F(InvariantsTest, ReplicaHolderIsReadableOnlyUnderDeferredRepair) {
+  // readableAt() accepts a copy-set member other than the primary only
+  // while repair waits for a read; under eager repair a bucket belongs
+  // at its primary.
+  for (const auto repair : {mlight::store::RepairPolicy::kOnRead,
+                            mlight::store::RepairPolicy::kEager}) {
+    dht::Network net(64, 17);
+    core::MLightConfig cfg = deferredRepairConfig();
+    cfg.repair = repair;
+    core::MLightIndex index(net, cfg);
+    index.bulkLoad(mlight::workload::northeastDataset(2000, 21));
+    const auto& store = index.store();
+    BitString key;
+    bool found = false;
+    store.forEach([&](const BitString& k, const core::LeafBucket&,
+                      dht::RingId) {
+      if (!found) key = k;
+      found = true;
+    });
+    const std::vector<dht::RingId> holders = store.holdersOf(key);
+    ASSERT_EQ(holders.size(), 2u);
+    EXPECT_TRUE(store.readableAt(key, holders[0]));
+    EXPECT_EQ(store.readableAt(key, holders[1]),
+              repair == mlight::store::RepairPolicy::kOnRead);
+    for (const dht::RingId p : net.peers()) {
+      if (p == holders[0] || p == holders[1]) continue;
+      EXPECT_FALSE(store.readableAt(key, p));
+    }
+  }
 }
 
 TEST_F(InvariantsTest, CorruptedPhtLeafCellTripsAudit) {
