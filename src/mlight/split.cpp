@@ -71,8 +71,14 @@ std::pair<std::vector<Record>, std::vector<Record>> partitionOnce(
     std::span<const Record> records, std::size_t dims) {
   const std::size_t dim = splitDimension(edgeDepth(label, dims), dims);
   const double mid = region.mid(dim);
+  // Count first so each side is allocated once, at its exact size.
+  const auto highCount = static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(),
+                    [&](const Record& r) { return r.key[dim] >= mid; }));
   std::vector<Record> lo;
   std::vector<Record> hi;
+  lo.reserve(records.size() - highCount);
+  hi.reserve(highCount);
   for (const Record& r : records) {
     (r.key[dim] >= mid ? hi : lo).push_back(r);
   }
