@@ -7,9 +7,9 @@
 // point it reports:
 //
 //   * construct_s  — host seconds to bootstrap the ring (bulk ctor:
-//                    generate + sort all vnode ids once, one finger-table
-//                    build; the incremental join path would be
-//                    O(n^2 log n) at 10k peers)
+//                    generate + sort all vnode ids once, one ring-slot
+//                    directory build; the incremental join path would be
+//                    O(n^2) at 10k peers)
 //   * insert_s     — host seconds to load the dataset into m-LIGHT
 //   * qps          — range queries per host second (span 0.02 squares)
 //   * p50/p99_ms   — percentiles of *simulated* per-query latency, which

@@ -226,7 +226,7 @@ void auditFrozenReadRoute(const BitString& label, bool frozenRouted,
 // --- Network layer: ring soundness ---------------------------------------
 //
 // Ring positions must be strictly increasing (sorted, duplicate-free):
-// the predecessor mapping and finger construction assume it.  O(n).
+// the predecessor mapping, the directory and routing assume it.  O(n).
 void auditRingOrder(std::span<const std::uint64_t> ringPositions);
 
 // The ring-slot directory over sorted positions: it has 2^(64 - shift) + 1
