@@ -47,8 +47,6 @@ void BitString::initFrom(const BitString& other) {
   }
   std::memcpy(dataMut(), other.data(), n * sizeof(std::uint64_t));
   size_ = other.size_;
-  hash_ = other.hash_;
-  hashKnown_ = other.hashKnown_;
 }
 
 void BitString::assignFrom(const BitString& other) {
@@ -56,19 +54,14 @@ void BitString::assignFrom(const BitString& other) {
   if (n > capWords_) grow(n);
   std::memcpy(dataMut(), other.data(), n * sizeof(std::uint64_t));
   size_ = other.size_;
-  hash_ = other.hash_;
-  hashKnown_ = other.hashKnown_;
 }
 
 void BitString::stealFrom(BitString& other) noexcept {
   rep_ = other.rep_;
   capWords_ = other.capWords_;
   size_ = other.size_;
-  hash_ = other.hash_;
-  hashKnown_ = other.hashKnown_;
   other.capWords_ = kInlineWords;
   other.size_ = 0;
-  other.hashKnown_ = false;
 }
 
 BitString BitString::withBack(bool b) const {
@@ -143,7 +136,6 @@ void BitString::appendBits(const BitString& tail) {
     }
   }
   size_ += tail.size_;
-  hashKnown_ = false;
 }
 
 void BitString::appendWordBits(std::uint64_t word, std::size_t count) {
@@ -161,7 +153,6 @@ void BitString::appendWordBits(std::uint64_t word, std::size_t count) {
     if (off + count > kWordBits) dst[base + 1] = word >> (kWordBits - off);
   }
   size_ += count;
-  hashKnown_ = false;
 }
 
 std::string BitString::toString() const {
@@ -171,7 +162,7 @@ std::string BitString::toString() const {
   return out;
 }
 
-std::uint64_t BitString::computeHash() const noexcept {
+std::uint64_t BitString::hash64() const noexcept {
   // FNV-1a over the length then the packed words, byte by byte — the
   // exact pre-SBO algorithm, so persisted/derived key material matches.
   std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
@@ -185,8 +176,6 @@ std::uint64_t BitString::computeHash() const noexcept {
   const std::uint64_t* w = data();
   const std::size_t n = wordCount();
   for (std::size_t i = 0; i < n; ++i) mix(w[i]);
-  hash_ = h;
-  hashKnown_ = true;
   return h;
 }
 

@@ -13,8 +13,7 @@
 // object; only longer strings spill to a heap word array.  On the common
 // path every copy, prefix, truncate and append is therefore
 // allocation-free, which is what makes the §5 probe binary search and
-// Algorithm 1 planning cheap on the host.  hash64() is memoized (labels key several hash tables per probe);
-// every mutator invalidates the cache.
+// Algorithm 1 planning cheap on the host.
 //
 // Storage invariant: within the last occupied word, bits at positions
 // >= size() are zero (so equality/hashing can compare whole words); words
@@ -93,7 +92,6 @@ class BitString {
       *w |= std::uint64_t{1} << off;
     }
     ++size_;
-    hashKnown_ = false;
   }
 
   /// Removes the last bit.  Precondition: !empty().
@@ -102,7 +100,6 @@ class BitString {
     --size_;
     dataMut()[size_ / kWordBits] &=
         ~(std::uint64_t{1} << (size_ % kWordBits));
-    hashKnown_ = false;
   }
 
   /// Sets bit `i`.  Precondition: i < size().
@@ -114,7 +111,6 @@ class BitString {
     } else {
       dataMut()[i / kWordBits] &= ~mask;
     }
-    hashKnown_ = false;
   }
 
   /// Inverts the last bit in place — moves to the sibling node of a
@@ -123,7 +119,6 @@ class BitString {
     assert(size_ > 0);
     dataMut()[(size_ - 1) / kWordBits] ^=
         std::uint64_t{1} << ((size_ - 1) % kWordBits);
-    hashKnown_ = false;
   }
 
   /// Returns *this with `b` appended (non-mutating convenience).
@@ -141,7 +136,6 @@ class BitString {
     if (n % kWordBits != 0) {
       dataMut()[n / kWordBits] &= (std::uint64_t{1} << (n % kWordBits)) - 1;
     }
-    hashKnown_ = false;
   }
 
   /// The sibling of the length-`n` ancestor: prefix(n) with its last bit
@@ -191,11 +185,7 @@ class BitString {
   }
 
   /// Stable 64-bit hash of the contents (FNV-1a over words and length).
-  /// Memoized: repeated calls on an unmodified object are a load.
-  std::uint64_t hash64() const noexcept {
-    if (hashKnown_) return hash_;
-    return computeHash();
-  }
+  std::uint64_t hash64() const noexcept;
 
   friend bool operator==(const BitString& a, const BitString& b) noexcept {
     return a.size_ == b.size_ &&
@@ -245,13 +235,9 @@ class BitString {
   /// Move guts out of `other`, leaving it empty (inline).
   void stealFrom(BitString& other) noexcept;
 
-  std::uint64_t computeHash() const noexcept;
-
   Rep rep_{{0, 0}};
   std::uint32_t capWords_ = kInlineWords;  ///< == kInlineWords ⇒ inline
   std::size_t size_ = 0;                   ///< bits
-  mutable std::uint64_t hash_ = 0;         ///< memoized hash64()
-  mutable bool hashKnown_ = false;
 };
 
 struct BitStringHash {

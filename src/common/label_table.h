@@ -19,8 +19,7 @@
 //  * index_ is open addressing with linear probing over slot+1 (0 =
 //    empty), load <= 1/2, deletion by backward shift (no tombstones).
 //    The hash is a multiply-xorshift mix over (length, words) — not
-//    BitString::hash64(), whose byte-wise FNV is slower and whose memo is
-//    always cold on a freshly decoded wire label.
+//    BitString::hash64(), whose byte-wise FNV is slower.
 //
 // Nothing iterates the index, and slot numbers are allocation order, not
 // label order: callers that feed digests or traffic walk a slot list
