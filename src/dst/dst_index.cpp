@@ -48,9 +48,7 @@ mlight::dht::RingId DstIndex::randomPeer() {
 }
 
 void DstIndex::insert(const Record& record) {
-  if (record.key.dims() != config_.dims) {
-    throw std::invalid_argument("insert: wrong dimensionality");
-  }
+  mlight::index::requireIndexableKey(record.key, config_.dims, "insert");
   const auto initiator = randomPeer();
   const Label path = interleave(record.key, config_.maxDepth);
   // Replicate at every ancestor inside the band (subject to saturation):

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -52,5 +53,23 @@ struct Record {
     return a.id == b.id && a.key == b.key && a.payload == b.payload;
   }
 };
+
+/// Write-path key check shared by every index's inserts: throws
+/// std::invalid_argument ("<op>: ...") unless `key` has `dims`
+/// coordinates and each x satisfies 0 <= x < 1 (NaN fails).  Range
+/// queries clip to the unit cube and harvest by half-open cells, so a key
+/// outside [0,1)^m would be stored where no query can return it.
+inline void requireIndexableKey(const mlight::common::Point& key,
+                                std::size_t dims, const char* op) {
+  if (key.dims() != dims) {
+    throw std::invalid_argument(std::string(op) + ": wrong dimensionality");
+  }
+  for (std::size_t i = 0; i < key.dims(); ++i) {
+    if (!(0.0 <= key[i] && key[i] < 1.0)) {
+      throw std::invalid_argument(std::string(op) +
+                                  ": key outside [0,1)^m: " + key.toString());
+    }
+  }
+}
 
 }  // namespace mlight::index

@@ -52,227 +52,50 @@ mlight::dht::RingId MLightIndex::randomPeer() {
   return peers[rng_.below(peers.size())];
 }
 
-MLightIndex::Located MLightIndex::search(mlight::dht::RingId initiator,
-                                         const Label& full, Window window,
-                                         std::uint32_t roundBase,
-                                         Located result) {
-  const std::size_t m = config_.dims;
-  std::size_t& lo = window.lo;
-  std::size_t& hi = window.hi;
-  std::size_t step = 1;
-  for (;;) {
-    std::size_t t;
-    if (window.gallop) {
-      t = std::min(lo + step - 1, hi);
-      step *= 2;
-      if (t == hi) window.gallop = false;  // window exhausted: bisect
-    } else {
-      t = lo + (hi - lo) / 2;
-    }
+namespace {
+
+/// m-LIGHT's geometry for the shared §5 locate (index/prefix_locate.h):
+/// depth t probes f_md of the path's node at edge depth t, a NULL key
+/// caps the leaf at the key's own edge depth, a bucket answers when its
+/// leaf lies on the path, and hints remember edge depth.
+struct LocateShape {
+  using Bucket = LeafBucket;
+  std::size_t m;
+
+  BitString probeKey(const BitString& full, std::size_t t) const {
     // Name the candidate prefix without materializing it: f_md's result
     // is itself a prefix of `full`, so one length computation + one
     // prefix() replaces two temporary labels per probe.
-    const Label key = full.prefix(namedPrefixLength(full, m + 1 + t, m));
-    // Distinct candidates can share a name (every candidate in
-    // (|f_md(λ)|, |λ|] names to f_md(λ)); a repeated key needs no second
-    // DHT-lookup, the earlier answer is definitive.  (Only hit-but-off-
-    // path keys can repeat: a NULL key caps `hi` below any candidate that
-    // could name to it again.)
-    if (std::find(window.probedKeys.begin(), window.probedKeys.end(),
-                  key) != window.probedKeys.end()) {
-      lo = t + 1;
-      mlight::common::auditLookupSearchBounds(lo, hi);
-      continue;
-    }
-    const auto found = store_.routeAndFind(
-        initiator, key,
-        roundBase + static_cast<std::uint32_t>(result.probes));
-    if (found.failed) {
-      // No holder of this probe key answered (crash loss / exhausted
-      // retries): the search cannot distinguish NULL from unreachable,
-      // so give up rather than mis-navigate.  Callers detect the empty
-      // leaf; the store already counted the failed read.
-      result.key = Label{};
-      result.leaf = Label{};
-      return result;
-    }
-    window.probedKeys.push_back(key);
-    ++result.probes;
-    result.ms += found.ms;
-    if (trace_ != nullptr) {
-      trace_->push_back(TraceEvent{
-          result.probes, key,
-          found.bucket != nullptr ? found.bucket->label : Label{},
-          found.bucket != nullptr});
-    }
-    if (found.bucket == nullptr) {
-      // `key` is not an internal node, so the leaf on this path is no
-      // deeper than key; the NULL probe can cut far below t-1 (this is
-      // where m-LIGHT beats a plain prefix binary search).
-      assert(key.size() >= m + 1 && "virtual-root bucket must exist");
-      hi = edgeDepth(key, m);
-      assert(hi < t || t == 0);
-      window.gallop = false;  // the depth direction reversed: bisect
-    } else if (found.bucket->label.isPrefixOf(full)) {
-      result.key = key;
-      result.leaf = found.bucket->label;
-      result.owner = found.owner;
-      return result;
-    } else {
-      // `key` is internal and its named leaf is off-path: every candidate
-      // in (edgeDepth(key), t] shares the same name, so none is the leaf.
-      lo = t + 1;
-    }
-    mlight::common::auditLookupSearchBounds(lo, hi);
+    return full.prefix(namedPrefixLength(full, m + 1 + t, m));
   }
-}
+  std::size_t nullCut(const BitString& key, std::size_t) const {
+    // `key` is not an internal node, so the leaf on this path is no
+    // deeper than the key's own edge depth (the virtual root's bucket
+    // always exists, so the key names a real node).
+    mlight::common::auditLookupSearchBounds(m + 1, key.size());
+    return edgeDepth(key, m);
+  }
+  const BitString* covering(const BitString& full, const BitString&,
+                            const LeafBucket& bucket) const {
+    // Off-path, every candidate in (edgeDepth(key), t] shares this key,
+    // so none of them is the leaf.
+    return bucket.label.isPrefixOf(full) ? &bucket.label : nullptr;
+  }
+  std::uint32_t hintDepth(const BitString& leaf) const {
+    return static_cast<std::uint32_t>(edgeDepth(leaf, m));
+  }
+};
 
-MLightIndex::Located MLightIndex::locateCached(mlight::dht::RingId initiator,
-                                               const Point& p,
-                                               std::size_t hiCap,
-                                               std::uint32_t roundBase) {
-  const std::size_t m = config_.dims;
-  const Label full = pointPathLabel(p, m, config_.maxEdgeDepth);
-  Window window;
-  window.hi = std::min(config_.maxEdgeDepth, hiCap);
-  if (!config_.cache.enabled) {
-    return search(initiator, full, std::move(window), roundBase, Located{});
-  }
-  mlight::cache::LabelHintCache& cache = hintCaches_.forPeer(initiator.value);
-  const mlight::cache::LabelHint* cached = cache.findCovering(full);
-  Located result;
-  if (cached == nullptr) {
-    // Cold cell: the plain §5 search, plus learning its answer below.
-    result = search(initiator, full, std::move(window), roundBase, Located{});
-  } else {
-    // Copy before any repair: learn/forget invalidate the pointer.
-    const mlight::cache::LabelHint used = *cached;
-    // A caller-capped window (the range query's NULL-at-LCA fallback)
-    // already proves the leaf is shallow; clamp a deeper hint to it — any
-    // on-path probe depth is sound, so the clamped probe still verifies
-    // or refutes the hint.
-    const std::size_t t0 = std::min<std::size_t>(used.depth, window.hi);
-    const Label probeKey =
-        full.prefix(namedPrefixLength(full, m + 1 + t0, m));
-    // Least-loaded replica routing (query-load balancing): a hint learned
-    // for a boosted leaf carries the replica set plus the loads observed
-    // at learn time — probe the copy with the smallest load, ties broken
-    // toward the lowest replica index (strict < keeps the first minimum).
-    // Only when the probe key is the hint's own key (an unclamped t0):
-    // under a caller-capped window the probe targets an ancestor, whose
-    // copy set the hint knows nothing about.
-    std::size_t probeSalt = 0;
-    if (!used.replicaSalts.empty() && t0 == used.depth) {
-      std::uint32_t bestLoad = ~std::uint32_t{0};
-      for (std::size_t i = 0; i < used.replicaSalts.size(); ++i) {
-        const std::uint32_t load =
-            i < used.replicaLoads.size() ? used.replicaLoads[i] : 0;
-        if (load < bestLoad) {
-          bestLoad = load;
-          probeSalt = used.replicaSalts[i];
-        }
-      }
-    }
-    // The hint crosses the wire with the probe so the owner-side verdict
-    // works from the wire copy, like every other handler.
-    mlight::common::Writer hintWire(net_->acquireBuffer());
-    used.serialize(hintWire);
-    const auto probed = store_.accessAndFind(
-        mlight::dht::RpcKind::kHintProbe, initiator, probeKey, roundBase,
-        std::move(hintWire).take(), probeSalt);
-    if (probed.failed) {
-      // Unreachable probe (crash loss / exhausted retries): same give-up
-      // contract as search() — callers detect the empty leaf.
-      return result;
-    }
-    ++result.probes;
-    result.ms += probed.ms;
-    if (trace_ != nullptr) {
-      trace_->push_back(TraceEvent{
-          result.probes, probeKey,
-          probed.bucket != nullptr ? probed.bucket->label : Label{},
-          probed.bucket != nullptr});
-    }
-    if (probed.bucket != nullptr && probed.bucket->label.isPrefixOf(full)) {
-      // Live hint: the whole binary search collapsed into this one probe.
-      // The leaf found may still differ from the remembered label — after
-      // a split one child keeps the parent's DHT key (Theorem 5), so the
-      // stale *label* resolves in one probe anyway; refresh it below.
-      net_->noteCacheHit();
-      result.key = probeKey;
-      result.leaf = probed.bucket->label;
-      result.owner = probed.owner;
-      if (result.leaf != used.leaf) cache.forget(used.leaf);
-    } else {
-      // Stale hint: the probed peer no longer holds an on-path leaf under
-      // this key (split/merge moved it).  Forget it and repair in place —
-      // the §5 search continues inside the window the failed probe
-      // already cut, so a hint that drifted by Δdepth levels costs
-      // O(log Δdepth) extra probes, never a wrong answer.
-      net_->noteStaleHint();
-      cache.forget(used.leaf);
-      if (probed.bucket == nullptr) {
-        // The tree got shallower here (merge): the leaf is no deeper than
-        // the probe key's edge depth — the standard NULL cut.
-        mlight::common::auditLookupSearchBounds(m + 1, probeKey.size());
-        window.hi = edgeDepth(probeKey, m);
-      } else {
-        // The tree grew below the hint (split): the leaf is deeper than
-        // t0.  Gallop upward from the hint instead of bisecting the whole
-        // remaining window — splits move depth by a few levels, so the
-        // target is almost always just past the hint.
-        window.lo = t0 + 1;
-        window.gallop = true;
-      }
-      mlight::common::auditLookupSearchBounds(window.lo, window.hi);
-      window.probedKeys.push_back(probeKey);
-      result = search(initiator, full, std::move(window), roundBase,
-                      std::move(result));
-    }
-  }
-  if (result.leaf.empty()) return result;
-  // Learn the answer, with the replica routing info the reply piggybacks
-  // (read at this quiescent point — every probe's facade pumped the loop
-  // dry), so the next read of this leaf self-balances toward the
-  // then-coldest copy.
-  auto info = store_.replicaReadInfo(result.key);
-  if (cache.learn(result.leaf,
-                  static_cast<std::uint32_t>(edgeDepth(result.leaf, m)),
-                  std::move(info.salts), std::move(info.loads))) {
-    net_->noteHintEviction();
-  }
-  if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
-    mlight::common::auditCacheCoherence(result.leaf,
-                                        uncachedLeafOracle(full, hiCap));
-  }
-  return result;
-}
+}  // namespace
 
-MLightIndex::Label MLightIndex::uncachedLeafOracle(const Label& full,
-                                                   std::size_t hiCap) const {
-  const std::size_t m = config_.dims;
-  std::size_t lo = 0;
-  std::size_t hi = std::min(config_.maxEdgeDepth, hiCap);
-  std::vector<Label> probedKeys;
-  while (lo <= hi) {
-    const std::size_t t = lo + (hi - lo) / 2;
-    const Label key = full.prefix(namedPrefixLength(full, m + 1 + t, m));
-    if (std::find(probedKeys.begin(), probedKeys.end(), key) !=
-        probedKeys.end()) {
-      lo = t + 1;
-      continue;
-    }
-    probedKeys.push_back(key);
-    const LeafBucket* bucket = store_.peek(key);
-    if (bucket == nullptr) {
-      hi = edgeDepth(key, m);
-    } else if (bucket->label.isPrefixOf(full)) {
-      return bucket->label;
-    } else {
-      lo = t + 1;
-    }
-  }
-  return Label{};
+mlight::index::Located MLightIndex::locate(mlight::dht::RingId initiator,
+                                           const Point& p, std::size_t hiCap,
+                                           std::uint32_t roundBase) {
+  const Label full = pointPathLabel(p, config_.dims, config_.maxEdgeDepth);
+  return mlight::index::PrefixLocate<LocateShape>(
+             LocateShape{config_.dims}, store_, *net_, hintCaches_, trace_)
+      .locate(initiator, full, std::min(config_.maxEdgeDepth, hiCap),
+              roundBase);
 }
 
 MLightIndex::LookupResult MLightIndex::lookupLinear(const Point& key) {
@@ -305,7 +128,7 @@ MLightIndex::LookupResult MLightIndex::lookupLinear(const Point& key) {
 
 MLightIndex::LookupResult MLightIndex::lookup(const Point& key) {
   const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
-  const Located loc = locateCached(randomPeer(), key);
+  const Located loc = locate(randomPeer(), key);
   store_.drainLoadBalance();
   LookupResult out;
   out.leaf = loc.leaf;
@@ -316,24 +139,11 @@ MLightIndex::LookupResult MLightIndex::lookup(const Point& key) {
   return out;
 }
 
-void MLightIndex::requireIndexableKey(const Point& key,
-                                      const char* op) const {
-  if (key.dims() != config_.dims) {
-    throw std::invalid_argument(std::string(op) + ": wrong dimensionality");
-  }
-  for (std::size_t i = 0; i < key.dims(); ++i) {
-    if (!(0.0 <= key[i] && key[i] < 1.0)) {
-      throw std::invalid_argument(std::string(op) +
-                                  ": key outside [0,1)^m: " + key.toString());
-    }
-  }
-}
-
 void MLightIndex::insert(const Record& record) {
-  requireIndexableKey(record.key, "insert");
+  mlight::index::requireIndexableKey(record.key, config_.dims, "insert");
   const auto initiator = randomPeer();
-  const Located loc = locateCached(initiator, record.key);
-  if (loc.leaf.empty()) {
+  const Located loc = locate(initiator, record.key);
+  if (loc.failed) {
     // The leaf (or a probe on the way to it) was unreachable — crash
     // loss with R too small, or every retry exhausted.  The record is
     // not inserted; surface the failure instead of corrupting the tree.
@@ -366,8 +176,8 @@ void MLightIndex::insert(const Record& record) {
 
 std::size_t MLightIndex::erase(const Point& key, std::uint64_t id) {
   const auto initiator = randomPeer();
-  const Located loc = locateCached(initiator, key);
-  if (loc.leaf.empty()) return 0;  // leaf unreachable (see insert)
+  const Located loc = locate(initiator, key);
+  if (loc.failed) return 0;  // leaf unreachable (see insert)
   LeafBucket* bucket = store_.peek(loc.key);
   assert(bucket != nullptr);
   const std::size_t removed = bucket->eraseIf(
@@ -390,10 +200,10 @@ std::size_t MLightIndex::erase(const Point& key, std::uint64_t id) {
 
 mlight::index::PointResult MLightIndex::pointQuery(const Point& key) {
   const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
-  const Located loc = locateCached(randomPeer(), key);
+  const Located loc = locate(randomPeer(), key);
   store_.drainLoadBalance();
   mlight::index::PointResult out;
-  if (!loc.leaf.empty()) {
+  if (!loc.failed) {
     const LeafBucket* bucket = store_.peek(loc.key);
     assert(bucket != nullptr);
     for (const auto& r : bucket->records()) {
@@ -447,7 +257,8 @@ std::size_t MLightIndex::estimateDepthByProbing(std::size_t samples,
   for (std::size_t i = 0; i < samples; ++i) {
     Point p(config_.dims);
     for (std::size_t d = 0; d < config_.dims; ++d) p[d] = rng_.uniform();
-    const Located loc = locateCached(randomPeer(), p);
+    const Located loc = locate(randomPeer(), p);
+    if (loc.failed) continue;  // an unreachable leaf says nothing of depth
     deepest = std::max(deepest, edgeDepth(loc.leaf, config_.dims));
   }
   return std::min(config_.maxEdgeDepth, deepest + headroom);

@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "dht/network.h"
 #include "index/index_base.h"
+#include "index/prefix_locate.h"
 #include "index/region.h"
 #include "mlight/bucket.h"
 #include "store/distributed_store.h"
@@ -230,14 +231,10 @@ class MLightIndex final : public mlight::index::IndexBase {
   /// over one loaded index instead of rebuilding per variant).
   void setLookahead(std::size_t h) noexcept { config_.lookahead = h; }
 
-  /// One probe of a lookup or range query, in issue order.  Rounds start
-  /// at 1; sequential binary-search probes each get their own round.
-  struct TraceEvent {
-    std::size_t round = 0;
-    Label key;        ///< DHT key probed (f_md of the target)
-    Label foundLeaf;  ///< label of the bucket found (empty on NULL)
-    bool hit = false;
-  };
+  /// One probe of a lookup or range query, in issue order (the key is
+  /// f_md of the probed node).  Rounds start at 1; sequential
+  /// binary-search probes each get their own round.
+  using TraceEvent = mlight::index::TraceEvent;
 
   /// Installs a probe trace sink (nullptr to disable).  Used by tests to
   /// verify the paper's worked probe sequences and by the shell's
@@ -310,65 +307,18 @@ class MLightIndex final : public mlight::index::IndexBase {
   }
 
  private:
-  struct Located {
-    Label key;    ///< DHT key of the leaf bucket (= f_md(leaf)).
-    Label leaf;   ///< Leaf label covering the probed point.
-    mlight::dht::RingId owner;
-    std::size_t probes = 0;
-    double ms = 0.0;  ///< accumulated routing latency (sequential probes)
-  };
+  using Located = mlight::index::Located;
 
-  /// The §5 search window: candidate edge depths [lo, hi], whether to
-  /// gallop up from `lo` before bisecting, and the DHT keys already
-  /// answered (a repeated key needs no second probe).
-  struct Window {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    bool gallop = false;
-    std::vector<Label> probedKeys;
-  };
-
-  /// The §5 binary search for the leaf on `full`'s path inside `window`,
-  /// continuing `result` (probe count, latency).  Meters one DHT-lookup
-  /// per probe; probes are sequential, the first at round `roundBase +
-  /// result.probes`.  A NULL probe cuts the window at the key's edge
-  /// depth; an unanswered probe gives up with an empty leaf.
-  Located search(mlight::dht::RingId initiator, const Label& full,
-                 Window window, std::uint32_t roundBase, Located result);
-
-  /// Point location: the §5 search over [0, min(D, hiCap)].  `hiCap`
-  /// bounds the initial upper edge-depth when the caller already knows
-  /// the leaf is shallow (the range query's NULL-at-LCA fallback).
-  /// `roundBase` is the RPC round of the first probe — callers
-  /// continuing an existing chain (the fallback runs after the round-1
-  /// LCA probe) pass the next depth so the event timeline counts their
-  /// probes as further rounds.
-  ///
-  /// With the hint cache enabled, the deepest cached leaf covering `p`
-  /// is probed first (one kHintProbe DHT-lookup on a live hint, metered
-  /// as CostMeter::cacheHits); a stale hint (metered as staleHints)
-  /// continues the search inside the window its probe cut.  Every
-  /// answer is learned, and at the paranoid level audited against the
-  /// uncached oracle.  With the cache disabled this is the plain search
-  /// — same probes, same rounds, same trace.
-  Located locateCached(mlight::dht::RingId initiator, const Point& p,
-                       std::size_t hiCap = static_cast<std::size_t>(-1),
-                       std::uint32_t roundBase = 1);
-
-  /// Unmetered replica of the §5 binary search over peek() — the
-  /// paranoid-audit oracle proving a cached lookup resolved to the same
-  /// leaf the uncached search finds.  Empty label when the search dead-
-  /// ends (possible only on a structurally broken tree).
-  Label uncachedLeafOracle(const Label& full, std::size_t hiCap) const;
+  /// Point location: the §5 search (index/prefix_locate.h, through the
+  /// hint cache when enabled) over edge depths [0, min(D, hiCap)].
+  /// `hiCap` bounds the initial upper edge-depth when the caller already
+  /// knows the leaf is shallow (the range query's NULL-at-LCA fallback);
+  /// `roundBase` is the RPC round of the first probe.
+  Located locate(mlight::dht::RingId initiator, const Point& p,
+                 std::size_t hiCap = static_cast<std::size_t>(-1),
+                 std::uint32_t roundBase = 1);
 
   mlight::dht::RingId randomPeer();
-
-  /// Write-path key check shared by insert/insertBatched/bulkLoad:
-  /// throws std::invalid_argument ("<op>: ...") unless the key has the
-  /// index's dimensionality and every coordinate x satisfies
-  /// 0 <= x < 1 (NaN fails).  Range harvests rely on every record lying
-  /// in its half-open leaf cell.
-  void requireIndexableKey(const Point& key, const char* op) const;
 
   void thresholdSplitLoop(Label key);
   void dataAwareAdjust(const Label& key);

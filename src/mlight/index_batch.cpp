@@ -53,7 +53,9 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
     std::vector<std::uint64_t>* ackedIds) {
   MLIGHT_CHECK(batchSize > 0, "insertBatched: batchSize must be positive");
   const std::size_t m = config_.dims;
-  for (const Record& r : records) requireIndexableKey(r.key, "insertBatched");
+  for (const Record& r : records) {
+    mlight::index::requireIndexableKey(r.key, m, "insertBatched");
+  }
   BatchResult out;
 
   struct Group {
@@ -139,8 +141,8 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
           }
         }
         if (!fromMemo) {
-          loc = locateCached(initiator, r->key);
-          if (loc.leaf.empty()) {
+          loc = locate(initiator, r->key);
+          if (loc.failed) {
             // Unreachable leaf (crash loss / exhausted retries): the
             // record is not inserted and never acknowledged.
             failed.push_back(r);

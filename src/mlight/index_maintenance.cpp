@@ -47,7 +47,9 @@ void MLightIndex::bulkLoad(std::span<const Record> records) {
   if (size_ != 0) {
     throw std::logic_error("bulkLoad requires an empty index");
   }
-  for (const Record& r : records) requireIndexableKey(r.key, "bulkLoad");
+  for (const Record& r : records) {
+    mlight::index::requireIndexableKey(r.key, config_.dims, "bulkLoad");
+  }
   const Label root = rootLabel(config_.dims);
   std::vector<PlanLeaf> leaves;
   if (config_.strategy == SplitStrategy::kThreshold) {

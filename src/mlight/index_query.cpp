@@ -362,12 +362,12 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
     // failed probe already proved the leaf is no deeper than f_md(ω);
     // the sequential probes continue the chain at round 2.
     const Located loc =
-        locateCached(first.owner, clipped.lo(),
+        locate(first.owner, clipped.lo(),
                      omegaKey.size() >= config_.dims + 1
                          ? edgeDepth(omegaKey, config_.dims)
                          : std::size_t{0},
                      /*roundBase=*/2);
-    if (!loc.leaf.empty()) {
+    if (!loc.failed) {
       const LeafBucket* bucket = store_.peek(loc.key);
       assert(bucket != nullptr);
       cascade.harvest(*bucket, labelRegion(bucket->label, config_.dims),

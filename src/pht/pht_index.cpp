@@ -42,135 +42,47 @@ mlight::dht::RingId PhtIndex::randomPeer() {
   return peers[rng_.below(peers.size())];
 }
 
-PhtIndex::Located PhtIndex::search(mlight::dht::RingId initiator,
-                                   const Label& full, Window window,
-                                   std::uint32_t roundBase, Located result) {
-  std::size_t& lo = window.lo;
-  std::size_t& hi = window.hi;
-  std::size_t step = 1;
-  for (;;) {
-    std::size_t t;
-    if (window.gallop) {
-      t = std::min(lo + step - 1, hi);
-      step *= 2;
-      if (t == hi) window.gallop = false;  // window exhausted: bisect
-    } else {
-      t = lo + (hi - lo) / 2;
-    }
-    const Label candidate = full.prefix(t);
-    const auto found = store_.routeAndFind(
-        initiator, candidate,
-        roundBase + static_cast<std::uint32_t>(result.probes));
-    if (found.failed) {
-      // No holder answered (fault injection / crash loss): abort the
-      // search; callers check `failed`.  The store counted the failed
-      // read.
-      result.failed = true;
-      return result;
-    }
-    ++result.probes;
-    result.ms += found.ms;
-    if (found.bucket == nullptr) {
-      // PHT probes learn only about the probed length: the prefix does
-      // not exist, so the leaf is strictly shorter.
-      mlight::common::auditLookupSearchBounds(1, t);  // trie root exists
-      hi = t - 1;
-      window.gallop = false;
-    } else if (found.bucket->complete) {
-      result.leaf = candidate;
-      result.owner = found.owner;
-      return result;
-    } else {
-      lo = t + 1;
-    }
-    mlight::common::auditLookupSearchBounds(lo, hi);
-  }
-}
+namespace {
 
-PhtIndex::Located PhtIndex::locateCached(mlight::dht::RingId initiator,
-                                         const Point& p,
-                                         std::uint32_t roundBase) {
+/// PHT's geometry for the shared prefix locate (index/prefix_locate.h):
+/// depth t probes the t-bit prefix itself, a missing prefix only proves
+/// the leaf is shorter than t, a node answers when it is a leaf, and
+/// hints remember the prefix length.
+struct LocateShape {
+  using Bucket = PhtIndex::CellNode;
+  using Label = PhtIndex::Label;
+
+  Label probeKey(const Label& full, std::size_t t) const {
+    return full.prefix(t);
+  }
+  std::size_t nullCut(const Label&, std::size_t t) const {
+    mlight::common::auditLookupSearchBounds(1, t);  // trie root exists
+    return t - 1;
+  }
+  const Label* covering(const Label&, const Label& key,
+                        const Bucket& node) const {
+    return node.complete ? &key : nullptr;
+  }
+  std::uint32_t hintDepth(const Label& leaf) const {
+    return static_cast<std::uint32_t>(leaf.size());
+  }
+};
+
+}  // namespace
+
+mlight::index::Located PhtIndex::locate(mlight::dht::RingId initiator,
+                                        const Point& p,
+                                        std::uint32_t roundBase) {
   const Label full = interleave(p, config_.maxDepth);
-  Window window;
-  window.hi = config_.maxDepth;
-  if (!config_.cache.enabled) {
-    return search(initiator, full, window, roundBase, Located{});
-  }
-  mlight::cache::LabelHintCache& cache = hintCaches_.forPeer(initiator.value);
-  const mlight::cache::LabelHint* cached = cache.findCovering(full);
-  Located result;
-  if (cached == nullptr) {
-    result = search(initiator, full, window, roundBase, Located{});
-  } else {
-    const mlight::cache::LabelHint used = *cached;  // copy: repair mutates
-    const std::size_t t0 = std::min<std::size_t>(used.depth, window.hi);
-    const Label probeLabel = full.prefix(t0);
-    mlight::common::Writer hintWire(net_->acquireBuffer());
-    used.serialize(hintWire);
-    const auto probed = store_.accessAndFind(
-        mlight::dht::RpcKind::kHintProbe, initiator, probeLabel, roundBase,
-        std::move(hintWire).take());
-    if (probed.failed) {
-      result.failed = true;
-      return result;
-    }
-    ++result.probes;
-    result.ms += probed.ms;
-    if (probed.bucket != nullptr && probed.bucket->complete) {
-      // Live hint: the prefix still exists and is still a leaf.
-      net_->noteCacheHit();
-      result.leaf = probeLabel;
-      result.owner = probed.owner;
-    } else {
-      // Stale hint: the prefix vanished (merge pruned it) or turned into
-      // an internal routing marker (split).  Repair with the prefix
-      // search continuing from the hint's length.
-      net_->noteStaleHint();
-      cache.forget(used.leaf);
-      if (probed.bucket == nullptr) {
-        mlight::common::auditLookupSearchBounds(1, t0);  // trie root exists
-        window.hi = t0 - 1;
-      } else {
-        window.lo = t0 + 1;
-        window.gallop = true;  // splits deepen by a few levels: creep up
-      }
-      mlight::common::auditLookupSearchBounds(window.lo, window.hi);
-      result = search(initiator, full, window, roundBase, std::move(result));
-    }
-  }
-  if (result.failed) return result;
-  cache.learn(result.leaf, static_cast<std::uint32_t>(result.leaf.size()));
-  if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
-    mlight::common::auditCacheCoherence(result.leaf, uncachedLeafOracle(full));
-  }
-  return result;
-}
-
-PhtIndex::Label PhtIndex::uncachedLeafOracle(const Label& full) const {
-  std::size_t lo = 0;
-  std::size_t hi = config_.maxDepth;
-  while (lo <= hi) {
-    const std::size_t t = lo + (hi - lo) / 2;
-    const Label candidate = full.prefix(t);
-    const CellNode* node = store_.peek(candidate);
-    if (node == nullptr) {
-      if (t == 0) break;
-      hi = t - 1;
-    } else if (node->complete) {
-      return candidate;
-    } else {
-      lo = t + 1;
-    }
-  }
-  return Label{};
+  return mlight::index::PrefixLocate<LocateShape>(LocateShape{}, store_,
+                                                  *net_, hintCaches_)
+      .locate(initiator, full, config_.maxDepth, roundBase);
 }
 
 void PhtIndex::insert(const Record& record) {
-  if (record.key.dims() != config_.dims) {
-    throw std::invalid_argument("insert: wrong dimensionality");
-  }
+  mlight::index::requireIndexableKey(record.key, config_.dims, "insert");
   const auto initiator = randomPeer();
-  const Located loc = locateCached(initiator, record.key);
+  const Located loc = locate(initiator, record.key);
   if (loc.failed) {
     // Leaf unreachable under faults: drop and count, don't corrupt.
     ++failedInserts_;
@@ -232,7 +144,7 @@ void PhtIndex::splitLoop(Label leafLabel) {
 
 std::size_t PhtIndex::erase(const Point& key, std::uint64_t id) {
   const auto initiator = randomPeer();
-  const Located loc = locateCached(initiator, key);
+  const Located loc = locate(initiator, key);
   if (loc.failed) {
     net_->run();
     return 0;
@@ -294,7 +206,7 @@ void PhtIndex::mergeLoop(Label leafLabel) {
 
 mlight::index::PointResult PhtIndex::pointQuery(const Point& key) {
   const mlight::index::OpStats op(*net_, store_);
-  const Located loc = locateCached(randomPeer(), key);
+  const Located loc = locate(randomPeer(), key);
   mlight::index::PointResult out;
   if (!loc.failed) {
     const CellNode* leaf = store_.peek(loc.leaf);
@@ -318,6 +230,12 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
 
   const mlight::index::OpStats op(*net_, store_);
   const auto initiator = randomPeer();
+  const auto learnHint = [&](const Label& leaf) {
+    if (hintCaches_.forPeer(initiator.value)
+            .learn(leaf, static_cast<std::uint32_t>(leaf.size()))) {
+      net_->noteHintEviction();
+    }
+  };
 
   // Trie descent as RPC continuations: probing a child is an envelope
   // one round deeper than its parent's delivery; siblings that miss the
@@ -336,9 +254,7 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
                 if (config_.cache.enabled) {
                   // Range traversals warm the cache for free: every leaf
                   // touched is a future point-lookup hint.
-                  hintCaches_.forPeer(initiator.value)
-                      .learn(node->label,
-                             static_cast<std::uint32_t>(node->label.size()));
+                  learnHint(node->label);
                 }
                 collectInRange(*node, clipped, out.records);
               } else {
@@ -361,18 +277,14 @@ mlight::index::RangeResult PhtIndex::rangeQuery(const Rect& range) {
     // whole range; find it by point lookup of the range corner (the
     // sequential probes continue the chain at round 2).
     const Located loc =
-        locateCached(first.owner, clipped.lo(), /*roundBase=*/2);
+        locate(first.owner, clipped.lo(), /*roundBase=*/2);
     if (!loc.failed) {
       const CellNode* leaf = store_.peek(loc.leaf);
       assert(leaf != nullptr);
       collectInRange(*leaf, clipped, out.records);
     }
   } else if (first.bucket->complete) {
-    if (config_.cache.enabled) {
-      hintCaches_.forPeer(initiator.value)
-          .learn(first.bucket->label,
-                 static_cast<std::uint32_t>(first.bucket->label.size()));
-    }
+    if (config_.cache.enabled) learnHint(first.bucket->label);
     collectInRange(*first.bucket, clipped, out.records);
   } else {
     // Internal nodes hold no data: descend the trie, one round of

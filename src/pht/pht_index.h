@@ -27,6 +27,7 @@
 #include "dht/network.h"
 #include "index/cell_node.h"
 #include "index/index_base.h"
+#include "index/prefix_locate.h"
 #include "store/distributed_store.h"
 
 namespace mlight::pht {
@@ -107,41 +108,12 @@ class PhtIndex final : public mlight::index::IndexBase {
   }
 
  private:
-  struct Located {
-    Label leaf;
-    mlight::dht::RingId owner;
-    std::size_t probes = 0;
-    double ms = 0.0;
-    /// True when a probe went unanswered (fault injection): `leaf` is
-    /// meaningless then — the empty label legitimately names the root.
-    bool failed = false;
-  };
+  using Located = mlight::index::Located;
 
-  /// The prefix-length search window [lo, hi], galloping up from `lo`
-  /// first when `gallop` is set.
-  struct Window {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    bool gallop = false;
-  };
-
-  /// The prefix binary search for the leaf on `full`'s path inside
-  /// `window`, continuing `result` (see MLightIndex::search).  A missing
-  /// prefix cuts the window below its length; an unanswered probe sets
-  /// `failed`.
-  Located search(mlight::dht::RingId initiator, const Label& full,
-                 Window window, std::uint32_t roundBase, Located result);
-
-  /// Point location (see MLightIndex::locateCached): the search over
-  /// [0, D]; with the cache enabled, one direct probe of the remembered
-  /// leaf prefix first, a stale hint continuing the search from the
-  /// hint's prefix length.
-  Located locateCached(mlight::dht::RingId initiator, const Point& p,
-                       std::uint32_t roundBase = 1);
-
-  /// Unmetered peek() replica of the prefix binary search — the
-  /// paranoid-audit oracle for cached lookups.
-  Label uncachedLeafOracle(const Label& full) const;
+  /// Point location: the prefix binary search (index/prefix_locate.h,
+  /// through the hint cache when enabled) over prefix lengths [0, D].
+  Located locate(mlight::dht::RingId initiator, const Point& p,
+                 std::uint32_t roundBase = 1);
 
   mlight::dht::RingId randomPeer();
   void splitLoop(Label leaf);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "index/oracle.h"
 #include "workload/datasets.h"
@@ -196,6 +199,34 @@ TEST(PhtIndex, RejectsBadInputs) {
   Record bad;
   bad.key = Point{0.5};
   EXPECT_THROW(ok.insert(bad), std::invalid_argument);
+}
+
+TEST(PhtIndex, RejectsKeysOutsideUnitCube) {
+  // Keys live in [0,1)^m: a coordinate of 1.0 would sit outside every
+  // half-open leaf cell, where no clipped range query could return it.
+  Network net(16);
+  PhtIndex index(net, smallConfig());
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    index.insert(rec(0.05 * static_cast<double>(i), 0.5, i));
+  }
+  const std::size_t sizeBefore = index.size();
+  const CostMeter before = net.totalCost();
+  const double bad[] = {1.0, 1.5, -1e-300,
+                        std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : bad) {
+    for (const Record& r : {rec(v, 0.5, 100), rec(0.5, v, 100)}) {
+      EXPECT_THROW(index.insert(r), std::invalid_argument);
+    }
+  }
+  EXPECT_EQ(index.size(), sizeBefore);
+  const CostMeter after = net.totalCost();
+  EXPECT_EQ(after.lookups, before.lookups);
+  EXPECT_EQ(after.messages, before.messages);
+  EXPECT_EQ(after.bytesMoved, before.bytesMoved);
+  // The largest coordinate below 1.0 and 0.0 itself are valid keys.
+  EXPECT_NO_THROW(index.insert(rec(std::nextafter(1.0, 0.0), 0.0, 200)));
+  EXPECT_EQ(index.rangeQuery(Rect::unit(2)).records.size(), sizeBefore + 1);
+  EXPECT_NO_THROW(index.checkInvariants());
 }
 
 }  // namespace
