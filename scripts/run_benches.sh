@@ -8,8 +8,12 @@
 # copy at the repo root is regenerated with --perf-json=BENCH_PERF.json):
 #   * host                 — where it ran: nproc, CPU model, compiler and
 #                            version, build type (from BUILD_DIR's CMake
-#                            cache), quick flag and micro_ops min time
-#   * micro_ns_per_op      — google-benchmark real_time per micro_ops bench
+#                            cache), quick flag, micro_ops min time and
+#                            repetitions
+#   * micro_ns_per_op      — google-benchmark real_time per micro_ops
+#                            bench, the median of MICRO_REPETITIONS runs
+#                            (one pass would record host drift as a
+#                            speedup)
 #   * end_to_end_seconds   — host wall-clock per figure/ablation bench,
 #                            collected from the ##WALLCLOCK lines emitted
 #                            by bench_util.h's WallClock
@@ -54,6 +58,7 @@ for arg in "$@"; do
   esac
 done
 PERF_JSON="${PERF_JSON:-$BUILD_DIR/BENCH_PERF.json}"
+MICRO_REPETITIONS=5
 
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
@@ -78,6 +83,8 @@ for b in "$BUILD_DIR"/bench/*; do
   case "$b" in
     *micro_ops)
       "$b" ${MIN_TIME:+"$MIN_TIME"} \
+        --benchmark_repetitions="$MICRO_REPETITIONS" \
+        --benchmark_report_aggregates_only=true \
         --benchmark_out="$MICRO_JSON" --benchmark_out_format=json
       ;;
     *)
@@ -126,6 +133,7 @@ if command -v jq > /dev/null 2>&1; then
     --rawfile wire "$WIRE_LOG" \
     --arg quick "${QUICK:-}" \
     --arg min_time "${MIN_TIME#--benchmark_min_time=}" \
+    --arg micro_reps "$MICRO_REPETITIONS" \
     --arg nproc "$NPROC" \
     --arg cpu "$CPU" \
     --arg compiler "$COMPILER" \
@@ -142,7 +150,8 @@ if command -v jq > /dev/null 2>&1; then
        build_type: $build_type,
        quick: ($quick != ""),
        micro_min_time_s: (if $min_time == "" then null
-                          else ($min_time | tonumber) end)
+                          else ($min_time | tonumber) end),
+       micro_repetitions: ($micro_reps | tonumber)
      } as $host
      # Baselines come from the committed file only if it ran on this host.
      | def prevValue($section; $name):
@@ -158,12 +167,11 @@ if command -v jq > /dev/null 2>&1; then
        | add // {};
      {
        host: $host,
-       note: "Generated by scripts/run_benches.sh. Host wall-clock only: micro_ns_per_op is google-benchmark real time per op, end_to_end_seconds is host seconds per bench binary; baseline is the previous file'"'"'s current value when that file'"'"'s host block equals this one (else null), and entries of benchmarks that no longer exist are dropped. cache/scale/batch/load/wire are the ##TAG summary lines of the same run (simulated counts are bit-identical across hosts). See docs/COST_MODEL.md.",
+       note: "Generated by scripts/run_benches.sh. Host wall-clock only: micro_ns_per_op is the median google-benchmark real time per op over host.micro_repetitions runs, end_to_end_seconds is host seconds per bench binary; baseline is the previous file'"'"'s current value when that file'"'"'s host block equals this one (else null), and entries of benchmarks that no longer exist are dropped. cache/scale/batch/load/wire are the ##TAG summary lines of the same run (simulated counts are bit-identical across hosts). See docs/COST_MODEL.md.",
        micro_ns_per_op:
          (($micro_doc[0].benchmarks // [])
-          | map(select(.real_time != null
-                       and (.name | test("_BigO|_RMS") | not))
-                | {(.name): ((.real_time * 10 | round) / 10)})
+          | map(select(.aggregate_name == "median")
+                | {(.run_name): ((.real_time * 10 | round) / 10)})
           | add // {}
           | trajectory("micro_ns_per_op")),
        end_to_end_seconds: ($wall | tagged | trajectory("end_to_end_seconds")),
