@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
       std::printf("%4zu %6.1f%% %9.2f%% %9" PRIu64 " %13" PRIu64
                   " %13zu %15zu %13zu\n",
                   replication, loss * 100.0, recall,
-                  net.totalCost().retries, net.deadLetterCount(),
+                  net.totalCost().retries, net.deadLetters().total(),
                   index.store().failedReads(),
                   index.store().failoverReads(),
                   index.store().readRepairs());

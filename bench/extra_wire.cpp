@@ -138,7 +138,7 @@ RoundResult insertRound(const transport::RingMap& map,
         while (client.inFlight() >= kClientWindow) client.pump(5);
       }
       client.drain();
-      r.deadLetters = client.deadLetterTotal();
+      r.deadLetters = client.deadLetters().total();
     });
   }
   for (std::thread& t : threads) t.join();
@@ -197,7 +197,7 @@ RoundResult queryRound(const transport::RingMap& map,
         // Keys are dense: the exact expected hit count is hi - lo + 1.
         if (hits != span || bad != 0) ++r.wrongAnswers;
       }
-      r.deadLetters = client.deadLetterTotal();
+      r.deadLetters = client.deadLetters().total();
     });
   }
   for (std::thread& t : threads) t.join();
@@ -255,7 +255,7 @@ SimPrediction simPredict(std::size_t peers, const std::vector<Batch>& batches,
     pred.queryLatMs.push_back(sim.network().now() - t0);
   }
   pred.messages = sim.network().totalCost().messages;
-  pred.deadLetters = sim.network().deadLetterCount();
+  pred.deadLetters = sim.network().deadLetters().total();
   return pred;
 }
 

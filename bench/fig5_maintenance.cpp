@@ -62,13 +62,12 @@ SchemeRun runScheme(const char* scheme, const std::vector<index::Record>& data,
   dht::Network net(peers, 1);
   auto index = makeIndex(scheme, net, theta);
   SchemeRun run{scheme, {}};
-  dht::CostMeter total;
-  dht::MeterScope scope(net, total);
+  const dht::CostMeter start = net.totalCost();
   const std::size_t stride = data.size() / steps;
   for (std::size_t i = 0; i < data.size(); ++i) {
     index->insert(data[i]);
     if ((i + 1) % stride == 0 || i + 1 == data.size()) {
-      run.checkpoints.push_back(total);
+      run.checkpoints.push_back(net.totalCost() - start);
     }
   }
   return run;

@@ -2,9 +2,10 @@
 //
 // The paper's metrics are counts, not wall-clock times: number of
 // DHT-lookups (bandwidth), rounds of DHT-lookups (latency), and amount of
-// data moved (maintenance).  Every routed operation reports into the
-// CostMeter installed on the network; callers scope meters around the
-// operation groups they want to measure.
+// data moved (maintenance).  The network charges every cost once, into
+// its running total (Network::totalCost()); a meter for an operation or
+// a group of them is the difference of that total across it
+// (MeterScope, index::OpStats), so meters nest and add up exactly.
 #pragma once
 
 #include <algorithm>
@@ -67,6 +68,8 @@ struct CostMeter {
     d.feed(staleHints);
     d.feed(hintEvictions);
   }
+
+  friend bool operator==(const CostMeter&, const CostMeter&) = default;
 
   CostMeter& operator+=(const CostMeter& other) noexcept {
     lookups += other.lookups;

@@ -205,10 +205,6 @@ RouteResult Network::routeKey(RingId initiator, RingId key,
   maxHops_ = std::max(maxHops_, path.hops);
   total_.lookups += 1;
   total_.hops += path.hops;
-  if (meter_ != nullptr) {
-    meter_->lookups += 1;
-    meter_->hops += path.hops;
-  }
   return RouteResult{peers_[slots.owner], path.hops, path.ms};
 }
 
@@ -232,10 +228,6 @@ void Network::shipPayload(RingId from, RingId to, std::size_t bytes,
   if (from == to) return;
   total_.bytesMoved += bytes;
   total_.recordsMoved += records;
-  if (meter_ != nullptr) {
-    meter_->bytesMoved += bytes;
-    meter_->recordsMoved += records;
-  }
 }
 
 std::uint32_t Network::allocDeliverySlot() {
@@ -393,7 +385,6 @@ void Network::transmitWithFaults(RingId key, const RouteResult& route,
         // changed if the timeout was caused by a crash) — a fresh metered
         // lookup plus one retry tick.
         total_.retries += 1;
-        if (meter_ != nullptr) meter_->retries += 1;
         RouteSlots slots{};
         const RouteResult retryRoute = routeKey(env.from, key, slots);
         env.to = retryRoute.owner;
@@ -415,7 +406,6 @@ RouteResult Network::sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
   env.to = route.owner;
   env.id = nextRpcId_++;
   total_.messages += 1;
-  if (meter_ != nullptr) meter_->messages += 1;
   peerLoads_.note(physicalOfIdx_[slots.owner]);
 
   if (faults_.enabled) {

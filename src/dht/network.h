@@ -16,9 +16,10 @@
 //  * membership can change (churn); registered stores are told to migrate
 //    keys whose ownership moved.
 //
-// The Network is the only component that touches the CostMeter: each
+// The Network keeps the one running CostMeter (totalCost()): each
 // routed resolution counts one DHT-lookup plus its hops, and payload
-// shipped between distinct peers counts bytes/records moved.
+// shipped between distinct peers counts bytes/records moved.  Every
+// other meter is a window on that total (MeterScope, index::OpStats).
 #pragma once
 
 #include <cstddef>
@@ -332,25 +333,11 @@ class Network {
   void setFaultModel(const FaultModel& faults);
   const FaultModel& faultModel() const noexcept { return faults_; }
 
-  /// All-time envelopes that exhausted FaultModel::maxAttempts
-  /// transmissions (the counter the digests and goldens pin).
-  std::uint64_t deadLetterCount() const noexcept {
-    return deadLetterRing_.total();
-  }
-  /// The most recent dead letters in full, oldest first (bounded ring —
-  /// see dht::DeadLetterRing; diagnostics only).
-  std::vector<DeadLetter> deadLetterLog() const {
-    return deadLetterRing_.snapshot();
-  }
-  /// Ring evictions: dead letters whose full record was discarded to
-  /// stay within the log's capacity (they still count in
-  /// deadLetterCount()).
-  std::uint64_t deadLettersDropped() const noexcept {
-    return deadLetterRing_.dropped();
-  }
-  /// Entries currently retained in the log — the gauge to export.
-  std::size_t deadLetterLogSize() const noexcept {
-    return deadLetterRing_.size();
+  /// Envelopes that exhausted FaultModel::maxAttempts transmissions:
+  /// total() is the all-time count the digests and goldens pin, the
+  /// bounded log keeps the most recent in full (see dht::DeadLetterRing).
+  const DeadLetterRing& deadLetters() const noexcept {
+    return deadLetterRing_;
   }
   /// Deliveries suppressed because the addressee crashed while the
   /// envelope was in flight (fault injection only; each such attempt is
@@ -398,36 +385,21 @@ class Network {
                   [handle](const auto& e) { return e.first == handle; });
   }
 
-  /// Installs `meter` as the destination for cost accounting; returns the
-  /// previous meter (restore it when done).  Null disables scoped
-  /// metering; totals are always accumulated in totalCost().
-  CostMeter* setMeter(CostMeter* meter) noexcept {
-    CostMeter* old = meter_;
-    meter_ = meter;
-    return old;
-  }
-
+  /// The running total of every cost charged since the network was
+  /// built — the one ledger; MeterScope and per-operation stats read
+  /// differences of it.
   const CostMeter& totalCost() const noexcept { return total_; }
 
   /// Meters a hint probe that resolved the lookup in one shot.  The
   /// probe's lookup/hops/message were already counted by sendRpc; these
   /// note only the cache outcome, so cacheHits/staleHints never double
   /// into `lookups`.
-  void noteCacheHit() noexcept {
-    ++total_.cacheHits;
-    if (meter_ != nullptr) ++meter_->cacheHits;
-  }
+  void noteCacheHit() noexcept { ++total_.cacheHits; }
   /// Meters a hint probe that found its leaf gone (repair follows).
-  void noteStaleHint() noexcept {
-    ++total_.staleHints;
-    if (meter_ != nullptr) ++meter_->staleHints;
-  }
+  void noteStaleHint() noexcept { ++total_.staleHints; }
   /// Meters a hint-cache LRU eviction (a learn() that dropped the
   /// coldest hint to make room).
-  void noteHintEviction() noexcept {
-    ++total_.hintEvictions;
-    if (meter_ != nullptr) ++meter_->hintEvictions;
-  }
+  void noteHintEviction() noexcept { ++total_.hintEvictions; }
 
   /// Per-physical-peer query load: requests (RPC envelopes, including
   /// retransmissions) addressed to each peer since the network was
@@ -531,7 +503,6 @@ class Network {
   std::vector<std::pair<std::uint64_t, RebalanceFn>> stores_;
   std::uint64_t nextStoreHandle_ = 0;
   mlight::common::Rng rng_;
-  CostMeter* meter_ = nullptr;
   CostMeter total_;
   PeerLoadMeter peerLoads_;
   std::size_t maxHops_ = 0;
@@ -559,19 +530,23 @@ class Network {
   DeadLetterRing deadLetterRing_;
 };
 
-/// RAII helper: installs a meter on construction, restores on destruction.
+/// RAII window on the network's running total: on destruction adds the
+/// cost charged while in scope to `into`.  Scopes nest by construction;
+/// `into` is complete once the scope closes (read totalCost()
+/// differences to watch an open window).
 class MeterScope {
  public:
-  MeterScope(Network& net, CostMeter& meter) noexcept
-      : net_(net), prev_(net.setMeter(&meter)) {}
-  ~MeterScope() { net_.setMeter(prev_); }
+  MeterScope(const Network& net, CostMeter& into) noexcept
+      : net_(net), into_(into), start_(net.totalCost()) {}
+  ~MeterScope() { into_ += net_.totalCost() - start_; }
 
   MeterScope(const MeterScope&) = delete;
   MeterScope& operator=(const MeterScope&) = delete;
 
  private:
-  Network& net_;
-  CostMeter* prev_;
+  const Network& net_;
+  CostMeter& into_;
+  CostMeter start_;
 };
 
 }  // namespace mlight::dht

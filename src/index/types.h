@@ -41,6 +41,34 @@ struct QueryStats {
   /// True iff no probe of this operation failed (the result is the full
   /// answer, not a partial one).
   bool complete() const noexcept { return failedProbes == 0; }
+
+  /// Folds in a sub-operation run after this one (rounds and latency
+  /// add up: the sub-operations are sequential).
+  QueryStats& operator+=(const QueryStats& other) noexcept {
+    cost += other.cost;
+    rounds += other.rounds;
+    latencyMs += other.latencyMs;
+    failedProbes += other.failedProbes;
+    return *this;
+  }
+};
+
+/// Data moved by a prefix-tree index's maintenance, split by cause
+/// (m-LIGHT and PHT; commutative sums, fed into their state digests).
+struct MaintenanceBreakdown {
+  std::uint64_t insertShipBytes = 0;   ///< records shipped into leaves
+  std::uint64_t splitShipBytes = 0;    ///< bucket bytes re-assigned at splits
+  std::uint64_t splitBucketMoves = 0;  ///< buckets re-keyed at splits
+  std::uint64_t splitStayLocal = 0;    ///< children that kept the old key
+  std::uint64_t mergeShipBytes = 0;    ///< bucket bytes moved at merges
+
+  void digestTo(mlight::common::Digest& d) const noexcept {
+    d.feed(insertShipBytes);
+    d.feed(splitShipBytes);
+    d.feed(splitBucketMoves);
+    d.feed(splitStayLocal);
+    d.feed(mergeShipBytes);
+  }
 };
 
 /// Range query outcome: matching records plus the cost report.

@@ -127,7 +127,7 @@ MLightIndex::LookupResult MLightIndex::lookupLinear(const Point& key) {
 }
 
 MLightIndex::LookupResult MLightIndex::lookup(const Point& key) {
-  const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
+  const mlight::index::OpStats op(*net_, store_);
   const Located loc = locate(randomPeer(), key);
   store_.drainLoadBalance();
   LookupResult out;
@@ -199,7 +199,7 @@ std::size_t MLightIndex::erase(const Point& key, std::uint64_t id) {
 }
 
 mlight::index::PointResult MLightIndex::pointQuery(const Point& key) {
-  const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
+  const mlight::index::OpStats op(*net_, store_);
   const Located loc = locate(randomPeer(), key);
   store_.drainLoadBalance();
   mlight::index::PointResult out;

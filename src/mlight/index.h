@@ -216,14 +216,8 @@ class MLightIndex final : public mlight::index::IndexBase {
   /// Logical maintenance traffic breakdown (counted even when a bucket
   /// happens to land on the same peer, unlike the network meter, so the
   /// ablation numbers do not depend on hashing luck).
-  struct MaintenanceBreakdown {
-    std::uint64_t insertShipBytes = 0;  ///< records shipped into leaves
-    std::uint64_t splitShipBytes = 0;   ///< bucket bytes re-assigned at splits
-    std::uint64_t splitBucketMoves = 0; ///< buckets re-keyed at splits
-    std::uint64_t splitStayLocal = 0;   ///< children that kept the old key
-    std::uint64_t mergeShipBytes = 0;   ///< bucket bytes moved at merges
-  };
-  const MaintenanceBreakdown& maintenanceBreakdown() const noexcept {
+  const mlight::index::MaintenanceBreakdown& maintenanceBreakdown()
+      const noexcept {
     return breakdown_;
   }
 
@@ -295,11 +289,7 @@ class MLightIndex final : public mlight::index::IndexBase {
     mlight::common::Digest d;
     d.feed(size_);
     d.feed(failedInserts_);
-    d.feed(breakdown_.insertShipBytes);
-    d.feed(breakdown_.splitShipBytes);
-    d.feed(breakdown_.splitBucketMoves);
-    d.feed(breakdown_.splitStayLocal);
-    d.feed(breakdown_.mergeShipBytes);
+    breakdown_.digestTo(d);
     store_.digestState(d);
     hintCaches_.digestState(d);
     if (wal_ != nullptr) wal_->digestState(d);
@@ -386,7 +376,7 @@ class MLightIndex final : public mlight::index::IndexBase {
   mlight::common::Rng rng_;
   mlight::cache::HintCacheSet hintCaches_;
   std::size_t failedInserts_ = 0;
-  MaintenanceBreakdown breakdown_;
+  mlight::index::MaintenanceBreakdown breakdown_;
   std::vector<TraceEvent>* trace_ = nullptr;
   std::size_t size_ = 0;
   RangeScratch rangeScratch_;

@@ -44,10 +44,7 @@ MLightIndex::KnnResult MLightIndex::knnQuery(const Point& q, std::size_t k) {
   // Seed the radius with the leaf covering q: its cell diameter is the
   // natural local scale (and guarantees the first box is non-trivial).
   const LookupResult seed = lookup(q);
-  out.stats.cost += seed.stats.cost;
-  out.stats.rounds += seed.stats.rounds;
-  out.stats.latencyMs += seed.stats.latencyMs;
-  out.stats.failedProbes += seed.stats.failedProbes;
+  out.stats += seed.stats;
   const Rect leafRegion = labelRegion(seed.leaf, config_.dims);
   double radius = 1e-6;
   for (std::size_t d = 0; d < config_.dims; ++d) {
@@ -59,10 +56,7 @@ MLightIndex::KnnResult MLightIndex::knnQuery(const Point& q, std::size_t k) {
   for (;;) {
     const Rect box = boxAround(radius);
     auto res = rangeQuery(box);
-    out.stats.cost += res.stats.cost;
-    out.stats.rounds += res.stats.rounds;
-    out.stats.latencyMs += res.stats.latencyMs;
-    out.stats.failedProbes += res.stats.failedProbes;
+    out.stats += res.stats;
     std::sort(res.records.begin(), res.records.end(),
               [&](const Record& a, const Record& b) {
                 const double da = distance(a.key);

@@ -303,11 +303,12 @@ mlight::index::RangeResult MLightIndex::regionQueryCore(
   const Rect clipped = box.intersection(Rect::unit(config_.dims));
   if (clipped.empty()) return out;
 
-  // Freeze the read routes of boosted leaves at this quiescent point:
-  // the cascade's handlers issue kGet reads mid-flight, and they
+  // The bracket freezes the read routes of boosted leaves at this
+  // quiescent point: the cascade's handlers issue kGet reads mid-flight,
+  // and they
   // must consult a table fixed for the whole operation — never the live
   // load counters — to stay order-free under tie shuffling.
-  const mlight::index::OpStats op(*net_, store_, /*freezeReadRoutes=*/true);
+  const mlight::index::OpStats op(*net_, store_);
   const auto initiator = randomPeer();
 
   // Range queries are the cheap way to warm the lookup cache: every leaf

@@ -70,14 +70,9 @@ class PhtIndex final : public mlight::index::IndexBase {
 
   /// Logical split/merge traffic (counted independently of hashing luck;
   /// both children of every PHT split are re-assigned to fresh keys).
-  struct MaintenanceBreakdown {
-    std::uint64_t insertShipBytes = 0;
-    std::uint64_t splitShipBytes = 0;
-    std::uint64_t splitBucketMoves = 0;
-    std::uint64_t splitStayLocal = 0;  ///< always 0 for PHT
-    std::uint64_t mergeShipBytes = 0;
-  };
-  const MaintenanceBreakdown& maintenanceBreakdown() const noexcept {
+  /// splitStayLocal is always 0 for PHT.
+  const mlight::index::MaintenanceBreakdown& maintenanceBreakdown()
+      const noexcept {
     return breakdown_;
   }
 
@@ -97,11 +92,7 @@ class PhtIndex final : public mlight::index::IndexBase {
   std::uint64_t stateDigest() const {
     mlight::common::Digest d;
     d.feed(size_);
-    d.feed(breakdown_.insertShipBytes);
-    d.feed(breakdown_.splitShipBytes);
-    d.feed(breakdown_.splitBucketMoves);
-    d.feed(breakdown_.splitStayLocal);
-    d.feed(breakdown_.mergeShipBytes);
+    breakdown_.digestTo(d);
     store_.digestState(d);
     hintCaches_.digestState(d);
     return d.value();
@@ -124,7 +115,7 @@ class PhtIndex final : public mlight::index::IndexBase {
   mlight::store::DistributedStore<CellNode> store_;
   mlight::common::Rng rng_;
   mlight::cache::HintCacheSet hintCaches_;
-  MaintenanceBreakdown breakdown_;
+  mlight::index::MaintenanceBreakdown breakdown_;
   std::size_t size_ = 0;
   std::size_t failedInserts_ = 0;
 };

@@ -59,14 +59,8 @@ class SimTransport : public Transport {
 
   void drain() override { net_.run(); }
 
-  std::uint64_t deadLetterTotal() const override {
-    return net_.deadLetterCount();
-  }
-  std::uint64_t deadLettersDropped() const override {
-    return net_.deadLettersDropped();
-  }
-  std::size_t deadLetterLogSize() const override {
-    return net_.deadLetterLogSize();
+  const dht::DeadLetterRing& deadLetters() const override {
+    return net_.deadLetters();
   }
 
   /// The underlying simulator, e.g. to install a FaultModel or read the

@@ -169,16 +169,7 @@ class TcpTransport : public Transport {
 
   std::size_t inFlight() const noexcept { return pending_.size(); }
 
-  std::uint64_t deadLetterTotal() const override {
-    return deadLetters_.total();
-  }
-  std::uint64_t deadLettersDropped() const override {
-    return deadLetters_.dropped();
-  }
-  std::size_t deadLetterLogSize() const override {
-    return deadLetters_.size();
-  }
-  const dht::DeadLetterRing& deadLetterRing() const noexcept {
+  const dht::DeadLetterRing& deadLetters() const override {
     return deadLetters_;
   }
 

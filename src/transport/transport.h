@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 
 #include "dht/id.h"
@@ -53,12 +52,9 @@ class Transport {
   /// dead-lettered.
   virtual void drain() = 0;
 
-  /// All-time dead letters (same semantics as Network::deadLetterCount).
-  virtual std::uint64_t deadLetterTotal() const = 0;
-  /// Ring evictions from the bounded dead-letter log.
-  virtual std::uint64_t deadLettersDropped() const = 0;
-  /// Entries currently retained in the log — the gauge.
-  virtual std::size_t deadLetterLogSize() const = 0;
+  /// Calls that exhausted their retry budget (same ring type and
+  /// semantics as Network::deadLetters()).
+  virtual const dht::DeadLetterRing& deadLetters() const = 0;
 };
 
 }  // namespace mlight::transport

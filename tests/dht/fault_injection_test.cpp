@@ -109,7 +109,7 @@ TEST(FaultInjection, DisabledModelAddsNothing) {
               [&](const RpcDelivery&) { ++delivered; });
   net.run();
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(net.deadLetterCount(), 0u);
+  EXPECT_EQ(net.deadLetters().total(), 0u);
   EXPECT_EQ(net.ghostDrops(), 0u);
   EXPECT_EQ(net.totalCost().retries, 0u);
 }
@@ -130,7 +130,7 @@ TEST(FaultInjection, LossyLinkRetriesUntilDelivered) {
   }
   net.run();
   EXPECT_EQ(delivered, 50);
-  EXPECT_EQ(net.deadLetterCount(), 0u);
+  EXPECT_EQ(net.deadLetters().total(), 0u);
   // With p = 0.5 over 50 sends, retries are statistically certain.
   EXPECT_GT(net.totalCost().retries, 0u);
 }
@@ -157,11 +157,11 @@ TEST(FaultInjection, TotalLossBecomesDeadLetter) {
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(reportedAttempts, 4u);
-  EXPECT_EQ(net.deadLetterCount(), 1u);
-  ASSERT_EQ(net.deadLetterLog().size(), 1u);
-  EXPECT_EQ(net.deadLetterLog()[0].attempts, 4u);
-  EXPECT_EQ(net.deadLetterLogSize(), 1u);
-  EXPECT_EQ(net.deadLettersDropped(), 0u);
+  EXPECT_EQ(net.deadLetters().total(), 1u);
+  ASSERT_EQ(net.deadLetters().snapshot().size(), 1u);
+  EXPECT_EQ(net.deadLetters().snapshot()[0].attempts, 4u);
+  EXPECT_EQ(net.deadLetters().size(), 1u);
+  EXPECT_EQ(net.deadLetters().dropped(), 0u);
   // 4 attempts = the original send + 3 retries.
   EXPECT_EQ(net.totalCost().retries, 3u);
 }
@@ -221,10 +221,10 @@ TEST(DeadLetterRing, NetworkLogCapsAtRingCapacityTotalKeepsCounting) {
                 makeEnv(net.peers()[i % 16]), [](const RpcDelivery&) {});
   }
   net.run();
-  EXPECT_EQ(net.deadLetterCount(), kSends);
-  EXPECT_EQ(net.deadLetterLogSize(), DeadLetterRing::kDefaultCapacity);
-  EXPECT_EQ(net.deadLettersDropped(), kSends - DeadLetterRing::kDefaultCapacity);
-  EXPECT_EQ(net.deadLetterLog().size(), DeadLetterRing::kDefaultCapacity);
+  EXPECT_EQ(net.deadLetters().total(), kSends);
+  EXPECT_EQ(net.deadLetters().size(), DeadLetterRing::kDefaultCapacity);
+  EXPECT_EQ(net.deadLetters().dropped(), kSends - DeadLetterRing::kDefaultCapacity);
+  EXPECT_EQ(net.deadLetters().snapshot().size(), DeadLetterRing::kDefaultCapacity);
 }
 
 TEST(FaultInjection, CrashInFlightSuppressesGhostDelivery) {
@@ -254,7 +254,7 @@ TEST(FaultInjection, CrashInFlightSuppressesGhostDelivery) {
   ASSERT_EQ(deliveredAt.size(), 1u);
   EXPECT_EQ(deliveredAt[0], net.responsible(key));
   EXPECT_NE(deliveredAt[0], victim);
-  EXPECT_EQ(net.deadLetterCount(), 0u);
+  EXPECT_EQ(net.deadLetters().total(), 0u);
 }
 
 // A crashed peer's timers die with it: when the sender of a lost
@@ -291,10 +291,10 @@ TEST(FaultInjection, CrashedSenderDeadLettersInsteadOfRetransmitting) {
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(reportedAttempts, 1u);
-  EXPECT_EQ(net.deadLetterCount(), 1u);
-  ASSERT_EQ(net.deadLetterLog().size(), 1u);
-  EXPECT_EQ(net.deadLetterLog()[0].from, sender);
-  EXPECT_EQ(net.deadLetterLog()[0].attempts, 1u);
+  EXPECT_EQ(net.deadLetters().total(), 1u);
+  ASSERT_EQ(net.deadLetters().snapshot().size(), 1u);
+  EXPECT_EQ(net.deadLetters().snapshot()[0].from, sender);
+  EXPECT_EQ(net.deadLetters().snapshot()[0].attempts, 1u);
   EXPECT_EQ(net.totalCost().retries, 0u);
   EXPECT_EQ(net.totalCost().lookups, 1u);  // only the original send
 }
@@ -428,7 +428,7 @@ TEST(Failover, DeadLetterFailsOverToSurvivingReplica) {
   net.run();
   EXPECT_FALSE(invoked);
   EXPECT_EQ(store.failedReads(), 1u);
-  EXPECT_EQ(net.deadLetterCount(), 2u);  // one per candidate holder
+  EXPECT_EQ(net.deadLetters().total(), 2u);  // one per candidate holder
 
   // With loss off again the same read succeeds (data never moved).
   faults.lossProbability = 0.0;
@@ -459,7 +459,7 @@ TEST(Failover, DeadLetteredPutMournsItsLabel) {
   net.setFaultModel(faults);
   store.place(source, target, FakeBucket{2});
   net.setFaultModel(FaultModel{});
-  EXPECT_EQ(net.deadLetterCount(), 1u);
+  EXPECT_EQ(net.deadLetters().total(), 1u);
   EXPECT_EQ(store.peek(target), nullptr);
   EXPECT_TRUE(store.isMourned(target));
   EXPECT_EQ(store.lostBuckets(), 1u);
@@ -500,6 +500,13 @@ mlight::index::Record uniformRecord(mlight::common::Rng& rng,
   return r;
 }
 
+/// The metering contract of index paths, which never call the bare
+/// Network::lookup(): every routed resolution is an envelope's first
+/// transmission (one message) or a retransmission (one retry).
+void expectLookupsAreMessagesPlusRetries(const mlight::dht::CostMeter& c) {
+  EXPECT_EQ(c.lookups, c.messages + c.retries);
+}
+
 /// Inserts `n` uniform records into an m-LIGHT index over a lossy
 /// overlay, then reads back every acknowledged one.  Returns the number
 /// of lost buckets; fails the test on any silent miss (an acknowledged
@@ -527,8 +534,11 @@ std::size_t lossyMLightRun(std::uint64_t seed, std::size_t n) {
         std::any_of(res.records.begin(), res.records.end(),
                     [&](const mlight::index::Record& x) { return x.id == r.id; });
     if (!found && res.stats.failedProbes == 0) ++silentMisses;
+    expectLookupsAreMessagesPlusRetries(res.stats.cost);
   }
   EXPECT_EQ(silentMisses, 0u) << "seed " << seed;
+  EXPECT_GT(net.totalCost().retries, 0u);
+  expectLookupsAreMessagesPlusRetries(net.totalCost());
   return index.store().lostBuckets();
 }
 
@@ -553,8 +563,15 @@ LossyPhtOutcome lossyPhtRun(std::uint64_t seed, std::size_t n,
   pht::PhtIndex index(net, cfg);
   mlight::common::Rng rng(7 * seed);
   for (std::size_t i = 0; i < n; ++i) index.insert(uniformRecord(rng, i));
-  return {index.store().lostBuckets(), net.totalCost().lookups,
-          index.stateDigest()};
+  const LossyPhtOutcome out{index.store().lostBuckets(),
+                            net.totalCost().lookups, index.stateDigest()};
+  for (std::size_t i = 0; i < 50; ++i) {
+    const auto res = index.pointQuery(uniformRecord(rng, n + i).key);
+    expectLookupsAreMessagesPlusRetries(res.stats.cost);
+  }
+  EXPECT_GT(net.totalCost().retries, 0u);
+  expectLookupsAreMessagesPlusRetries(net.totalCost());
+  return out;
 }
 
 // Under lossy links some split puts dead-letter.  The moved child is then

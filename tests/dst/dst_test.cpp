@@ -243,7 +243,9 @@ TEST(DstIndex, SurvivesChurn) {
 /// Totals of one fixed insert/erase/query sequence.
 struct PinnedRun {
   std::uint64_t digest = 0;
-  CostMeter cost;
+  CostMeter cost;     ///< inserts and erases
+  CostMeter queries;  ///< summed stats.cost of the queries
+  CostMeter total;    ///< a scope around the whole sequence
   std::size_t answers = 0;
   std::size_t rounds = 0;
 };
@@ -252,31 +254,39 @@ PinnedRun pinnedRun(const DstConfig& cfg) {
   Network net(32);
   DstIndex index(net, cfg);
   PinnedRun out;
-  MeterScope scope(net, out.cost);
-  Rng rng(101);
-  std::vector<Record> records;
-  for (std::uint64_t i = 0; i < 240; ++i) {
-    Record r;
-    r.key = Point(cfg.dims);
-    for (std::size_t d = 0; d < cfg.dims; ++d) r.key[d] = rng.uniform();
-    r.id = i;
-    r.payload = "p" + std::to_string(i);
-    records.push_back(r);
-    index.insert(r);
-  }
-  for (std::size_t i = 0; i < records.size(); i += 3) {
-    index.erase(records[i].key, records[i].id);
-  }
-  for (double span : {0.05, 0.3}) {
-    for (const Rect& q :
-         mlight::workload::uniformRangeQueries(6, cfg.dims, span, 103)) {
-      const auto res = index.rangeQuery(q);
-      out.answers += res.records.size();
-      out.rounds += res.stats.rounds;
+  {
+    MeterScope whole(net, out.total);
+    Rng rng(101);
+    std::vector<Record> records;
+    {
+      MeterScope writes(net, out.cost);
+      for (std::uint64_t i = 0; i < 240; ++i) {
+        Record r;
+        r.key = Point(cfg.dims);
+        for (std::size_t d = 0; d < cfg.dims; ++d) r.key[d] = rng.uniform();
+        r.id = i;
+        r.payload = "p" + std::to_string(i);
+        records.push_back(r);
+        index.insert(r);
+      }
+      for (std::size_t i = 0; i < records.size(); i += 3) {
+        index.erase(records[i].key, records[i].id);
+      }
     }
-  }
-  for (std::size_t i = 1; i < records.size(); i += 40) {
-    out.answers += index.pointQuery(records[i].key).records.size();
+    for (double span : {0.05, 0.3}) {
+      for (const Rect& q :
+           mlight::workload::uniformRangeQueries(6, cfg.dims, span, 103)) {
+        const auto res = index.rangeQuery(q);
+        out.answers += res.records.size();
+        out.rounds += res.stats.rounds;
+        out.queries += res.stats.cost;
+      }
+    }
+    for (std::size_t i = 1; i < records.size(); i += 40) {
+      const auto res = index.pointQuery(records[i].key);
+      out.answers += res.records.size();
+      out.queries += res.stats.cost;
+    }
   }
   index.checkInvariants();
   out.digest = index.stateDigest();
@@ -324,6 +334,11 @@ TEST(DstIndex, StateDigestAndCostsPinned) {
     EXPECT_EQ(got.cost.messages, want.messages);
     EXPECT_EQ(got.answers, want.answers);
     EXPECT_EQ(got.rounds, want.rounds);
+    // The outer scope sees the writes and every query's reported cost.
+    CostMeter writesAndQueries = got.cost;
+    writesAndQueries += got.queries;
+    EXPECT_GT(got.queries.lookups, 0u);
+    EXPECT_EQ(got.total, writesAndQueries);
   }
 }
 

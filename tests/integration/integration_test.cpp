@@ -99,6 +99,35 @@ TEST(Integration, AllSchemesAgreeOnPointQueries) {
   }
 }
 
+// A meter scoped around whole operations reads exactly what the
+// operations report, however many scopes the indexes open inside.
+TEST(Integration, MeterScopeAroundQueriesReadsTheirSummedCost) {
+  Fleet fleet;
+  const auto data = workload::uniformDataset(600, 2, 13);
+  fleet.insertAll(data);
+  CostMeter outer;
+  CostMeter reported;
+  {
+    MeterScope scope(fleet.net, outer);
+    Rng rng(19);
+    for (int i = 0; i < 10; ++i) {
+      const Point probe = data[rng.below(data.size())].key;
+      reported += fleet.mlight->lookup(probe).stats.cost;
+      reported += fleet.mlight->pointQuery(probe).stats.cost;
+      reported += fleet.pht->pointQuery(probe).stats.cost;
+      reported += fleet.dst->pointQuery(probe).stats.cost;
+    }
+    for (const Rect& q : workload::uniformRangeQueries(6, 2, 0.1, 23)) {
+      reported += fleet.mlight->rangeQuery(q).stats.cost;
+      reported += fleet.mlight->rangeCount(q).stats.cost;
+      reported += fleet.pht->rangeQuery(q).stats.cost;
+      reported += fleet.dst->rangeQuery(q).stats.cost;
+    }
+  }
+  EXPECT_GT(reported.lookups, 0u);
+  EXPECT_EQ(outer, reported);
+}
+
 TEST(Integration, MaintenanceCostOrderingMatchesPaper) {
   // Fig 5's shape: DST is an order of magnitude above the others in both
   // DHT-lookups and data movement; m-LIGHT beats PHT.

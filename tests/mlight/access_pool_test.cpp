@@ -119,7 +119,7 @@ TEST(AccessStatePool, LossyFailoverRunReturnsEveryState) {
   EXPECT_EQ(store.accessesInFlight(), 0u);
   EXPECT_GT(store.failoverReads(), 0u);
   EXPECT_GT(store.failedReads(), 0u);
-  EXPECT_GT(net.deadLetterCount(), 0u);
+  EXPECT_GT(net.deadLetters().total(), 0u);
   EXPECT_GT(store.accessStatePoolSize(), 0u);
 }
 

@@ -209,7 +209,7 @@ TEST(BucketKeys, LossyBatchesAndWalRecoveryStayInLockstep) {
     const auto data = mlight::workload::clusteredDataset(800, 2, 3, 0.02, 12);
     const auto res = index.insertBatched(data, 64);
     EXPECT_EQ(res.acked + res.failed, data.size());
-    EXPECT_GT(net.deadLetterCount(), 0u);
+    EXPECT_GT(net.deadLetters().total(), 0u);
     std::size_t buckets = 0;
     index.store().forEach(
         [&](const BitString&, const LeafBucket& b, RingId) {

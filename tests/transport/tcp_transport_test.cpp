@@ -70,7 +70,7 @@ TEST(TcpTransport, InsertAndGetThroughRealSockets) {
   }
   client.drain();
   EXPECT_EQ(stored, 100u);
-  EXPECT_EQ(client.deadLetterTotal(), 0u);
+  EXPECT_EQ(client.deadLetters().total(), 0u);
 
   // Every record is retrievable from whatever peer owns it.
   std::size_t found = 0;
@@ -88,7 +88,7 @@ TEST(TcpTransport, InsertAndGetThroughRealSockets) {
   }
   client.drain();
   EXPECT_EQ(found, 100u);
-  EXPECT_EQ(client.deadLetterTotal(), 0u);
+  EXPECT_EQ(client.deadLetters().total(), 0u);
 
   // Range query: broadcast to all peers, merged result must be exact.
   std::vector<WireStore::Record> merged;
@@ -143,10 +143,10 @@ TEST(TcpTransport, ConnectRefusedExhaustsRetriesIntoDeadLetterRing) {
               });
   client.drain();
   EXPECT_EQ(failedAttempts, 3u);
-  EXPECT_EQ(client.deadLetterTotal(), 1u);
-  EXPECT_EQ(client.deadLetterLogSize(), 1u);
-  EXPECT_EQ(client.deadLettersDropped(), 0u);
-  const std::vector<dht::DeadLetter> log = client.deadLetterRing().snapshot();
+  EXPECT_EQ(client.deadLetters().total(), 1u);
+  EXPECT_EQ(client.deadLetters().size(), 1u);
+  EXPECT_EQ(client.deadLetters().dropped(), 0u);
+  const std::vector<dht::DeadLetter> log = client.deadLetters().snapshot();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].attempts, 3u);
   EXPECT_EQ(log[0].kind, dht::RpcKind::kGet);
@@ -221,7 +221,7 @@ TEST(TcpTransport, MidFrameDisconnectBecomesDeadLetter) {
               });
   client.drain();
   EXPECT_EQ(failedAttempts, 3u);
-  EXPECT_EQ(client.deadLetterTotal(), 1u);
+  EXPECT_EQ(client.deadLetters().total(), 1u);
   EXPECT_GE(killer.kills(), 1u);        // the torn frame really was seen
   EXPECT_GE(client.reconnects(), 1u);   // and the pool replaced the conn
 }
@@ -244,7 +244,7 @@ TEST(TcpTransport, ServerDropsOversizedClientFrame) {
               [&failed](const dht::RpcEnvelope&, std::size_t) { ++failed; });
   client.drain();
   EXPECT_EQ(failed, 1u);
-  EXPECT_EQ(client.deadLetterTotal(), 1u);
+  EXPECT_EQ(client.deadLetters().total(), 1u);
   server.stop();
   EXPECT_GE(server.connsDropped(), 1u);
   EXPECT_EQ(server.framesServed(), 0u);

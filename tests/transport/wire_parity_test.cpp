@@ -98,7 +98,7 @@ Answers runWorkload(Transport& t, std::size_t peers, RouteKeyFn peerKey) {
            nullptr);
     t.drain();  // per-peer order: broadcast answers merge peer by peer
   }
-  a.deadLetters = t.deadLetterTotal();
+  a.deadLetters = t.deadLetters().total();
   return a;
 }
 
