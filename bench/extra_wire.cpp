@@ -8,8 +8,9 @@
 // range queries over u64 records.  Reports measured aggregate qps and
 // client-observed p50/p99 wall latency per concurrency level, next to
 // what the deterministic simulator predicts for the identical workload
-// (same ring geometry, same batches, same placement — see
-// tests/transport/wire_parity_test.cpp for the pinned equivalence).
+// (same ring — both worlds resolve owners on a dht::Network — same
+// batches, same placement; tests/transport/wire_parity_test.cpp checks
+// that both worlds place and answer alike).
 //
 // Every query answer is verified against the analytically known truth
 // (keys are dense 0..N-1 with a fixed value mix), so the ##WIRE
@@ -30,8 +31,8 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "dht/network.h"
 #include "store/wire_store.h"
-#include "transport/ring_map.h"
 #include "transport/sim_transport.h"
 #include "transport/tcp.h"
 
@@ -74,12 +75,12 @@ struct Batch {
 
 /// Groups the dense key space into per-owner batches of kBatchRecords,
 /// identically for the simulated and the measured run.
-std::vector<Batch> buildBatches(const transport::RingMap& map,
+std::vector<Batch> buildBatches(const dht::Network& ring,
                                 std::size_t records) {
-  std::vector<std::vector<WireStore::Record>> acc(map.peerCount());
+  std::vector<std::vector<WireStore::Record>> acc(ring.physicalCount());
   std::vector<Batch> out;
   for (std::uint64_t k = 0; k < records; ++k) {
-    const std::size_t p = map.ownerPeer(wireRingKey(k));
+    const std::size_t p = ring.physicalOf(ring.responsible(wireRingKey(k)));
     acc[p].emplace_back(k, valueOf(k));
     if (acc[p].size() == kBatchRecords) {
       out.push_back(Batch{p, std::move(acc[p])});
@@ -109,7 +110,7 @@ struct RoundResult {
 
 /// Insert round at concurrency C: client c owns batches with
 /// index % C == c, pipelined kClientWindow deep.
-RoundResult insertRound(const transport::RingMap& map,
+RoundResult insertRound(const dht::Network& ring,
                         const std::vector<transport::PeerAddr>& addrs,
                         const std::vector<Batch>& batches, std::size_t c) {
   std::vector<std::thread> threads;
@@ -117,7 +118,7 @@ RoundResult insertRound(const transport::RingMap& map,
   const std::uint64_t t0 = nowUs();
   for (std::size_t ci = 0; ci < c; ++ci) {
     threads.emplace_back([&, ci] {
-      transport::TcpTransport client(map, addrs);
+      transport::TcpTransport client(ring, addrs);
       RoundResult& r = perClient[ci];
       for (std::size_t b = ci; b < batches.size(); b += c) {
         const Batch& batch = batches[b];
@@ -155,7 +156,7 @@ RoundResult insertRound(const transport::RingMap& map,
 
 /// Range-query round: each client runs its share of broadcast range
 /// queries (one kVisit per peer, merged and verified analytically).
-RoundResult queryRound(const transport::RingMap& map,
+RoundResult queryRound(const dht::Network& ring,
                        const std::vector<transport::PeerAddr>& addrs,
                        std::size_t records, std::size_t totalQueries,
                        std::size_t c) {
@@ -165,7 +166,7 @@ RoundResult queryRound(const transport::RingMap& map,
   const std::uint64_t t0 = nowUs();
   for (std::size_t ci = 0; ci < c; ++ci) {
     threads.emplace_back([&, ci] {
-      transport::TcpTransport client(map, addrs);
+      transport::TcpTransport client(ring, addrs);
       RoundResult& r = perClient[ci];
       mlight::common::Rng rng(0xC0FFEEull + ci);
       for (std::size_t q = ci; q < totalQueries; q += c) {
@@ -175,8 +176,8 @@ RoundResult queryRound(const transport::RingMap& map,
         std::uint64_t hits = 0;
         std::uint64_t bad = 0;
         const std::uint64_t sent = nowUs();
-        for (std::size_t p = 0; p < map.peerCount(); ++p) {
-          client.call(map.firstVnode(p),
+        for (std::size_t p = 0; p < ring.physicalCount(); ++p) {
+          client.call(ring.firstVnodeOf(p),
                       makeRequest(dht::RpcKind::kVisit,
                                   WireStore::encodeRange(lo, hi)),
                       [&hits, &bad, lo, hi](const dht::RpcEnvelope& resp) {
@@ -226,7 +227,6 @@ struct SimPrediction {
 SimPrediction simPredict(std::size_t peers, const std::vector<Batch>& batches,
                          std::size_t records, std::size_t totalQueries) {
   transport::SimTransport sim(peers);
-  transport::RingMap map(peers);
   SimPrediction pred;
   for (const Batch& batch : batches) {
     const double t0 = sim.network().now();
@@ -246,7 +246,7 @@ SimPrediction simPredict(std::size_t peers, const std::vector<Batch>& batches,
         rng.below(static_cast<std::uint64_t>(records) - span + 1);
     const double t0 = sim.network().now();
     for (std::size_t p = 0; p < peers; ++p) {
-      sim.call(map.firstVnode(p),
+      sim.call(sim.network().firstVnodeOf(p),
                makeRequest(dht::RpcKind::kVisit,
                            WireStore::encodeRange(lo, lo + span - 1)),
                nullptr, nullptr);
@@ -316,8 +316,8 @@ int main(int argc, char** argv) {
               queries,
               connectBase != 0 ? "(external peerd ring)" : "(in-process)");
 
-  const transport::RingMap map(peers);
-  const std::vector<Batch> batches = buildBatches(map, records);
+  const dht::Network ring(peers);
+  const std::vector<Batch> batches = buildBatches(ring, records);
 
   // Simulator prediction first (cheap, deterministic).
   const SimPrediction pred = simPredict(peers, batches, records, queries);
@@ -351,8 +351,8 @@ int main(int argc, char** argv) {
   std::uint64_t wrongTotal = 0;
   for (const std::size_t c : {std::size_t{1}, std::size_t{8},
                               std::size_t{64}}) {
-    RoundResult ins = insertRound(map, addrs, batches, c);
-    RoundResult qry = queryRound(map, addrs, records, queries, c);
+    RoundResult ins = insertRound(ring, addrs, batches, c);
+    RoundResult qry = queryRound(ring, addrs, records, queries, c);
     const double insQps =
         static_cast<double>(records) / std::max(ins.seconds, 1e-9);
     const double qryQps =

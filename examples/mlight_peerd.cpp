@@ -9,9 +9,10 @@
 //   ./extra_wire --peers 8 --connect 7500 --quick
 //
 // Each peer serves length-prefixed RpcEnvelope frames (kBatchPut / kGet /
-// kVisit) from an in-memory WireStore; placement must be computed by the
-// client via RingMap/wireRingKey, exactly as extra_wire does.  See
-// README.md "Real transport quickstart".
+// kVisit) from an in-memory WireStore.  Peer i is physical peer i of the
+// ring; clients place records on a dht::Network of the same peer count
+// (via wireRingKey), exactly as extra_wire does.  See README.md "Real
+// transport quickstart".
 #include <csignal>
 #include <cstdint>
 #include <cstdio>

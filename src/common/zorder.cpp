@@ -56,10 +56,16 @@ BitString interleave(const Point& p, std::size_t depth) {
   return out;
 }
 
-Rect cellOfPath(const BitString& path, std::size_t dims) {
+Rect cellOfPath(const BitString& path, std::size_t dims, std::size_t from) {
   Rect cell = Rect::unit(dims);
-  for (std::size_t d = 0; d < path.size(); ++d) {
-    cell = cell.halved(dimensionAtDepth(d, dims), path.bit(d));
+  // Halve in place: one Rect, two live coordinate writes per level —
+  // per-level Rect::halved() copies dominated m-LIGHT's labelRegion.
+  Point& lo = cell.lo();
+  Point& hi = cell.hi();
+  for (std::size_t pos = from; pos < path.size(); ++pos) {
+    const std::size_t dim = dimensionAtDepth(pos - from, dims);
+    const double mid = 0.5 * (lo[dim] + hi[dim]);  // == Rect::mid(dim)
+    (path.bit(pos) ? lo : hi)[dim] = mid;
   }
   return cell;
 }

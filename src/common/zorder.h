@@ -43,10 +43,12 @@ inline constexpr std::size_t kMaxInterleaveBitsPerDim = 52;
 /// depth <= kMaxInterleaveBitsPerDim * m.
 BitString interleave(const Point& p, std::size_t depth);
 
-/// The dyadic cell reached by following `path` from the unit cube, halving
-/// dimension dimensionAtDepth(d, m) at each step d (0 = lower half,
+/// The dyadic cell reached by following `path`'s bits from position
+/// `from` on, starting at the unit cube and halving dimension
+/// dimensionAtDepth(d, m) at each step d = pos - from (0 = lower half,
 /// 1 = upper half).
-Rect cellOfPath(const BitString& path, std::size_t dims);
+Rect cellOfPath(const BitString& path, std::size_t dims,
+                std::size_t from = 0);
 
 /// Deepest path (up to maxDepth bits) whose cell fully contains `r`; the
 /// lowest single cell covering the rectangle.  Returns an empty BitString

@@ -35,6 +35,10 @@ std::string bulkPeerName(std::size_t i) {
   return "node:" + std::to_string(i);
 }
 
+RingId vnodeId(std::string_view peerName, std::size_t v) {
+  return keyId("peer-id:" + std::string(peerName) + "#" + std::to_string(v));
+}
+
 std::vector<BulkVnode> bulkRing(std::size_t peerCount,
                                 std::size_t vnodesPerPeer) {
   std::vector<BulkVnode> ring;
@@ -42,8 +46,7 @@ std::vector<BulkVnode> bulkRing(std::size_t peerCount,
   for (std::size_t i = 0; i < peerCount; ++i) {
     const std::string name = bulkPeerName(i);
     for (std::size_t v = 0; v < vnodesPerPeer; ++v) {
-      ring.push_back(BulkVnode{
-          keyId("peer-id:" + name + "#" + std::to_string(v)), i, v});
+      ring.push_back(BulkVnode{vnodeId(name, v), i, v});
     }
   }
   std::sort(ring.begin(), ring.end(),
@@ -130,6 +133,17 @@ std::size_t Network::physicalOf(RingId vnode) const {
 
 RingId Network::responsible(RingId h) const noexcept {
   return peers_[ownerIndexOf(h)];
+}
+
+RingId Network::firstVnodeOf(std::size_t physical) const {
+  MLIGHT_CHECK(physical < physicalNames_.size(),
+               "firstVnodeOf: unknown peer " + std::to_string(physical));
+  // A collision-bumped id would resolve to its neighbour: the check
+  // below fails loudly on that as on a departed peer.
+  const std::uint32_t idx = ownerIndexOf(vnodeId(physicalNames_[physical], 0));
+  MLIGHT_CHECK(physicalOfIdx_[idx] == physical,
+               "firstVnodeOf: " + physicalNames_[physical] + " is not live");
+  return peers_[idx];
 }
 
 namespace {
@@ -461,8 +475,7 @@ RingId Network::addPeer(std::string_view name) {
   physicalNames_.emplace_back(name);
   RingId first{};
   for (std::size_t v = 0; v < vnodesPerPeer_; ++v) {
-    RingId id = keyId(std::string("peer-id:") + std::string(name) + "#" +
-                      std::to_string(v));
+    RingId id = vnodeId(name, v);
     // Resolve the (astronomically unlikely) collision deterministically.
     while (std::binary_search(peers_.begin(), peers_.end(), id)) {
       id.value += 1;

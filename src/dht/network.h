@@ -124,13 +124,17 @@ struct BulkVnode {
 /// Name of physical peer `i` of a bulk-built overlay: "node:<i>".
 std::string bulkPeerName(std::size_t i);
 
+/// Ring id of vnode `v` of the peer named `peerName`, before collision
+/// resolution: keyId("peer-id:" + peerName + "#" + v).
+RingId vnodeId(std::string_view peerName, std::size_t v);
+
 /// The ring of `peerCount` bulk-built peers with `vnodesPerPeer` vnodes
 /// each, in ring order: vnode v of peer i at
-/// keyId("peer-id:" + bulkPeerName(i) + "#" + v), sorted ascending with
-/// the peer index breaking ties, each colliding id bumped one past its
-/// predecessor.  Network's bulk constructor and transport::RingMap both
-/// build from it, so the simulated and the wire world agree on every
-/// key's owner.
+/// vnodeId(bulkPeerName(i), v), sorted ascending with the peer index
+/// breaking ties, each colliding id bumped one past its predecessor.
+/// Network's bulk constructor builds from it; the TCP transport resolves
+/// owners on such a Network, so the simulated and the wire world agree
+/// on every key's owner.
 std::vector<BulkVnode> bulkRing(std::size_t peerCount,
                                 std::size_t vnodesPerPeer);
 
@@ -177,6 +181,11 @@ class Network {
     slotHint = static_cast<std::uint32_t>(ringIndexOf(vnode));
     return physical;
   }
+
+  /// Ring position of vnode 0 of physical peer `physical` (which must be
+  /// live — checked): the one anchor a broadcast addresses to reach each
+  /// peer once, on the simulated and on the wire ring alike.
+  RingId firstVnodeOf(std::size_t physical) const;
 
   /// Name of the physical peer owning ring position `vnode` (which must
   /// be a live position).  Names are stable across crash/rejoin — a peer
@@ -331,7 +340,6 @@ class Network {
   /// Call before issuing traffic; swapping models mid-flight is legal
   /// but already-scheduled attempts keep their old outcomes.
   void setFaultModel(const FaultModel& faults);
-  const FaultModel& faultModel() const noexcept { return faults_; }
 
   /// Envelopes that exhausted FaultModel::maxAttempts transmissions:
   /// total() is the all-time count the digests and goldens pin, the

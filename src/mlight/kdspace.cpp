@@ -8,17 +8,8 @@ namespace mlight::core {
 
 Rect labelRegion(const BitString& label, std::size_t dims) {
   assert(isTreeNodeLabel(label, dims));
-  Rect cell = Rect::unit(dims);
-  // Halve in place: one Rect, two live coordinate writes per level —
-  // the per-level Rect::halved() copies dominated this hot helper.
-  Point& lo = cell.lo();
-  Point& hi = cell.hi();
-  for (std::size_t pos = dims + 1; pos < label.size(); ++pos) {
-    const std::size_t dim = splitDimension(pos - (dims + 1), dims);
-    const double m = 0.5 * (lo[dim] + hi[dim]);  // == Rect::mid(dim)
-    (label.bit(pos) ? lo : hi)[dim] = m;
-  }
-  return cell;
+  // The label's bits past its (m+1)-bit root are the kd path.
+  return mlight::common::cellOfPath(label, dims, dims + 1);
 }
 
 BitString pointPathLabel(const Point& p, std::size_t dims,

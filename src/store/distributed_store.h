@@ -239,21 +239,6 @@ class DistributedStore {
     }
   }
 
-  /// Checks every boosted label's frozen route against a from-scratch
-  /// re-pick on the current meter.  Valid right after
-  /// refreshReadRouting() (routes stay frozen while loads move on);
-  /// refreshReadRouting runs it itself at the paranoid audit level.
-  void auditFrozenReadRoutes() const {
-    for (const Boost& boost : boosted_) {
-      const Entry* entry = labels_[boost.slot].entry.get();
-      const std::size_t fresh =
-          entry == nullptr ? 0 : pickLeastLoaded(entry->copies).salt;
-      mlight::common::auditFrozenReadRoute(labels_.label(boost.slot),
-                                           boost.routed(), boost.readSalt,
-                                           entry != nullptr, fresh);
-    }
-  }
-
   /// Route refreshes that kept a boosted label's frozen route without a
   /// re-pick (host-side introspection; never digested).
   std::uint64_t skippedReadRoutes() const noexcept {
@@ -304,7 +289,6 @@ class DistributedStore {
   /// simulated crashes of the peers it logs, since it models their
   /// disks, not their memory).  Detach with nullptr.
   void attachWal(mlight::wal::WalSet* walSet) noexcept { wal_ = walSet; }
-  mlight::wal::WalSet* wal() const noexcept { return wal_; }
 
   /// True when every copy of `label` died in a crash and nothing
   /// re-placed it since — reads of it fail; recovery layers use this to
@@ -629,18 +613,8 @@ class DistributedStore {
   bool erase(const Label& label) {
     const std::uint32_t slot = labels_.find(label);
     if (slot == kNoSlot) return false;
-    LabelState& st = labels_[slot];
-    if (st.underReplicated) {
-      st.underReplicated = false;
-      --underReplicatedCount_;
-    }
-    const bool existed = st.entry != nullptr;
-    if (existed) {
-      st.entry.reset();
-      --entryCount_;
-      ++copyEpoch_;
-    }
-    releaseBoost(slot);
+    const bool existed = labels_[slot].entry != nullptr;
+    dropEntry(slot);
     releaseIfIdle(slot);
     return existed;
   }
@@ -972,6 +946,21 @@ class DistributedStore {
     ++copyEpoch_;
   }
 
+  /// Checks every boosted label's frozen route against a from-scratch
+  /// re-pick on the current meter; refreshReadRouting runs it right
+  /// after a refresh at the paranoid audit level (routes stay frozen
+  /// while loads move on).
+  void auditFrozenReadRoutes() const {
+    for (const Boost& boost : boosted_) {
+      const Entry* entry = labels_[boost.slot].entry.get();
+      const std::size_t fresh =
+          entry == nullptr ? 0 : pickLeastLoaded(entry->copies).salt;
+      mlight::common::auditFrozenReadRoute(labels_.label(boost.slot),
+                                           boost.routed(), boost.readSalt,
+                                           entry != nullptr, fresh);
+    }
+  }
+
   /// Removes `slot`'s boost, if any (keeps boosted_ dense).
   void releaseBoost(std::uint32_t slot) {
     const std::uint32_t at = labels_[slot].boost;
@@ -1158,16 +1147,8 @@ class DistributedStore {
   /// holder crashed, or its put dead-lettered), so reads of the label
   /// fail instead of answering NULL until something re-places it.
   void mourn(std::uint32_t slot) {
+    dropEntry(slot);
     LabelState& st = labels_[slot];
-    if (st.entry != nullptr) {
-      st.entry.reset();
-      --entryCount_;
-      ++copyEpoch_;
-    }
-    if (st.underReplicated) {  // nothing stored to be degraded
-      st.underReplicated = false;
-      --underReplicatedCount_;
-    }
     if (!st.mourned) {
       st.mourned = true;
       ++mournedCount_;
@@ -1180,9 +1161,22 @@ class DistributedStore {
       st.saltKeys = {};
       --ringKeysMemoized_;
     }
-    // Nor read again, so no demotion would ever free its boost.
-    releaseBoost(slot);
     ++lostBuckets_;
+  }
+
+  /// The one entry-drop path (erase and mourning): `slot` keeps no
+  /// bucket, no under-replication flag (nothing stored to be degraded)
+  /// and no boost (the label is never read again, so no demotion would
+  /// ever free it; that is not a demotion).
+  void dropEntry(std::uint32_t slot) {
+    LabelState& st = labels_[slot];
+    if (st.entry != nullptr) {
+      st.entry.reset();
+      --entryCount_;
+      ++copyEpoch_;
+    }
+    clearUnderReplicated(st);
+    releaseBoost(slot);
   }
 
   /// Level-triggered under-replication bookkeeping, updated by
@@ -1199,10 +1193,15 @@ class DistributedStore {
       }
       return;
     }
-    if (st.underReplicated) {
-      st.underReplicated = false;
-      if (--underReplicatedCount_ == 0) warnedUnderReplicated_ = false;
-    }
+    clearUnderReplicated(st);
+  }
+
+  /// Unflags a degraded label; when the last one goes, the one-time
+  /// warning latch resets so a new degradation epoch warns again.
+  void clearUnderReplicated(LabelState& st) {
+    if (!st.underReplicated) return;
+    st.underReplicated = false;
+    if (--underReplicatedCount_ == 0) warnedUnderReplicated_ = false;
   }
 
   /// Frames a committed kPlace record in the applying peer's WAL (no-op

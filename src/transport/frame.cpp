@@ -1,5 +1,12 @@
 #include "transport/frame.h"
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
+
+#include "common/check.h"
 #include "common/serde.h"
 
 namespace mlight::transport {
@@ -60,6 +67,58 @@ bool FrameReader::next(dht::RpcEnvelope& out) {
     head_ = 0;
   }
   return true;
+}
+
+void setNonBlocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  MLIGHT_CHECK(flags >= 0, "fcntl(F_GETFL) failed");
+  MLIGHT_CHECK(::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
+               "fcntl(F_SETFL, O_NONBLOCK) failed");
+}
+
+FramedLink::Read FramedLink::readSome() {
+  std::uint8_t buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      return reader.feed(buf, static_cast<std::size_t>(n)) ? Read::kMore
+                                                            : Read::kBroken;
+    }
+    if (n == 0) return Read::kBroken;  // closed, perhaps mid-frame
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? Read::kDrained
+                                                   : Read::kBroken;
+  }
+}
+
+bool FramedLink::flush() {
+  while (outHead < out.size()) {
+    const ssize_t n =
+        ::send(fd, out.data() + outHead, out.size() - outHead, MSG_NOSIGNAL);
+    if (n > 0) {
+      outHead += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    if (outHead >= backlog()) {
+      out.erase(out.begin(),
+                out.begin() + static_cast<std::ptrdiff_t>(outHead));
+      outHead = 0;
+    }
+    return true;  // the rest goes on POLLOUT
+  }
+  out.clear();
+  outHead = 0;
+  return true;
+}
+
+void FramedLink::close() {
+  if (fd >= 0) ::close(fd);
+  fd = -1;
+  reader = FrameReader(reader.maxFrameBytes());
+  out.clear();
+  outHead = 0;
 }
 
 }  // namespace mlight::transport

@@ -10,7 +10,9 @@
 // incrementally: feed() raw recv() bytes, next() yields complete
 // envelopes.  A length field above the configured ceiling poisons the
 // stream (the peer is broken or hostile; the connection must be
-// dropped), which bounds per-connection buffering.
+// dropped), which bounds per-connection buffering.  FramedLink is one
+// such connection over a nonblocking socket, the one type both TCP ends
+// (tcp.h) hold.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +68,42 @@ class FrameReader {
   bool poisoned_ = false;
   std::vector<std::uint8_t> buf_;
   std::size_t head_ = 0;  ///< Bytes of buf_ already consumed.
+};
+
+/// Puts socket `fd` in nonblocking mode; throws common::CheckFailure on
+/// failure.
+void setNonBlocking(int fd);
+
+/// One framed connection over a nonblocking socket: inbound bytes
+/// reassemble in `reader`, outbound frames queue in `out`, whose first
+/// `outHead` bytes are already sent.  The owner polls `fd` and closes
+/// it.
+struct FramedLink {
+  int fd = -1;
+  FrameReader reader;
+  std::vector<std::uint8_t> out;
+  std::size_t outHead = 0;
+
+  explicit FramedLink(std::size_t maxFrameBytes) : reader(maxFrameBytes) {}
+
+  /// Queued bytes not yet sent.
+  std::size_t backlog() const noexcept { return out.size() - outHead; }
+
+  enum class Read { kMore, kDrained, kBroken };
+  /// Receives one chunk into `reader`.  kMore: bytes arrived and more may
+  /// wait; kDrained: nothing to read now; kBroken: the peer closed, the
+  /// socket failed or the stream is poisoned (reader.poisoned()), so the
+  /// connection must be dropped.
+  Read readSome();
+
+  /// Sends queued bytes until the queue is empty or the socket would
+  /// block; on blocking, drops the sent prefix once it outweighs the
+  /// residue, so `out` stays within twice the backlog.  Returns false
+  /// when the connection broke.
+  bool flush();
+
+  /// Closes `fd` and discards every buffered byte in both directions.
+  void close();
 };
 
 }  // namespace mlight::transport

@@ -10,9 +10,9 @@
 // milliseconds — comes out of the same machinery every golden pins.
 //
 // The client is co-located with physical peer 0 ("node:0"): its home
-// vnode is that peer's first ring position, so responses route exactly
-// one vnode hop-free step once they reach it, mirroring a loopback
-// client process next to a local peer.
+// vnode is that peer's first ring position (Network::firstVnodeOf, the
+// same anchor broadcasts address), mirroring a loopback client process
+// next to a local peer.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +30,8 @@ class SimTransport : public Transport {
   explicit SimTransport(std::size_t peerCount, std::size_t vnodesPerPeer = 1,
                         dht::LatencyModel latency = {})
       : net_(peerCount, /*seed=*/1, vnodesPerPeer, latency),
-        stores_(peerCount) {
-    clientHome_ = net_.peers().empty() ? dht::RingId{} : firstVnodeOfPeer0();
-  }
+        stores_(peerCount),
+        clientHome_(net_.firstVnodeOf(0)) {}
 
   void call(dht::RingId key, dht::RpcEnvelope env, ReplyFn onReply,
             FailFn onFail) override {
@@ -70,15 +69,7 @@ class SimTransport : public Transport {
 
   store::WireStore& storeOf(std::size_t peer) { return stores_.at(peer); }
 
-  dht::RingId clientHome() const noexcept { return clientHome_; }
-
  private:
-  dht::RingId firstVnodeOfPeer0() const {
-    // Network names bulk peers "node:<i>"; vnode 0 of peer 0 is at
-    // keyId("peer-id:node:0#0") — the same anchor RingMap uses.
-    return net_.responsible(dht::keyId("peer-id:node:0#0"));
-  }
-
   dht::Network net_;
   std::vector<store::WireStore> stores_;
   dht::RingId clientHome_;

@@ -1,27 +1,31 @@
 // Real TCP transport: physical peers as socket-serving threads (or
 // processes via examples/mlight_peerd) and a pooled, retrying client.
+// Both ends hold their connections as FramedLinks (frame.h): one socket,
+// one reassembly reader and one partial-write queue per connection.
 //
 // Server side (TcpPeerServer): one thread per physical peer runs a
 // nonblocking poll(2) event loop over a listening socket, a self-pipe
-// (shutdown wakeup), and its accepted connections.  Inbound bytes pass
-// through FrameReader reassembly; each complete envelope is applied to
-// the peer's WireStore and the response frame goes out through a
-// per-connection write queue that tolerates partial writes (EAGAIN keeps
-// the residue queued until POLLOUT).  That queue is bounded: a client
-// that pipelines requests without reading its responses stops being read
-// once the unsent backlog passes 4 frames' worth, so TCP flow control
-// pushes back on it (nothing is dropped).  Oversized or malformed frames
-// drop the connection — the client's retry machinery recovers.
+// (shutdown wakeup), and its accepted links.  Each complete inbound
+// envelope is applied to the peer's WireStore and the response frame is
+// queued on the link, whose residue waits for POLLOUT after a partial
+// write.  That queue is bounded: a client that pipelines requests
+// without reading its responses stops being read once the unsent
+// backlog passes 4 frames' worth, so TCP flow control pushes back on it
+// (nothing is dropped).  Oversized or malformed frames drop the
+// connection — the client's retry machinery recovers.
 //
 // Client side (TcpTransport): single-threaded (one instance per client
-// thread), pooling one connection per peer with lazy connect and
-// reconnect-on-failure.  Requests carry client-assigned envelope ids for
-// correlation; timeouts use the same capped exponential backoff as the
-// simulated fault layer (dht::retryBackoffMs) and exhausted envelopes
-// land in the same dht::DeadLetterRing the simulator uses.  This is the
-// one corner of src/ that legitimately reads wall clocks — the measured
-// quantity IS wall time — so those lines carry DET-ALLOW annotations and
-// nothing here is reachable from simulated code paths.
+// thread), pooling one link per peer with lazy connect and
+// reconnect-on-failure.  It resolves owners on the simulator's own ring
+// (a dht::Network built with the same peer count), so both worlds place
+// every key on the same peer by construction.  Requests carry
+// client-assigned envelope ids for correlation; timeouts use the same
+// capped exponential backoff as the simulated fault layer
+// (dht::retryBackoffMs) and exhausted envelopes land in the same
+// dht::DeadLetterRing the simulator uses.  This is the one corner of
+// src/ that legitimately reads wall clocks — the measured quantity IS
+// wall time — so those lines carry DET-ALLOW annotations and nothing
+// here is reachable from simulated code paths.
 #pragma once
 
 #include <cstddef>
@@ -32,10 +36,10 @@
 #include <thread>
 #include <vector>
 
+#include "dht/network.h"
 #include "dht/rpc.h"
 #include "store/wire_store.h"
 #include "transport/frame.h"
-#include "transport/ring_map.h"
 #include "transport/transport.h"
 
 namespace mlight::transport {
@@ -94,8 +98,8 @@ class TcpPeerServer {
   std::uint64_t connsDropped() const noexcept {
     return connsDropped_.load(std::memory_order_relaxed);
   }
-  /// Times a connection stopped being read because its unsent response
-  /// backlog passed backlogLimit().
+  /// Times the server stopped reading a connection because its unsent
+  /// response backlog passed backlogLimit().
   std::uint64_t readPauses() const noexcept {
     return readPauses_.load(std::memory_order_relaxed);
   }
@@ -108,25 +112,15 @@ class TcpPeerServer {
   std::size_t backlogLimit() const noexcept { return 4 * maxFrameBytes_; }
 
  private:
-  struct Conn {
-    int fd = -1;
-    FrameReader reader;
-    std::vector<std::uint8_t> out;  ///< Queued response bytes.
-    std::size_t outHead = 0;        ///< Bytes of `out` already written.
-    bool paused = false;            ///< Reading stopped on the backlog.
-    explicit Conn(std::size_t maxFrame) : reader(maxFrame) {}
-    std::size_t backlog() const noexcept { return out.size() - outHead; }
-  };
-
   void serveLoop();
   /// Serves buffered frames and reads more while the connection's
   /// backlog allows; returns false when the connection must close.
-  bool onReadable(Conn& c);
+  bool onReadable(FramedLink& c);
   /// Answers buffered complete frames until the backlog passes
   /// backlogLimit(); returns false on a malformed envelope.
-  bool serveFrames(Conn& c);
-  /// Flushes queued bytes; returns false when the connection must close.
-  bool flushWrites(Conn& c);
+  bool serveFrames(FramedLink& c);
+  /// Closes whatever start() opened.
+  void closeSockets();
 
   std::size_t maxFrameBytes_;
   store::WireStore store_;
@@ -135,7 +129,7 @@ class TcpPeerServer {
   std::uint16_t port_ = 0;
   std::thread thread_;
   bool running_ = false;
-  std::vector<Conn> conns_;
+  std::vector<FramedLink> conns_;
   std::atomic<std::uint64_t> framesServed_{0};
   std::atomic<std::uint64_t> connsDropped_{0};
   std::atomic<std::uint64_t> readPauses_{0};
@@ -143,11 +137,12 @@ class TcpPeerServer {
 };
 
 /// Client transport over real sockets.  Single-threaded: construct one
-/// per client thread; instances share nothing but the (immutable)
-/// RingMap and the peer address list.
+/// per client thread; instances share nothing but the ring (read only;
+/// it must outlive them) and the peer address list, where peers[i]
+/// serves physical peer i of `ring`.
 class TcpTransport : public Transport {
  public:
-  TcpTransport(const RingMap& map, std::vector<PeerAddr> peers,
+  TcpTransport(const dht::Network& ring, std::vector<PeerAddr> peers,
                TcpConfig cfg = {});
   ~TcpTransport() override;
 
@@ -177,16 +172,6 @@ class TcpTransport : public Transport {
   std::uint64_t reconnects() const noexcept { return reconnects_; }
 
  private:
-  struct Endpoint {
-    PeerAddr addr;
-    int fd = -1;
-    bool connecting = false;  ///< Nonblocking connect() in progress.
-    FrameReader reader;
-    std::vector<std::uint8_t> out;
-    std::size_t outHead = 0;
-    explicit Endpoint(std::size_t maxFrame) : reader(maxFrame) {}
-  };
-
   struct Pending {
     dht::RpcEnvelope env;  ///< As sent (retransmits reuse it verbatim).
     std::size_t peer = 0;
@@ -199,16 +184,17 @@ class TcpTransport : public Transport {
   /// Ensures a (possibly in-progress) connection to `peer`; returns
   /// false when connect() failed outright this round.
   bool ensureConnected(std::size_t peer);
-  void closeEndpoint(Endpoint& ep);
-  /// Frames `p.env` onto its endpoint's write queue and arms the
-  /// attempt's timeout.
+  /// Drops a broken pooled link; the next transmit reconnects it.
+  void reconnectLater(FramedLink& link);
+  /// Frames `p.env` onto its peer's link and arms the attempt's timeout.
   void transmit(Pending& p);
-  void onReadable(Endpoint& ep);
+  void onReadable(FramedLink& link);
   void fireExpired();
 
-  const RingMap& map_;
+  const dht::Network& ring_;
   TcpConfig cfg_;
-  std::vector<Endpoint> endpoints_;
+  std::vector<PeerAddr> addrs_;  ///< By physical peer index.
+  std::vector<FramedLink> links_;  ///< By physical peer index.
   std::map<std::uint64_t, Pending> pending_;  ///< By envelope id.
   std::uint64_t nextId_ = 1;
   std::uint64_t reconnects_ = 0;

@@ -1,7 +1,6 @@
 #include "transport/tcp.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -33,46 +32,28 @@ double wallMs() {
       .count();
 }
 
-void setNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  MLIGHT_CHECK(flags >= 0, "fcntl(F_GETFL) failed");
-  MLIGHT_CHECK(::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-               "fcntl(F_SETFL, O_NONBLOCK) failed");
-}
-
 }  // namespace
 
-TcpTransport::TcpTransport(const RingMap& map, std::vector<PeerAddr> peers,
-                           TcpConfig cfg)
-    : map_(map), cfg_(cfg) {
-  MLIGHT_CHECK(peers.size() == map.peerCount(),
+TcpTransport::TcpTransport(const dht::Network& ring,
+                           std::vector<PeerAddr> peers, TcpConfig cfg)
+    : ring_(ring), cfg_(cfg), addrs_(std::move(peers)) {
+  MLIGHT_CHECK(addrs_.size() == ring.physicalCount(),
                "TcpTransport: address list does not match the ring");
-  endpoints_.reserve(peers.size());
-  for (PeerAddr& addr : peers) {
-    Endpoint ep(cfg_.maxFrameBytes);
-    ep.addr = std::move(addr);
-    endpoints_.push_back(std::move(ep));
-  }
+  links_.assign(addrs_.size(), FramedLink(cfg_.maxFrameBytes));
 }
 
 TcpTransport::~TcpTransport() {
-  for (Endpoint& ep : endpoints_) closeEndpoint(ep);
+  for (FramedLink& link : links_) link.close();
 }
 
-void TcpTransport::closeEndpoint(Endpoint& ep) {
-  if (ep.fd >= 0) {
-    ::close(ep.fd);
-    ep.fd = -1;
-  }
-  ep.connecting = false;
-  ep.reader = FrameReader(cfg_.maxFrameBytes);
-  ep.out.clear();
-  ep.outHead = 0;
+void TcpTransport::reconnectLater(FramedLink& link) {
+  link.close();
+  ++reconnects_;
 }
 
 bool TcpTransport::ensureConnected(std::size_t peer) {
-  Endpoint& ep = endpoints_[peer];
-  if (ep.fd >= 0) return true;
+  FramedLink& link = links_[peer];
+  if (link.fd >= 0) return true;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   MLIGHT_CHECK(fd >= 0, "socket() failed");
   setNonBlocking(fd);
@@ -80,22 +61,17 @@ bool TcpTransport::ensureConnected(std::size_t peer) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.addr.port);
-  if (::inet_pton(AF_INET, ep.addr.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return false;
-  }
-  const int rc =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc == 0) {
-    ep.fd = fd;
-    ep.connecting = false;
-    return true;
-  }
-  if (errno == EINPROGRESS) {
-    ep.fd = fd;
-    ep.connecting = true;  // completes on POLLOUT
-    return true;
+  addr.sin_port = htons(addrs_[peer].port);
+  if (::inet_pton(AF_INET, addrs_[peer].host.c_str(), &addr.sin_addr) == 1) {
+    // In progress (EINPROGRESS) counts as connected: the queued frame
+    // goes out on POLLOUT, and a refusal surfaces as POLLERR or a
+    // failed send, which drop the link like any broken connection.
+    const int rc =
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    if (rc == 0 || errno == EINPROGRESS) {
+      link.fd = fd;
+      return true;
+    }
   }
   ::close(fd);
   return false;
@@ -107,15 +83,15 @@ void TcpTransport::transmit(Pending& p) {
   p.deadlineMs =
       wallMs() + dht::retryBackoffMs(cfg_.timeoutFloorMs, p.attempt);
   if (!ensureConnected(p.peer)) return;  // timeout drives the retry
-  encodeFrame(p.env, endpoints_[p.peer].out);
+  encodeFrame(p.env, links_[p.peer].out);
 }
 
 void TcpTransport::call(dht::RingId key, dht::RpcEnvelope env, ReplyFn onReply,
                         FailFn onFail) {
   env.id = nextId_++;
-  env.to = map_.responsible(key);
+  env.to = ring_.responsible(key);
   Pending p;
-  p.peer = map_.peerOf(env.to);
+  p.peer = ring_.physicalOf(env.to);
   p.env = std::move(env);
   p.onReply = std::move(onReply);
   p.onFail = std::move(onFail);
@@ -125,30 +101,15 @@ void TcpTransport::call(dht::RingId key, dht::RpcEnvelope env, ReplyFn onReply,
   pump(0);  // opportunistically move bytes without blocking
 }
 
-void TcpTransport::onReadable(Endpoint& ep) {
-  std::uint8_t buf[4096];
-  bool broken = false;
-  for (;;) {
-    const ssize_t n = ::recv(ep.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      if (!ep.reader.feed(buf, static_cast<std::size_t>(n))) {
-        broken = true;  // oversized server frame: drop the connection
-        break;
-      }
-      continue;
-    }
-    if (n == 0) {
-      broken = true;  // server closed (possibly mid-frame)
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    broken = true;
-    break;
-  }
+void TcpTransport::onReadable(FramedLink& link) {
+  FramedLink::Read r = FramedLink::Read::kMore;
+  while (r == FramedLink::Read::kMore) r = link.readSome();
+  // A broken link (the server closed, perhaps mid-frame, or sent an
+  // oversized frame) still hands over the replies that arrived whole.
+  bool broken = r == FramedLink::Read::kBroken;
   try {
     dht::RpcEnvelope resp;
-    while (ep.reader.next(resp)) {
+    while (link.reader.next(resp)) {
       const auto it = pending_.find(resp.id);
       if (it == pending_.end()) continue;  // late reply of a retried rpc
       ReplyFn onReply = std::move(it->second.onReply);
@@ -158,10 +119,7 @@ void TcpTransport::onReadable(Endpoint& ep) {
   } catch (const common::SerdeError&) {
     broken = true;  // malformed reply: reconnect, timeouts recover
   }
-  if (broken) {
-    closeEndpoint(ep);
-    ++reconnects_;
-  }
+  if (broken) reconnectLater(link);
 }
 
 void TcpTransport::fireExpired() {
@@ -209,65 +167,30 @@ void TcpTransport::pump(int maxWaitMs) {
 
   std::vector<pollfd> fds;
   std::vector<std::size_t> peerOfFd;
-  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    const Endpoint& ep = endpoints_[i];
-    if (ep.fd < 0) continue;
-    short events = POLLIN;
-    if (ep.connecting || ep.outHead < ep.out.size()) {
-      events = static_cast<short>(events | POLLOUT);
-    }
-    fds.push_back(pollfd{ep.fd, events, 0});
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const FramedLink& link = links_[i];
+    if (link.fd < 0) continue;
+    // POLLOUT also reports the end of a nonblocking connect.
+    const auto events =
+        static_cast<short>(link.backlog() > 0 ? POLLIN | POLLOUT : POLLIN);
+    fds.push_back(pollfd{link.fd, events, 0});
     peerOfFd.push_back(i);
   }
   if (fds.empty()) {
     // Nothing connected (e.g. every connect failed): still honor the
     // wait bound so drain() paces retries instead of spinning.
     if (timeout > 0) ::poll(nullptr, 0, timeout);
-  } else {
-    const int ready = ::poll(fds.data(), fds.size(), timeout);
-    if (ready > 0) {
-      for (std::size_t k = 0; k < fds.size(); ++k) {
-        Endpoint& ep = endpoints_[peerOfFd[k]];
-        if (ep.fd != fds[k].fd) continue;  // closed by an earlier event
-        const short re = fds[k].revents;
-        if ((re & (POLLERR | POLLNVAL)) != 0) {
-          closeEndpoint(ep);
-          ++reconnects_;
-          continue;
-        }
-        if ((re & POLLOUT) != 0) {
-          if (ep.connecting) {
-            int err = 0;
-            socklen_t len = sizeof(err);
-            ::getsockopt(ep.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-            if (err != 0) {
-              closeEndpoint(ep);
-              ++reconnects_;
-              continue;
-            }
-            ep.connecting = false;
-          }
-          while (ep.outHead < ep.out.size()) {
-            const ssize_t n = ::send(ep.fd, ep.out.data() + ep.outHead,
-                                     ep.out.size() - ep.outHead,
-                                     MSG_NOSIGNAL);
-            if (n > 0) {
-              ep.outHead += static_cast<std::size_t>(n);
-              continue;
-            }
-            if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-            if (errno == EINTR) continue;
-            closeEndpoint(ep);
-            ++reconnects_;
-            break;
-          }
-          if (ep.fd >= 0 && ep.outHead == ep.out.size()) {
-            ep.out.clear();
-            ep.outHead = 0;
-          }
-        }
-        if (ep.fd >= 0 && (re & (POLLIN | POLLHUP)) != 0) onReadable(ep);
+  } else if (::poll(fds.data(), fds.size(), timeout) > 0) {
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+      FramedLink& link = links_[peerOfFd[k]];
+      if (link.fd != fds[k].fd) continue;  // closed by an earlier event
+      const short re = fds[k].revents;
+      if ((re & (POLLERR | POLLNVAL)) != 0 ||
+          ((re & POLLOUT) != 0 && !link.flush())) {
+        reconnectLater(link);
+        continue;
       }
+      if ((re & (POLLIN | POLLHUP)) != 0) onReadable(link);
     }
   }
   fireExpired();

@@ -1,6 +1,5 @@
 #include "transport/tcp.h"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -8,23 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/serde.h"
 
 namespace mlight::transport {
-
-namespace {
-
-void setNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  MLIGHT_CHECK(flags >= 0, "fcntl(F_GETFL) failed");
-  MLIGHT_CHECK(::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-               "fcntl(F_SETFL, O_NONBLOCK) failed");
-}
-
-}  // namespace
 
 TcpPeerServer::TcpPeerServer(std::size_t maxFrameBytes)
     : maxFrameBytes_(maxFrameBytes) {}
@@ -33,29 +20,41 @@ TcpPeerServer::~TcpPeerServer() { stop(); }
 
 std::uint16_t TcpPeerServer::start(std::uint16_t port) {
   MLIGHT_CHECK(!running_, "TcpPeerServer already running");
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  MLIGHT_CHECK(listenFd_ >= 0, "socket() failed");
-  const int one = 1;
-  ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  MLIGHT_CHECK(::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) == 0,
-               "bind(127.0.0.1) failed");
-  MLIGHT_CHECK(::listen(listenFd_, 128) == 0, "listen() failed");
-  socklen_t len = sizeof(addr);
-  MLIGHT_CHECK(::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr),
-                             &len) == 0,
-               "getsockname() failed");
-  port_ = ntohs(addr.sin_port);
-  setNonBlocking(listenFd_);
-  MLIGHT_CHECK(::pipe(wakePipe_) == 0, "pipe() failed");
-  setNonBlocking(wakePipe_[0]);
+  try {
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    MLIGHT_CHECK(listenFd_ >= 0, "socket() failed");
+    const int one = 1;
+    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    MLIGHT_CHECK(::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)) == 0,
+                 "bind(127.0.0.1) failed");
+    MLIGHT_CHECK(::listen(listenFd_, 128) == 0, "listen() failed");
+    socklen_t len = sizeof(addr);
+    MLIGHT_CHECK(::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr),
+                               &len) == 0,
+                 "getsockname() failed");
+    port_ = ntohs(addr.sin_port);
+    setNonBlocking(listenFd_);
+    MLIGHT_CHECK(::pipe(wakePipe_) == 0, "pipe() failed");
+    setNonBlocking(wakePipe_[0]);
+  } catch (...) {
+    closeSockets();  // not running yet, so stop() would not
+    throw;
+  }
   running_ = true;
   thread_ = std::thread([this] { serveLoop(); });
   return port_;
+}
+
+void TcpPeerServer::closeSockets() {
+  for (int* fd : {&listenFd_, &wakePipe_[0], &wakePipe_[1]}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 void TcpPeerServer::stop() {
@@ -65,22 +64,15 @@ void TcpPeerServer::stop() {
   [[maybe_unused]] const ssize_t n = ::write(wakePipe_[1], &byte, 1);
   thread_.join();
   running_ = false;
-  for (Conn& c : conns_) {
-    if (c.fd >= 0) {
-      flushWrites(c);  // best-effort: ship queued responses if possible
-      ::close(c.fd);
-      c.fd = -1;
-    }
+  for (FramedLink& c : conns_) {
+    c.flush();  // best-effort: ship queued responses if possible
+    c.close();
   }
   conns_.clear();
-  ::close(listenFd_);
-  listenFd_ = -1;
-  ::close(wakePipe_[0]);
-  ::close(wakePipe_[1]);
-  wakePipe_[0] = wakePipe_[1] = -1;
+  closeSockets();
 }
 
-bool TcpPeerServer::serveFrames(Conn& c) {
+bool TcpPeerServer::serveFrames(FramedLink& c) {
   try {
     dht::RpcEnvelope req;
     while (c.backlog() <= backlogLimit() && c.reader.next(req)) {
@@ -100,64 +92,31 @@ bool TcpPeerServer::serveFrames(Conn& c) {
   return true;
 }
 
-bool TcpPeerServer::onReadable(Conn& c) {
-  std::uint8_t buf[4096];
+bool TcpPeerServer::onReadable(FramedLink& c) {
   for (;;) {
     // Answer what is buffered before reading more, and stop reading while
     // the client is not taking its responses: the unread requests then
     // back up into the kernel buffers and TCP flow control stalls it.
     if (!serveFrames(c)) return false;
     if (c.backlog() > backlogLimit()) {
-      if (!flushWrites(c)) return false;
+      if (!c.flush()) return false;
       if (c.backlog() <= backlogLimit()) continue;  // serve the rest
       // Paused with the backlog over the limit: serveLoop polls only
       // POLLOUT, and the flush that drains it resumes serving.
-      if (!c.paused) readPauses_.fetch_add(1, std::memory_order_relaxed);
-      c.paused = true;
+      readPauses_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    c.paused = false;
-    const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      if (!c.reader.feed(buf, static_cast<std::size_t>(n))) {
-        // Oversized frame announcement: the stream is poisoned.
+    const FramedLink::Read r = c.readSome();
+    if (r == FramedLink::Read::kDrained) break;
+    if (r == FramedLink::Read::kBroken) {
+      // An oversized frame announcement poisons the stream.
+      if (c.reader.poisoned()) {
         connsDropped_.fetch_add(1, std::memory_order_relaxed);
-        return false;
       }
-      continue;
+      return false;
     }
-    if (n == 0) return false;  // peer closed (mid-frame residue dropped)
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;  // connection error
   }
-  return flushWrites(c);
-}
-
-bool TcpPeerServer::flushWrites(Conn& c) {
-  while (c.outHead < c.out.size()) {
-    const ssize_t n = ::send(c.fd, c.out.data() + c.outHead,
-                             c.out.size() - c.outHead, MSG_NOSIGNAL);
-    if (n > 0) {
-      c.outHead += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Drop the sent prefix once it outweighs the residue, so the
-      // buffer stays within twice the backlog.
-      if (c.outHead >= c.backlog()) {
-        c.out.erase(c.out.begin(),
-                    c.out.begin() + static_cast<std::ptrdiff_t>(c.outHead));
-        c.outHead = 0;
-      }
-      return true;  // POLLOUT
-    }
-    if (errno == EINTR) continue;
-    return false;
-  }
-  c.out.clear();
-  c.outHead = 0;
-  return true;
+  return c.flush();
 }
 
 void TcpPeerServer::serveLoop() {
@@ -166,7 +125,7 @@ void TcpPeerServer::serveLoop() {
     fds.clear();
     fds.push_back(pollfd{wakePipe_[0], POLLIN, 0});
     fds.push_back(pollfd{listenFd_, POLLIN, 0});
-    for (const Conn& c : conns_) {
+    for (const FramedLink& c : conns_) {
       // Backpressure: a connection whose backlog is over the limit is
       // not read until its client takes enough responses.
       short events = c.backlog() <= backlogLimit() ? POLLIN : 0;
@@ -189,27 +148,26 @@ void TcpPeerServer::serveLoop() {
         setNonBlocking(fd);
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        Conn c(maxFrameBytes_);
-        c.fd = fd;
-        conns_.push_back(std::move(c));
+        conns_.emplace_back(maxFrameBytes_).fd = fd;
       }
     }
     // Walk connections back to front so erasing dead ones does not
     // disturb the pollfd indices still to visit.
     for (std::size_t i = polled; i-- > 0;) {
       const pollfd& p = fds[2 + i];
-      Conn& c = conns_[i];
+      FramedLink& c = conns_[i];
       bool alive = true;
       if ((p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) alive = false;
-      if (alive && (p.revents & POLLOUT) != 0) alive = flushWrites(c);
+      if (alive && (p.revents & POLLOUT) != 0) alive = c.flush();
       // A paused connection resumes once the flush brings its backlog
       // back under the limit: first the frames it already buffered.
-      const bool resume = c.paused && c.backlog() <= backlogLimit();
+      const bool resume =
+          c.reader.buffered() > 0 && c.backlog() <= backlogLimit();
       if (alive && ((p.revents & POLLIN) != 0 || resume)) {
         alive = onReadable(c);
       }
       if (!alive) {
-        ::close(c.fd);
+        c.close();
         conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
       }
     }

@@ -17,7 +17,10 @@
 //                      dead-letter ring (dht::DeadLetterRing) as the
 //                      simulated fault layer.
 //
-// The simulator predicts; the wire measures.  docs/COST_MODEL.md ("Real
+// Both worlds use one ring: TcpTransport resolves owners on a
+// dht::Network of the same peer count, and a broadcast reaches each
+// peer at Network::firstVnodeOf in either.  The simulator predicts; the
+// wire measures.  docs/COST_MODEL.md ("Real
 // transport") spells out which quantities transfer between the two.
 #pragma once
 

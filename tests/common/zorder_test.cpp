@@ -57,6 +57,26 @@ TEST(ZOrder, CellOfPathHalvesPerStep) {
   EXPECT_EQ(topLeft, Rect(Point{0.0, 0.5}, Point{0.5, 1.0}));
 }
 
+TEST(ZOrder, CellOfPathMatchesRectHalvingFromAnyOffset) {
+  // The in-place halving is bit-identical to chaining Rect::halved()
+  // over the bits from `from` on (m-LIGHT skips its m+1-bit root).
+  Rng rng(29);
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (int i = 0; i < 100; ++i) {
+      BitString path;
+      const std::size_t depth = rng.below(160);
+      for (std::size_t d = 0; d < depth; ++d) path.pushBack(rng.chance(0.5));
+      const std::size_t from = rng.below(depth + 1);
+      Rect halved = Rect::unit(dims);
+      for (std::size_t pos = from; pos < depth; ++pos) {
+        halved = halved.halved(dimensionAtDepth(pos - from, dims),
+                               path.bit(pos));
+      }
+      EXPECT_EQ(cellOfPath(path, dims, from), halved);
+    }
+  }
+}
+
 TEST(ZOrder, InterleavedPathContainsItsPoint) {
   Rng rng(17);
   for (std::size_t dims = 1; dims <= 4; ++dims) {

@@ -11,11 +11,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
+#include "dht/network.h"
 #include "store/wire_store.h"
-#include "transport/ring_map.h"
 #include "transport/tcp.h"
 
 namespace mlight::transport {
@@ -33,14 +36,14 @@ dht::RpcEnvelope request(dht::RpcKind kind, std::vector<std::uint8_t> payload) {
 
 TEST(TcpTransport, InsertAndGetThroughRealSockets) {
   constexpr std::size_t kPeers = 4;
-  RingMap map(kPeers);
+  const dht::Network ring(kPeers);
   std::vector<TcpPeerServer> servers(kPeers);
   std::vector<PeerAddr> addrs(kPeers);
   for (std::size_t i = 0; i < kPeers; ++i) addrs[i].port = servers[i].start();
 
   TcpConfig cfg;
   cfg.timeoutFloorMs = 200.0;  // generous: a loaded CI box must not retry
-  TcpTransport client(map, addrs, cfg);
+  TcpTransport client(ring, addrs, cfg);
 
   // Insert 100 records in batches, addressed by the shared placement mix.
   std::vector<WireStore::Record> batch;
@@ -52,7 +55,8 @@ TEST(TcpTransport, InsertAndGetThroughRealSockets) {
       for (std::size_t p = 0; p < kPeers; ++p) {
         std::vector<WireStore::Record> mine;
         for (const auto& rec : batch) {
-          if (map.ownerPeer(wireRingKey(rec.first)) == p) {
+          if (ring.physicalOf(ring.responsible(wireRingKey(rec.first))) ==
+              p) {
             mine.push_back(rec);
           }
         }
@@ -93,7 +97,7 @@ TEST(TcpTransport, InsertAndGetThroughRealSockets) {
   // Range query: broadcast to all peers, merged result must be exact.
   std::vector<WireStore::Record> merged;
   for (std::size_t p = 0; p < kPeers; ++p) {
-    client.call(map.firstVnode(p),
+    client.call(ring.firstVnodeOf(p),
                 request(dht::RpcKind::kVisit, WireStore::encodeRange(10, 19)),
                 [&merged](const dht::RpcEnvelope& resp) {
                   for (const auto& rec :
@@ -115,7 +119,7 @@ TEST(TcpTransport, InsertAndGetThroughRealSockets) {
 }
 
 TEST(TcpTransport, ConnectRefusedExhaustsRetriesIntoDeadLetterRing) {
-  RingMap map(1);
+  const dht::Network ring(1);
   // Reserve a port with a bound-but-closed socket so nothing listens.
   int probe = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(probe, 0);
@@ -131,7 +135,7 @@ TEST(TcpTransport, ConnectRefusedExhaustsRetriesIntoDeadLetterRing) {
   TcpConfig cfg;
   cfg.timeoutFloorMs = 2.0;  // keep the backoff ladder test-fast
   cfg.maxAttempts = 3;
-  TcpTransport client(map, {PeerAddr{"127.0.0.1", deadPort}}, cfg);
+  TcpTransport client(ring, {PeerAddr{"127.0.0.1", deadPort}}, cfg);
 
   std::size_t failedAttempts = 0;
   client.call(wireRingKey(7),
@@ -205,11 +209,11 @@ class MidFrameKiller {
 
 TEST(TcpTransport, MidFrameDisconnectBecomesDeadLetter) {
   MidFrameKiller killer;
-  RingMap map(1);
+  const dht::Network ring(1);
   TcpConfig cfg;
   cfg.timeoutFloorMs = 5.0;
   cfg.maxAttempts = 3;
-  TcpTransport client(map, {PeerAddr{"127.0.0.1", killer.port()}}, cfg);
+  TcpTransport client(ring, {PeerAddr{"127.0.0.1", killer.port()}}, cfg);
 
   std::size_t failedAttempts = 0;
   client.call(wireRingKey(99),
@@ -229,12 +233,12 @@ TEST(TcpTransport, MidFrameDisconnectBecomesDeadLetter) {
 TEST(TcpTransport, ServerDropsOversizedClientFrame) {
   TcpPeerServer server(/*maxFrameBytes=*/128);
   const std::uint16_t port = server.start();
-  RingMap map(1);
+  const dht::Network ring(1);
   TcpConfig cfg;
   cfg.timeoutFloorMs = 5.0;
   cfg.maxAttempts = 2;
   cfg.maxFrameBytes = 1 << 20;  // client willingly sends a big frame
-  TcpTransport client(map, {PeerAddr{"127.0.0.1", port}}, cfg);
+  TcpTransport client(ring, {PeerAddr{"127.0.0.1", port}}, cfg);
 
   dht::RpcEnvelope big = request(dht::RpcKind::kGet, {});
   big.payload.assign(4096, 0x55);  // over the server's 128-byte ceiling
@@ -248,6 +252,27 @@ TEST(TcpTransport, ServerDropsOversizedClientFrame) {
   server.stop();
   EXPECT_GE(server.connsDropped(), 1u);
   EXPECT_EQ(server.framesServed(), 0u);
+}
+
+std::size_t openFdCount() {
+  using std::filesystem::directory_iterator;
+  return static_cast<std::size_t>(
+      std::distance(directory_iterator("/proc/self/fd"), directory_iterator()));
+}
+
+// A start() that fails part way (here at bind, the port being taken)
+// closes the sockets it opened: the server is not running, so neither
+// stop() nor the destructor would.
+TEST(TcpTransport, FailedStartClosesItsSockets) {
+  TcpPeerServer holder;
+  const std::uint16_t port = holder.start();
+  const std::size_t before = openFdCount();
+  {
+    TcpPeerServer second;
+    EXPECT_THROW(second.start(port), common::CheckFailure);
+  }
+  EXPECT_EQ(openFdCount(), before);
+  holder.stop();
 }
 
 // A client that pipelines requests and never reads: the server stops

@@ -1,17 +1,15 @@
-// Sim/TCP parity: the two transport backends must agree on ring
-// geometry (RingMap vs Network::responsible) and on every answer for
-// the same workload — the property that makes the simulator's
-// predictions meaningful for the measured wire run.
+// Sim/TCP parity: the two transport backends must return every answer
+// alike for the same workload and leave each record on the same peer —
+// the property that makes the simulator's predictions meaningful for
+// the measured wire run.  Both resolve owners on a dht::Network built
+// with the same peer count, so their ring is one by construction.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "dht/network.h"
 #include "store/wire_store.h"
-#include "transport/ring_map.h"
 #include "transport/sim_transport.h"
 #include "transport/tcp.h"
 
@@ -20,23 +18,6 @@ namespace {
 
 using store::WireStore;
 using store::wireRingKey;
-
-TEST(RingMapParity, MatchesNetworkOwnershipExactly) {
-  for (const std::size_t vnodes : {std::size_t{1}, std::size_t{4}}) {
-    dht::Network net(12, /*seed=*/1, vnodes);
-    RingMap map(12, vnodes);
-    ASSERT_EQ(map.vnodeCount(), net.peers().size());
-    for (std::uint64_t k = 0; k < 5000; ++k) {
-      const dht::RingId key = wireRingKey(k);
-      const dht::RingId simOwner = net.responsible(key);
-      const dht::RingId wireOwner = map.responsible(key);
-      ASSERT_EQ(simOwner, wireOwner) << "key " << k;
-      ASSERT_EQ(net.physicalNameOf(simOwner),
-                "node:" + std::to_string(map.peerOf(wireOwner)))
-          << "key " << k;
-    }
-  }
-}
 
 /// Runs the canonical wire workload (batch inserts, point gets, range
 /// queries) through one Transport and returns every answer in issue
@@ -48,14 +29,14 @@ struct Answers {
   std::uint64_t deadLetters = 0;
 };
 
-template <typename RouteKeyFn>
-Answers runWorkload(Transport& t, std::size_t peers, RouteKeyFn peerKey) {
+Answers runWorkload(Transport& t, const dht::Network& ring) {
   Answers a;
   constexpr std::uint64_t kRecords = 256;
+  const std::size_t peers = ring.physicalCount();
   // Batched inserts, grouped by owner peer exactly like the bench.
   std::vector<std::vector<WireStore::Record>> byPeer(peers);
   for (std::uint64_t k = 0; k < kRecords; ++k) {
-    const std::size_t p = RingMap(peers).ownerPeer(wireRingKey(k));
+    const std::size_t p = ring.physicalOf(ring.responsible(wireRingKey(k)));
     byPeer[p].emplace_back(k, k ^ 0xABCDu);
   }
   for (std::size_t p = 0; p < peers; ++p) {
@@ -88,7 +69,7 @@ Answers runWorkload(Transport& t, std::size_t peers, RouteKeyFn peerKey) {
     dht::RpcEnvelope env;
     env.kind = dht::RpcKind::kVisit;
     env.payload = WireStore::encodeRange(32, 95);
-    t.call(peerKey(p), std::move(env),
+    t.call(ring.firstVnodeOf(p), std::move(env),
            [&a](const dht::RpcEnvelope& resp) {
              for (const auto& rec :
                   WireStore::decodeRangeResponse(resp.payload)) {
@@ -106,23 +87,16 @@ TEST(WireParity, SimAndTcpBackendsReturnIdenticalAnswers) {
   constexpr std::size_t kPeers = 6;
 
   SimTransport sim(kPeers);
-  const Answers simAnswers =
-      runWorkload(sim, kPeers,
-                  [&sim](std::size_t p) {
-                    return dht::keyId("peer-id:node:" + std::to_string(p) +
-                                      "#0");
-                  });
+  const Answers simAnswers = runWorkload(sim, sim.network());
 
-  RingMap map(kPeers);
+  const dht::Network ring(kPeers);
   std::vector<TcpPeerServer> servers(kPeers);
   std::vector<PeerAddr> addrs(kPeers);
   for (std::size_t i = 0; i < kPeers; ++i) addrs[i].port = servers[i].start();
   TcpConfig cfg;
   cfg.timeoutFloorMs = 200.0;
-  TcpTransport tcp(map, addrs, cfg);
-  const Answers tcpAnswers =
-      runWorkload(tcp, kPeers,
-                  [&map](std::size_t p) { return map.firstVnode(p); });
+  TcpTransport tcp(ring, addrs, cfg);
+  const Answers tcpAnswers = runWorkload(tcp, ring);
 
   EXPECT_EQ(simAnswers.stored, tcpAnswers.stored);
   EXPECT_EQ(simAnswers.getValues, tcpAnswers.getValues);
