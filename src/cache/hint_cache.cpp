@@ -83,13 +83,13 @@ const LabelHint* LabelHintCache::findCovering(const Label& fullPath) {
   // the path's words truncated in place, one mask per populated length.
   const std::size_t maxLen =
       std::min(fullPath.size() + 1, lengthCount_.size());
-  const auto path = fullPath.words();
-  key_.assign(path.begin(), path.end());
+  std::uint64_t key[Label::kMaxBits / 64] = {};
+  std::ranges::copy(fullPath.words(), key);
   for (std::size_t len = maxLen; len-- > 0;) {
     if (lengthCount_[len] == 0) continue;
-    if (len % 64 != 0) key_[len / 64] &= (std::uint64_t{1} << (len % 64)) - 1;
+    if (len % 64 != 0) key[len / 64] &= (std::uint64_t{1} << (len % 64)) - 1;
     const std::uint32_t slot =
-        table_.find(key_.data(), static_cast<std::uint32_t>(len));
+        table_.find(key, static_cast<std::uint32_t>(len));
     if (slot == mlight::common::kNoLabelSlot) continue;
     unlink(slot);
     pushFront(slot);
@@ -146,8 +146,7 @@ std::size_t LabelHintCache::memoryBytes() const noexcept {
   std::size_t n = table_.memoryBytes() +
                   replicas_.capacity() * sizeof(ReplicaBlock) +
                   freeReplicas_.capacity() * sizeof(std::uint32_t) +
-                  lengthCount_.capacity() * sizeof(std::uint32_t) +
-                  key_.capacity() * sizeof(std::uint64_t);
+                  lengthCount_.capacity() * sizeof(std::uint32_t);
   for (const ReplicaBlock& b : replicas_) {
     n += (b.salts.capacity() + b.loads.capacity()) * sizeof(std::uint32_t);
   }

@@ -195,8 +195,6 @@ class LabelHintCache {
   std::vector<std::uint32_t> freeReplicas_;
   /// lengthCount_[len] = number of cached hints with a len-bit label.
   std::vector<std::uint32_t> lengthCount_;
-  /// findCovering's masked probe key, reused across calls.
-  std::vector<std::uint64_t> key_;
   /// findCovering's result, refilled on every hit.
   LabelHint hit_;
 

@@ -1,23 +1,27 @@
-// BitString: an arbitrary-length, value-semantic string of bits.
+// BitString: a value-semantic string of at most kMaxBits (256) bits.
 //
 // Labels in m-LIGHT (and trie prefixes in PHT, quad-cell paths in DST) are
 // binary strings whose length matters and whose tail is manipulated bit by
 // bit (append a child edge, truncate during the naming function, invert the
 // last bit to reach a sibling).  BitString packs bits into 64-bit words and
-// supports exactly those operations, plus ordering/hashing so it can key
-// standard containers, and a compact binary serialization.
+// supports exactly those operations, plus ordering so it can key ordered
+// containers, and a compact binary serialization.
 //
-// Representation: small-buffer optimized.  Labels of up to kInlineBits
-// (256) bits — deeper than any benchmark workload reaches (D = 28 paths
-// over m <= 8 dimensions top out at 233 bits) — live entirely inside the
-// object; only longer strings spill to a heap word array.  On the common
-// path every copy, prefix, truncate and append is therefore
+// Representation: four words inside the object, nothing on the heap.  An
+// m-LIGHT label is m+1 root bits plus at most D edge bits (§3.4, §5); §7
+// uses D = 28, so paper labels stay under 40 bits, and the
+// double-precision interleave already caps a path at 52 bits per
+// dimension (208 for m <= 4).  A fixed 256 bits is far beyond all of
+// these, so the limit is checked where input enters, not stretched: each
+// index constructor rejects a depth bound whose labels would not fit, the
+// decoder rejects a longer wire length, and an append past the limit
+// fails with CheckFailure.  Every copy, prefix, truncate and append is
 // allocation-free, which is what makes the §5 probe binary search and
 // Algorithm 1 planning cheap on the host.
 //
 // Storage invariant: within the last occupied word, bits at positions
-// >= size() are zero (so equality/hashing can compare whole words); words
-// beyond wordCount() are unspecified and never read.
+// >= size() are zero (so equality can compare whole words); words beyond
+// wordCount() are unspecified and never read.
 #pragma once
 
 #include <bit>
@@ -30,40 +34,39 @@
 #include <string>
 #include <string_view>
 
+#include "common/check.h"
+
 namespace mlight::common {
 
 class BitString {
  public:
-  /// Bits that fit without heap allocation.
-  static constexpr std::size_t kInlineBits = 256;
+  /// The longest label; appending past it throws CheckFailure.
+  static constexpr std::size_t kMaxBits = 256;
 
   BitString() noexcept = default;
-
-  BitString(const BitString& other) { initFrom(other); }
-  BitString& operator=(const BitString& other) {
-    if (this != &other) assignFrom(other);
-    return *this;
-  }
+  BitString(const BitString&) noexcept = default;
+  BitString& operator=(const BitString&) noexcept = default;
 
   /// Moves leave the source empty (not merely "valid but unspecified"):
   /// labels are shuffled around aggressively during splits/merges and a
-  /// half-moved state (storage gone, size kept) would be a trap.
-  BitString(BitString&& other) noexcept { stealFrom(other); }
+  /// half-moved label would be a trap.  A move copies, then clears the
+  /// source's size.
+  BitString(BitString&& other) noexcept : BitString(other) {
+    other.size_ = 0;
+  }
   BitString& operator=(BitString&& other) noexcept {
     if (this != &other) {
-      releaseHeap();
-      stealFrom(other);
+      *this = other;
+      other.size_ = 0;
     }
     return *this;
   }
-
-  ~BitString() { releaseHeap(); }
 
   /// Builds from a textual form such as "00101".  Characters other than
   /// '0'/'1' are rejected (throws std::invalid_argument).
   static BitString fromString(std::string_view text);
 
-  /// A run of `count` copies of `bit`.
+  /// A run of `count` copies of `bit` (count <= kMaxBits).
   static BitString repeated(bool bit, std::size_t count);
 
   /// Number of bits.
@@ -73,7 +76,7 @@ class BitString {
   /// Bit at position `i` (0-based from the front).  Precondition: i < size().
   bool bit(std::size_t i) const noexcept {
     assert(i < size_);
-    return (data()[i / kWordBits] >> (i % kWordBits)) & 1u;
+    return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
   }
 
   /// Last bit.  Precondition: !empty().
@@ -81,8 +84,8 @@ class BitString {
 
   /// Appends one bit at the back.
   void pushBack(bool b) {
-    if (size_ == capacityBits()) grow(capWords_ * 2);
-    std::uint64_t* w = dataMut() + size_ / kWordBits;
+    requireFits(size_ + 1);
+    std::uint64_t* w = words_ + size_ / kWordBits;
     const std::size_t off = size_ % kWordBits;
     if (off == 0) {
       // Entering a fresh word: overwrite it wholesale (storage beyond
@@ -98,8 +101,7 @@ class BitString {
   void popBack() noexcept {
     assert(size_ > 0);
     --size_;
-    dataMut()[size_ / kWordBits] &=
-        ~(std::uint64_t{1} << (size_ % kWordBits));
+    words_[size_ / kWordBits] &= ~(std::uint64_t{1} << (size_ % kWordBits));
   }
 
   /// Sets bit `i`.  Precondition: i < size().
@@ -107,9 +109,9 @@ class BitString {
     assert(i < size_);
     const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
     if (b) {
-      dataMut()[i / kWordBits] |= mask;
+      words_[i / kWordBits] |= mask;
     } else {
-      dataMut()[i / kWordBits] &= ~mask;
+      words_[i / kWordBits] &= ~mask;
     }
   }
 
@@ -117,7 +119,7 @@ class BitString {
   /// binary tree without a copy.  Precondition: !empty().
   void flipBack() noexcept {
     assert(size_ > 0);
-    dataMut()[(size_ - 1) / kWordBits] ^=
+    words_[(size_ - 1) / kWordBits] ^=
         std::uint64_t{1} << ((size_ - 1) % kWordBits);
   }
 
@@ -134,7 +136,7 @@ class BitString {
     assert(n <= size_);
     size_ = n;
     if (n % kWordBits != 0) {
-      dataMut()[n / kWordBits] &= (std::uint64_t{1} << (n % kWordBits)) - 1;
+      words_[n / kWordBits] &= (std::uint64_t{1} << (n % kWordBits)) - 1;
     }
   }
 
@@ -168,12 +170,6 @@ class BitString {
   /// decode path builds labels one wire word at a time.
   void appendWordBits(std::uint64_t word, std::size_t count);
 
-  /// Pre-grows storage so subsequent appends up to `bits` total bits do
-  /// not reallocate.
-  void reserveBits(std::size_t bits) {
-    if (bits > capacityBits()) grow((bits + kWordBits - 1) / kWordBits);
-  }
-
   /// Textual form, e.g. "00101".
   std::string toString() const;
 
@@ -181,15 +177,12 @@ class BitString {
   /// view covers exactly ceil(size()/64) words.  Useful for hashing into
   /// DHT key space.  Invalidated by any mutation of *this.
   std::span<const std::uint64_t> words() const noexcept {
-    return {data(), wordCount()};
+    return {words_, wordCount()};
   }
-
-  /// Stable 64-bit hash of the contents (FNV-1a over words and length).
-  std::uint64_t hash64() const noexcept;
 
   friend bool operator==(const BitString& a, const BitString& b) noexcept {
     return a.size_ == b.size_ &&
-           std::memcmp(a.data(), b.data(),
+           std::memcmp(a.words_, b.words_,
                        a.wordCount() * sizeof(std::uint64_t)) == 0;
   }
 
@@ -198,52 +191,21 @@ class BitString {
 
  private:
   static constexpr std::size_t kWordBits = 64;
-  static constexpr std::size_t kInlineWords = kInlineBits / kWordBits;
 
-  union Rep {
-    std::uint64_t inl[kInlineWords];
-    std::uint64_t* heap;
-  };
-
-  bool isInline() const noexcept { return capWords_ == kInlineWords; }
-  std::size_t capacityBits() const noexcept { return capWords_ * kWordBits; }
-  std::size_t wordCount() const noexcept {
-    return (size_ + kWordBits - 1) / kWordBits;
-  }
+  std::size_t wordCount() const noexcept { return wordsFor(size_); }
   static std::size_t wordsFor(std::size_t bits) noexcept {
     return (bits + kWordBits - 1) / kWordBits;
   }
-
-  const std::uint64_t* data() const noexcept {
-    return isInline() ? rep_.inl : rep_.heap;
-  }
-  std::uint64_t* dataMut() noexcept {
-    return isInline() ? rep_.inl : rep_.heap;
-  }
-
-  void grow(std::size_t wantWords);
-  void releaseHeap() noexcept {
-    if (!isInline()) delete[] rep_.heap;
+  /// The one limit check of every append path.
+  static void requireFits(std::size_t bits) {
+    MLIGHT_CHECK(bits <= kMaxBits,
+                 "BitString: " + std::to_string(bits) +
+                     " bits exceed the " + std::to_string(kMaxBits) +
+                     "-bit label limit");
   }
 
-  /// Copy into a freshly constructed (or just-released) object.  Small
-  /// sources land inline even when the source itself had spilled.
-  void initFrom(const BitString& other);
-  /// Copy into a live object, reusing existing heap capacity when it
-  /// fits.
-  void assignFrom(const BitString& other);
-  /// Move guts out of `other`, leaving it empty (inline).
-  void stealFrom(BitString& other) noexcept;
-
-  Rep rep_{{0, 0}};
-  std::uint32_t capWords_ = kInlineWords;  ///< == kInlineWords ⇒ inline
-  std::size_t size_ = 0;                   ///< bits
-};
-
-struct BitStringHash {
-  std::size_t operator()(const BitString& b) const noexcept {
-    return static_cast<std::size_t>(b.hash64());
-  }
+  std::uint64_t words_[kMaxBits / kWordBits] = {};
+  std::size_t size_ = 0;  ///< bits
 };
 
 }  // namespace mlight::common

@@ -11,15 +11,15 @@
 // Layout (docs/COST_MODEL.md "Label-keyed store state"):
 //  * words_ holds each slot's label words at words_[slot * stride_], tail
 //    bits zeroed.  stride_ is the word count of the longest label ever
-//    inserted; a longer label re-strides the whole pool (rare — a tree's
-//    depth bound fixes it after the first few inserts);
+//    inserted (at most 4: BitString::kMaxBits is 256); a longer label
+//    re-strides the whole pool (rare — a tree's depth bound fixes it
+//    after the first few inserts);
 //  * slots_ holds each slot's label length in bits (kFreeLen marks a
 //    freed slot) and its payload; freed slots are handed out again, last
 //    freed first, before the arrays grow;
 //  * index_ is open addressing with linear probing over slot+1 (0 =
 //    empty), load <= 1/2, deletion by backward shift (no tombstones).
-//    The hash is a multiply-xorshift mix over (length, words) — not
-//    BitString::hash64(), whose byte-wise FNV is slower.
+//    The hash is a multiply-xorshift mix over (length, words).
 //
 // Nothing iterates the index, and slot numbers are allocation order, not
 // label order: callers that feed digests or traffic walk a slot list

@@ -122,13 +122,15 @@ class Reader {
   }
   BitString readBitString() {
     const std::uint32_t nbits = readU32();
-    // Each 64-bit word must actually be on the wire before its storage
-    // is reserved: a forged length may not drive the allocation.
+    // A forged length is rejected before any word is decoded: it may not
+    // exceed the label limit, nor the bytes actually on the wire.
+    if (nbits > BitString::kMaxBits) {
+      throw SerdeError("serde: bit-string length exceeds the label limit");
+    }
     if ((static_cast<std::size_t>(nbits) + 63) / 64 > remaining() / 8) {
       throw SerdeError("serde: bit-string length exceeds remaining bytes");
     }
     BitString out;
-    out.reserveBits(nbits);
     for (std::size_t done = 0; done < nbits; done += 64) {
       out.appendWordBits(readU64(), std::min<std::size_t>(64, nbits - done));
     }

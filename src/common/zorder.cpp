@@ -12,10 +12,11 @@ namespace mlight::common {
 BitString interleave(const Point& p, std::size_t depth) {
   const std::size_t m = p.dims();
   assert(m >= 1);
-  MLIGHT_CHECK(depth <= kMaxInterleaveBitsPerDim * m,
+  MLIGHT_CHECK(depth <= maxInterleaveDepth(m),
                "interleave: depth " + std::to_string(depth) + " exceeds " +
                    std::to_string(kMaxInterleaveBitsPerDim) + " bits per "
-                   "dimension");
+                   "dimension or the " +
+                   std::to_string(BitString::kMaxBits) + "-bit label limit");
   // Quantize each coordinate once to the k bits it contributes: q =
   // floor(p * 2^k), clamped to [0, 2^k - 1].  Scaling by a power of two
   // is exact, so bit j of q is exactly the j-th halving decision
@@ -38,7 +39,6 @@ BitString interleave(const Point& p, std::size_t depth) {
   // Emit level by level (dimensions m-1 .. 0 within a level), gathering
   // 64 bits per word.  This is the innermost loop of every insert.
   BitString out;
-  out.reserveBits(depth);
   std::uint64_t word = 0;
   std::size_t filled = 0;
   for (std::size_t d = 0; d < depth;) {

@@ -14,6 +14,7 @@
 // the bit at depth d comes from dimension (m-1) - (d mod m).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "common/bitstring.h"
@@ -33,6 +34,12 @@ constexpr std::size_t dimensionAtDepth(std::size_t depth,
 /// being representable and extra "bits" would be rounding artifacts.
 inline constexpr std::size_t kMaxInterleaveBitsPerDim = 52;
 
+/// Deepest path interleave() builds in m dimensions: the per-dimension
+/// precision bound, capped at the label limit BitString::kMaxBits.
+constexpr std::size_t maxInterleaveDepth(std::size_t dims) noexcept {
+  return std::min(kMaxInterleaveBitsPerDim * dims, BitString::kMaxBits);
+}
+
 /// Interleaves the first ceil(depth/m) fractional bits of each coordinate
 /// into a `depth`-bit string: bit d tells whether the point lies in the
 /// upper half of dimension dimensionAtDepth(d, m) after d/m halvings.
@@ -40,7 +47,7 @@ inline constexpr std::size_t kMaxInterleaveBitsPerDim = 52;
 /// bits; that is exact, so the bits equal the dyadic halving decisions.
 /// Coordinates should lie in [0, 1): p >= 1 clamps to the top cell
 /// (q = 2^k - 1), and p <= 0 or NaN to the bottom one (q = 0).  Checks
-/// depth <= kMaxInterleaveBitsPerDim * m.
+/// depth <= maxInterleaveDepth(m).
 BitString interleave(const Point& p, std::size_t depth);
 
 /// The dyadic cell reached by following `path`'s bits from position

@@ -8,7 +8,6 @@
 // (MeterScope, index::OpStats), so meters nest and add up exactly.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -121,35 +120,6 @@ class PeerLoadMeter {
   /// than the overlay's peer count — missing tails are zero.
   const std::vector<std::uint64_t>& counts() const noexcept {
     return counts_;
-  }
-
-  /// Load distribution at a quiescent point, over `peerCount` peers
-  /// (peers beyond the counter vector count as zero load).
-  struct Snapshot {
-    std::uint64_t total = 0;
-    std::uint64_t max = 0;
-    std::uint64_t p99 = 0;
-    double avg = 0.0;
-    /// max/avg — the headline balance figure (1.0 = perfectly even;
-    /// 0 when nothing was metered).
-    double maxOverAvg = 0.0;
-  };
-  Snapshot snapshot(std::size_t peerCount) const {
-    Snapshot s;
-    std::vector<std::uint64_t> loads(std::max(peerCount, counts_.size()), 0);
-    std::copy(counts_.begin(), counts_.end(), loads.begin());
-    for (const std::uint64_t v : loads) {
-      s.total += v;
-      s.max = std::max(s.max, v);
-    }
-    if (loads.empty()) return s;
-    s.avg = static_cast<double>(s.total) / static_cast<double>(loads.size());
-    std::sort(loads.begin(), loads.end());
-    const std::size_t rank =
-        (99 * (loads.size() - 1) + 50) / 100;  // nearest-rank p99
-    s.p99 = loads[rank];
-    if (s.avg > 0.0) s.maxOverAvg = static_cast<double>(s.max) / s.avg;
-    return s;
   }
 
   /// Feeds the counters in peer-index order (fixed, so digest-stable).

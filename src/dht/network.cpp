@@ -334,7 +334,7 @@ mlight::common::Rng attemptRng(const FaultModel& faults,
 double Network::rpcTimeoutMs(std::size_t attempt,
                              double routeMs) const noexcept {
   const double floor =
-      2.0 * routeMs + faults_.jitterMs + faults_.timeoutBaseMs;
+      2.0 * routeMs + faults_.jitterMs + kTimeoutBaseMs;
   return retryBackoffMs(floor, attempt);
 }
 

@@ -91,9 +91,6 @@ struct FaultModel {
   double lossProbability = 0.0;
   /// Max additive delivery jitter (uniform in [0, jitterMs); 0 = none).
   double jitterMs = 0.0;
-  /// Grace added on top of the RTT-derived timeout floor (see
-  /// Network::rpcTimeoutMs).
-  double timeoutBaseMs = 50.0;
   /// Total transmissions per envelope, including the first.
   std::size_t maxAttempts = 6;
   /// Seed of the fault randomness.  Loss and jitter are not drawn from a
@@ -489,7 +486,7 @@ class Network {
                           RpcHandler handler, RpcFailFn onFail,
                           std::size_t attempt);
   /// Timeout for the given attempt: twice the routed path latency plus
-  /// worst-case jitter plus timeoutBaseMs grace, doubled per attempt
+  /// worst-case jitter plus kTimeoutBaseMs grace, doubled per attempt
   /// (capped exponential backoff).
   double rpcTimeoutMs(std::size_t attempt, double routeMs) const noexcept;
 

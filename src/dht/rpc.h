@@ -64,6 +64,10 @@ struct RpcEnvelope {
   void deserializeFrom(common::Reader& r);
 };
 
+/// Grace added on top of the RTT-derived timeout floor of every attempt
+/// (Network::rpcTimeoutMs); the TCP transport's default backoff floor.
+inline constexpr double kTimeoutBaseMs = 50.0;
+
 /// Capped exponential retry backoff shared by the simulated fault layer
 /// and the real TCP transport: the timeout for transmission `attempt`
 /// (0 = the original send) is `floorMs` doubled per attempt, with the

@@ -25,6 +25,11 @@ DstIndex::DstIndex(mlight::dht::Network& net, DstConfig config)
   if (config_.dims < 1 || config_.dims > mlight::common::kMaxDims) {
     throw std::invalid_argument("DstIndex: dims out of range");
   }
+  if (config_.maxDepth > mlight::common::maxInterleaveDepth(config_.dims)) {
+    throw std::invalid_argument(
+        "DstIndex: maxDepth exceeds the interleave precision or the label "
+        "limit");
+  }
   if (config_.maxDepth % levelBits() != 0) {
     throw std::invalid_argument(
         "DstIndex: maxDepth must be a multiple of the level width");

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/invariants.h"
+#include "common/zorder.h"
 #include "index/op_stats.h"
 
 #include "mlight/kdspace.h"
@@ -26,6 +27,14 @@ MLightIndex::MLightIndex(mlight::dht::Network& net, MLightConfig config)
   if (config_.dims < 1 || config_.dims > mlight::common::kMaxDims) {
     throw std::invalid_argument("MLightIndex: dims out of range");
   }
+  // A leaf label is dims + 1 root bits plus an interleaved key path of
+  // maxEdgeDepth bits; refuse a bound that no insert could reach.
+  if (config_.maxEdgeDepth > mlight::common::maxInterleaveDepth(config_.dims) ||
+      config_.dims + 1 + config_.maxEdgeDepth > Label::kMaxBits) {
+    throw std::invalid_argument(
+        "MLightIndex: maxEdgeDepth exceeds the interleave precision or the "
+        "label limit");
+  }
   if (config_.thetaMerge >= config_.thetaSplit) {
     throw std::invalid_argument(
         "MLightIndex: thetaMerge must be < thetaSplit");
@@ -36,8 +45,7 @@ MLightIndex::MLightIndex(mlight::dht::Network& net, MLightConfig config)
   if (config_.wal) {
     // Attach before the bootstrap placement so the root bucket is framed
     // too — the log must cover every placement ever applied.
-    wal_ = std::make_unique<mlight::wal::WalSet>(config_.walDir,
-                                                 config_.seed);
+    wal_ = std::make_unique<mlight::wal::WalSet>(config_.seed);
     store_.attachWal(wal_.get());
   }
   // Bootstrap: a single leaf # named to the virtual root.  Index creation

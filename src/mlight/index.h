@@ -74,9 +74,6 @@ struct MLightConfig {
   /// it rejoins under the same name.  Off by default; the off path is
   /// bit-identical to a build without the WAL.
   bool wal = false;
-  /// Root of the simulated WAL file layout (per-run subdirectory derives
-  /// from `seed`; see wal::WalSet::filePathFor).
-  std::string walDir = "wal";
   /// Per-peer label-hint cache (src/cache): with `cache.enabled` every
   /// point operation first probes the last leaf observed for the query's
   /// cell (1 DHT-lookup on a hit) and falls back to the §5 binary

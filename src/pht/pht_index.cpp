@@ -31,6 +31,11 @@ PhtIndex::PhtIndex(mlight::dht::Network& net, PhtConfig config)
   if (config_.dims < 1 || config_.dims > mlight::common::kMaxDims) {
     throw std::invalid_argument("PhtIndex: dims out of range");
   }
+  if (config_.maxDepth > mlight::common::maxInterleaveDepth(config_.dims)) {
+    throw std::invalid_argument(
+        "PhtIndex: maxDepth exceeds the interleave precision or the label "
+        "limit");
+  }
   // Bootstrap: the root (empty prefix) as an empty leaf.
   const Label rootLabel;
   CellNode root;

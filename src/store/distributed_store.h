@@ -79,7 +79,7 @@ enum class RepairPolicy { kEager, kOnRead };
 /// placement walk, shipped like any repair — and read traffic then
 /// spreads over the enlarged copy set (least-loaded routing, ties broken
 /// by lowest replica index).  A boosted label whose full window closes
-/// below `demoteReads` is demoted back to the base replication factor.
+/// below `kDemoteReads` is demoted back to the base replication factor.
 /// Promotion/demotion side effects are deferred to quiescent points
 /// (drainLoadBalance(), called from the index-operation tails) and
 /// applied in sorted label order, so handler execution order never
@@ -91,7 +91,7 @@ struct LoadBalancePolicy {
   /// In-window reads at which a leaf is promoted (read-hot).
   std::uint32_t promoteReads = 16;
   /// Full-window reads below which a boosted leaf is demoted.
-  std::uint32_t demoteReads = 2;
+  static constexpr std::uint32_t kDemoteReads = 2;
   /// Heat window length, simulated milliseconds.
   double windowMs = 5000.0;
   /// Extra copies granted to a hot leaf (total = replication + boost).
@@ -1074,7 +1074,7 @@ class DistributedStore {
     const double now = net_->now();
     const bool boosted = st.isBoosted();
     if (now - h.startMs >= loadBalance_.windowMs) {
-      if (boosted && h.reads < loadBalance_.demoteReads) {
+      if (boosted && h.reads < LoadBalancePolicy::kDemoteReads) {
         pendingDemotions_.push_back(label);
       }
       h.startMs = now;

@@ -54,9 +54,9 @@ struct PeerAddr {
 /// Client-side knobs, mirroring the simulator's FaultModel defaults so
 /// the two worlds share one retry schedule.
 struct TcpConfig {
-  /// Backoff floor in wall milliseconds (FaultModel::timeoutBaseMs
-  /// analogue; loopback RTT is negligible next to it).
-  double timeoutFloorMs = 50.0;
+  /// Backoff floor in wall milliseconds (the simulator's
+  /// dht::kTimeoutBaseMs grace; loopback RTT is negligible next to it).
+  double timeoutFloorMs = dht::kTimeoutBaseMs;
   /// Total transmissions per envelope, including the first
   /// (FaultModel::maxAttempts analogue).
   std::size_t maxAttempts = 6;

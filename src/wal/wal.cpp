@@ -114,12 +114,11 @@ void PeerWal::truncate(std::size_t bytes) {
 }
 
 std::string WalSet::filePathFor(std::string_view peerName) const {
-  // <dir>/<seed as 16 hex digits>/<sanitized peer name>.wal — a pure
-  // function of constructor arguments and the name, so the layout is
-  // identical across shuffle seeds and re-runs.
+  // wal/<seed as 16 hex digits>/<sanitized peer name>.wal — a pure
+  // function of the seed and the name, so the layout is identical across
+  // shuffle seeds and re-runs.
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string path = dir_;
-  path += '/';
+  std::string path = "wal/";
   for (int shift = 60; shift >= 0; shift -= 4) {
     path += kHex[(layoutSeed_ >> static_cast<unsigned>(shift)) & 0xfU];
   }

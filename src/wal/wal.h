@@ -124,13 +124,12 @@ class PeerWal {
 /// ring positions or physical indices.
 class WalSet {
  public:
-  /// `dir` roots the simulated file layout; `layoutSeed` namespaces it
+  /// `layoutSeed` namespaces the simulated file layout under "wal/"
   /// (one deterministic directory per seeded run).
-  WalSet(std::string dir, std::uint64_t layoutSeed)
-      : dir_(std::move(dir)), layoutSeed_(layoutSeed) {}
+  explicit WalSet(std::uint64_t layoutSeed) : layoutSeed_(layoutSeed) {}
 
-  /// Pure function of (dir, seed, name): where this peer's log file
-  /// would live on a real disk.
+  /// Pure function of (seed, name): where this peer's log file would
+  /// live on a real disk.
   std::string filePathFor(std::string_view peerName) const;
 
   /// The peer's log, created empty on first use.
@@ -147,7 +146,6 @@ class WalSet {
   void digestState(mlight::common::Digest& d) const;
 
  private:
-  std::string dir_;
   std::uint64_t layoutSeed_ = 0;
   std::map<std::string, PeerWal, std::less<>> logs_;
 };

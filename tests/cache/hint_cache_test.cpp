@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <list>
 #include <string>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "common/bitstring.h"
@@ -111,8 +111,7 @@ TEST(LabelHintCache, ForgetUnshadowsShallowerHint) {
 // --- arena vs. list model ------------------------------------------------
 
 // The node-based LabelHintCache this arena replaced (a std::list in LRU
-// order plus a BitString-keyed unordered_map), kept verbatim as the
-// oracle: the arena must agree with it on every hit, size, eviction and
+// order plus a BitString-keyed map), kept as the oracle: the arena must agree with it on every hit, size, eviction and
 // digest.
 class ReferenceHintCache {
  public:
@@ -185,9 +184,7 @@ class ReferenceHintCache {
  private:
   std::size_t capacity_;
   std::list<LabelHint> lru_;
-  std::unordered_map<BitString, std::list<LabelHint>::iterator,
-                     mlight::common::BitStringHash>
-      byLeaf_;
+  std::map<BitString, std::list<LabelHint>::iterator> byLeaf_;
   std::vector<std::uint32_t> lengthCount_;
 };
 
@@ -208,8 +205,8 @@ void expectSameHit(const LabelHint* got, const LabelHint* want) {
 }
 
 // Seeded random learn / refresh / forget / findCovering sequences over
-// labels of 0-300 bits — across the 64- and 128-bit word boundaries and
-// BitString's 256-bit inline limit, so the arena re-strides mid-run.
+// labels of 0-256 bits — across every 64-bit word boundary up to
+// BitString's 256-bit limit, so the arena re-strides mid-run.
 // Labels are prefixes (some with the last bit flipped) of a few fixed
 // paths, so coverage queries hit, shadow and miss in every mix.
 TEST(LabelHintCache, MatchesListModel) {
@@ -220,7 +217,9 @@ TEST(LabelHintCache, MatchesListModel) {
       mlight::common::Rng rng(seed * 1000 + capacity);
       std::vector<BitString> paths(3);
       for (BitString& p : paths) {
-        for (int i = 0; i < 300; ++i) p.pushBack(rng.chance(0.5));
+        for (std::size_t i = 0; i < BitString::kMaxBits; ++i) {
+          p.pushBack(rng.chance(0.5));
+        }
       }
       auto randomPrefix = [&] {
         const BitString& p = paths[rng.below(paths.size())];

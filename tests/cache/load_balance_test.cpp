@@ -456,19 +456,15 @@ TEST(LoadBalance, IncrementalRoutesMatchFullRecompute) {
   EXPECT_EQ(storedBoostedLabels(index), index.store().boostedLeafCount());
 }
 
-TEST(LoadBalance, PeerLoadMeterSnapshotMath) {
+TEST(LoadBalance, PeerLoadMeterCountsAndDigest) {
   dht::PeerLoadMeter meter;
   for (int i = 0; i < 6; ++i) meter.note(2);
   meter.note(0);
   meter.note(5);
   EXPECT_EQ(meter.countOf(2), 6u);
   EXPECT_EQ(meter.countOf(7), 0u);  // beyond the vector: implicit zero
-  const auto snap = meter.snapshot(8);
-  EXPECT_EQ(snap.total, 8u);
-  EXPECT_EQ(snap.max, 6u);
-  EXPECT_DOUBLE_EQ(snap.avg, 1.0);
-  EXPECT_EQ(snap.p99, 6u);  // nearest-rank p99 of 8 samples = the max
-  EXPECT_DOUBLE_EQ(snap.maxOverAvg, 6.0);
+  EXPECT_EQ(meter.counts(),
+            (std::vector<std::uint64_t>{1, 0, 6, 0, 0, 1}));
 
   // The meter is digest-stable: same notes, same digest.
   common::Digest a;

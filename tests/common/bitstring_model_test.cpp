@@ -1,12 +1,16 @@
 // Differential testing of BitString against a trivially-correct model
 // (std::string of '0'/'1'): long random operation sequences must keep
 // the two representations in lockstep, including across the 64-bit word
-// boundaries where the packed implementation does real work.
+// boundaries where the packed implementation does real work, and up to
+// the kMaxBits limit, where a push or append must fail and change
+// nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/bitstring.h"
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace mlight::common {
@@ -27,18 +31,24 @@ TEST_P(BitStringModelTest, RandomOpsMatchStringModel) {
       const std::size_t i = rng.below(model.size());
       ASSERT_EQ(packed.bit(i), model[i] == '1');
     }
-    // Hash/equality consistency with a rebuilt copy.
+    // Equality and word image consistent with a rebuilt copy.
     const BitString rebuilt = BitString::fromString(model);
     ASSERT_EQ(packed, rebuilt);
-    ASSERT_EQ(packed.hash64(), rebuilt.hash64());
+    ASSERT_TRUE(std::ranges::equal(packed.words(), rebuilt.words()));
   };
+  std::size_t rejected = 0;
 
   for (int op = 0; op < 3000; ++op) {
     const double dice = rng.uniform();
     if (dice < 0.45 || model.empty()) {
       const bool b = rng.chance(0.5);
-      packed.pushBack(b);
-      model.push_back(b ? '1' : '0');
+      if (model.size() == BitString::kMaxBits) {
+        ASSERT_THROW(packed.pushBack(b), CheckFailure);
+        ++rejected;
+      } else {
+        packed.pushBack(b);
+        model.push_back(b ? '1' : '0');
+      }
     } else if (dice < 0.65) {
       packed.popBack();
       model.pop_back();
@@ -64,12 +74,21 @@ TEST_P(BitStringModelTest, RandomOpsMatchStringModel) {
         tail.pushBack(b);
         tailModel.push_back(b ? '1' : '0');
       }
-      packed.append(tail);
-      model += tailModel;
+      if (model.size() + n > BitString::kMaxBits) {
+        ASSERT_THROW(packed.append(tail), CheckFailure);
+        ++rejected;
+      } else {
+        packed.append(tail);
+        model += tailModel;
+      }
     }
     if (op % 50 == 0) check();
   }
   check();
+  // Seeds 2-4 run into the limit; seed 1 stays below it.
+  if (GetParam() != 1) {
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 TEST_P(BitStringModelTest, OrderingMatchesModelOrdering) {

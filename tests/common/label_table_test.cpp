@@ -1,7 +1,7 @@
 // LabelTable (src/common/label_table.h): the label → slot directory the
 // store and the hint cache share.  A seeded model test against std::map
-// (labels and payloads), the label lengths around word and inline-buffer
-// boundaries (the empty label included — it is the PHT/DST root key),
+// (labels and payloads), the label lengths around word boundaries and
+// the 256-bit label limit (the empty label included — it is the PHT/DST root key),
 // deletion inside probe runs, growth, re-striding, and the label order
 // used by sorted walks.
 #include "common/label_table.h"
@@ -106,10 +106,11 @@ TEST(LabelTable, MatchesMapModel) {
 }
 
 TEST(LabelTable, BoundaryLengthsAreDistinctKeys) {
-  // 257 bits spills BitString to the heap (kInlineBits = 256); the table
-  // stores every length the same way.
-  constexpr std::size_t kLengths[] = {0, 1, 63, 64, 65, 256, 257};
-  static_assert(BitString::kInlineBits == 256);
+  // Every word boundary up to the 256-bit label limit; the table stores
+  // every length the same way.
+  constexpr std::size_t kLengths[] = {0,   1,   63,  64,  65,  127, 128,
+                                      129, 191, 192, 193, 255, 256};
+  static_assert(BitString::kMaxBits == 256);
   Table table;
   std::map<BitString, std::uint32_t> model;
   for (const bool bit : {false, true}) {
@@ -184,11 +185,11 @@ TEST(LabelTable, GrowthAndRestrideKeepSlots) {
     }
   }
   expectMatchesModel(table, model);
-  // A five-word label re-strides the whole pool; no slot may move.
-  const BitString wide = randomLabel(rng, 257);
+  // A four-word label re-strides the whole pool; no slot may move.
+  const BitString wide = randomLabel(rng, BitString::kMaxBits);
   model.emplace(wide, insertStamped(table, wide));
   expectMatchesModel(table, model);
-  EXPECT_GT(table.memoryBytes(), 3001u * (8 * 5 + 4));
+  EXPECT_GT(table.memoryBytes(), 3001u * (8 * 4 + 4));
 }
 
 TEST(LabelTable, FreedSlotsAreReusedFirst) {

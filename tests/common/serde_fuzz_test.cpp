@@ -145,6 +145,22 @@ TEST(SerdeFuzz, HugeBitStringLengthIsRejectedNotAllocated) {
   EXPECT_THROW((void)r2.readBitString(), SerdeError);
 }
 
+TEST(SerdeFuzz, BitStringBeyondTheLabelLimitIsRejected) {
+  // A length one bit past the 256-bit limit throws even when every word
+  // it announces is on the wire; the limit itself decodes.
+  for (const std::uint32_t nbits : {256u, 257u}) {
+    Writer w;
+    w.writeU32(nbits);
+    for (int i = 0; i < 5; ++i) w.writeU64(~std::uint64_t{0});
+    Reader r(w.bytes());
+    if (nbits == BitString::kMaxBits) {
+      EXPECT_EQ(r.readBitString(), BitString::repeated(true, nbits));
+    } else {
+      EXPECT_THROW((void)r.readBitString(), SerdeError);
+    }
+  }
+}
+
 TEST(SerdeFuzz, BadRecordDimensionalityRejected) {
   Writer w;
   w.writeU64(1);          // id

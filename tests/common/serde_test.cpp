@@ -108,8 +108,9 @@ TEST(Serde, RandomRecordsRoundTrip) {
 // The BitString wire format predates the small-buffer representation:
 // u32 bit count, then ceil(n/64) little-endian u64 words, LSB-first
 // within each word, tail bits zero.  Any label persisted or metered by
-// an older build must decode identically, so pin the exact bytes at the
-// SBO boundary lengths (127/128/129) plus a short label.
+// an older build must decode identically, so pin the exact bytes at
+// word boundaries (127/128/129), at the 256-bit label limit, plus a short
+// label.
 TEST(Serde, BitStringEncodingIsByteCompatibleWithPreSboFormat) {
   auto expectBytes = [](const BitString& b) {
     // Independent re-derivation of the pre-SBO encoding from bit() only.
@@ -134,7 +135,8 @@ TEST(Serde, BitStringEncodingIsByteCompatibleWithPreSboFormat) {
   Rng rng(99);
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{13}, std::size_t{64}, std::size_t{127},
-        std::size_t{128}, std::size_t{129}}) {
+        std::size_t{128}, std::size_t{129}, std::size_t{255},
+        std::size_t{256}}) {
     BitString b;
     for (std::size_t i = 0; i < n; ++i) b.pushBack(rng.chance(0.5));
     Writer w;

@@ -201,8 +201,7 @@ TEST(ZOrder, QuantizedMatchesHalvingOracle) {
     for (int i = 0; i < 60; ++i) {
       Point p(m);
       for (std::size_t d = 0; d < m; ++d) p[d] = coordinate();
-      for (std::size_t depth = 0; depth <= kMaxInterleaveBitsPerDim * m;
-           ++depth) {
+      for (std::size_t depth = 0; depth <= maxInterleaveDepth(m); ++depth) {
         ASSERT_EQ(interleave(p, depth), halvingOracle(p, depth))
             << "m=" << m << " point " << i << " depth " << depth;
       }
@@ -211,12 +210,17 @@ TEST(ZOrder, QuantizedMatchesHalvingOracle) {
 }
 
 TEST(ZOrder, RejectsDepthBeyondDoublePrecision) {
-  for (const std::size_t m : {1u, 2u, 8u}) {
+  // Up to m = 4 the double-precision bound is the binding one (208 bits
+  // at m = 4); from m = 5 on it is the 256-bit label limit.
+  EXPECT_EQ(maxInterleaveDepth(1), kMaxInterleaveBitsPerDim);
+  EXPECT_EQ(maxInterleaveDepth(4), 4 * kMaxInterleaveBitsPerDim);
+  EXPECT_EQ(maxInterleaveDepth(5), BitString::kMaxBits);
+  EXPECT_EQ(maxInterleaveDepth(8), BitString::kMaxBits);
+  for (const std::size_t m : {1u, 2u, 4u, 5u, 8u}) {
     Point p(m);
     for (std::size_t d = 0; d < m; ++d) p[d] = 0.3;
-    EXPECT_NO_THROW(interleave(p, kMaxInterleaveBitsPerDim * m));
-    EXPECT_THROW(interleave(p, kMaxInterleaveBitsPerDim * m + 1),
-                 CheckFailure);
+    EXPECT_NO_THROW(interleave(p, maxInterleaveDepth(m)));
+    EXPECT_THROW(interleave(p, maxInterleaveDepth(m) + 1), CheckFailure);
   }
 }
 

@@ -352,6 +352,20 @@ TEST(DstIndex, RejectsBadConfig) {
   EXPECT_THROW(DstIndex(net, cfg), std::invalid_argument);
 }
 
+TEST(DstIndex, RejectsLabelsBeyondTheLimit) {
+  Network net(8);
+  DstConfig cfg;  // dims = 2: 52 bits per dimension bind first
+  cfg.maxDepth = 2 * mlight::common::kMaxInterleaveBitsPerDim + 2;
+  EXPECT_THROW(DstIndex(net, cfg), std::invalid_argument);
+  cfg.maxDepth -= 2;
+  EXPECT_NO_THROW(DstIndex(net, cfg));
+  cfg.dims = 8;  // from m = 5 on, the label limit binds
+  cfg.maxDepth = mlight::common::BitString::kMaxBits + 8;
+  EXPECT_THROW(DstIndex(net, cfg), std::invalid_argument);
+  cfg.maxDepth = mlight::common::BitString::kMaxBits;
+  EXPECT_NO_THROW(DstIndex(net, cfg));
+}
+
 TEST(DstIndex, RejectsKeysOutsideUnitCube) {
   // Keys live in [0,1)^m: a coordinate of 1.0 would sit outside every
   // half-open leaf cell, where no clipped range query could return it.

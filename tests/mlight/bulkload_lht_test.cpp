@@ -1,11 +1,11 @@
-// Tests for bulk loading and for the LHT (1-D) façade.
+// Tests for bulk loading and for m-LIGHT at m = 1 (LHT).
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "dht/network.h"
 #include "index/oracle.h"
 #include "mlight/kdspace.h"
-#include "mlight/lht.h"
+#include "mlight/index.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
 
@@ -127,20 +127,30 @@ TEST(BulkLoad, EmptyBatchLeavesSingleRootBucket) {
   EXPECT_EQ(index.bucketCount(), 1u);
 }
 
-// --- LHT façade ---
+// --- LHT: m-LIGHT at m = 1 ---
+//
+// The authors' one-dimensional predecessor (Tang & Zhou, ICDCS'08, paper
+// [12]) is m-LIGHT with m = 1: the kd-tree becomes a binary interval
+// tree and f_md reduces to LHT's naming function (§2.1).
+
+MLightConfig oneDimConfig(std::size_t thetaSplit, std::size_t thetaMerge) {
+  MLightConfig cfg;
+  cfg.dims = 1;
+  cfg.thetaSplit = thetaSplit;
+  cfg.thetaMerge = thetaMerge;
+  cfg.dhtNamespace = "lht/";
+  return cfg;
+}
 
 TEST(Lht, OneDimensionalRangeQueries) {
   Network net(32);
-  mlight::lht::LhtConfig cfg;
-  cfg.thetaSplit = 10;
-  cfg.thetaMerge = 5;
-  mlight::lht::LhtIndex index(net, cfg);
+  MLightIndex index(net, oneDimConfig(10, 5));
   Rng rng(13);
   std::vector<double> keys;
   for (std::uint64_t i = 0; i < 300; ++i) {
     const double k = rng.uniform();
     keys.push_back(k);
-    index.insert({k, "v" + std::to_string(i), i});
+    index.insert({Point{k}, "v" + std::to_string(i), i});
   }
   index.checkInvariants();
   for (int trial = 0; trial < 25; ++trial) {
@@ -148,25 +158,25 @@ TEST(Lht, OneDimensionalRangeQueries) {
     const double b = rng.uniform();
     const double lo = std::min(a, b);
     const double hi = std::max(a, b);
-    const auto res = index.rangeQuery(lo, hi);
+    const auto res = index.rangeQuery(Rect(Point{lo}, Point{hi}));
     std::size_t want = 0;
     for (double k : keys) want += (k >= lo && k < hi);
     EXPECT_EQ(res.records.size(), want);
     for (const auto& r : res.records) {
-      EXPECT_GE(r.key, lo);
-      EXPECT_LT(r.key, hi);
+      EXPECT_GE(r.key[0], lo);
+      EXPECT_LT(r.key[0], hi);
     }
   }
 }
 
 TEST(Lht, PointQueryAndErase) {
   Network net(32);
-  mlight::lht::LhtIndex index(net, mlight::lht::LhtConfig{});
-  index.insert({0.42, "answer", 1});
-  index.insert({0.42, "other", 2});
-  EXPECT_EQ(index.pointQuery(0.42).records.size(), 2u);
-  EXPECT_EQ(index.erase(0.42, 1), 1u);
-  EXPECT_EQ(index.pointQuery(0.42).records.size(), 1u);
+  MLightIndex index(net, oneDimConfig(100, 50));
+  index.insert({Point{0.42}, "answer", 1});
+  index.insert({Point{0.42}, "other", 2});
+  EXPECT_EQ(index.pointQuery(Point{0.42}).records.size(), 2u);
+  EXPECT_EQ(index.erase(Point{0.42}, 1), 1u);
+  EXPECT_EQ(index.pointQuery(Point{0.42}).records.size(), 1u);
   EXPECT_EQ(index.size(), 1u);
 }
 
@@ -174,16 +184,13 @@ TEST(Lht, DegeneratesToBinaryIntervalTree) {
   // m = 1: every label region is a dyadic interval, and the naming
   // function still gives the bijection (LHT's defining property).
   Network net(32);
-  mlight::lht::LhtConfig cfg;
-  cfg.thetaSplit = 5;
-  cfg.thetaMerge = 2;
-  mlight::lht::LhtIndex index(net, cfg);
+  MLightIndex index(net, oneDimConfig(5, 2));
   Rng rng(17);
   for (std::uint64_t i = 0; i < 100; ++i) {
-    index.insert({rng.uniform(), "", i});
+    index.insert({Point{rng.uniform()}, "", i});
   }
   EXPECT_GT(index.bucketCount(), 4u);
-  index.inner().store().forEach(
+  index.store().forEach(
       [&](const auto& key, const LeafBucket& bucket, auto) {
         EXPECT_EQ(naming(bucket.label, 1), key);
         const Rect region = labelRegion(bucket.label, 1);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/zorder.h"
 #include "index/oracle.h"
 #include "mlight/kdspace.h"
 #include "mlight/naming.h"
@@ -233,6 +234,54 @@ TEST(MLightIndex, RejectsKeysOutsideUnitCube) {
   EXPECT_EQ(index.rangeQuery(Rect::unit(2)).records.size(), sizeBefore + 1);
 }
 
+TEST(MLightIndex, InsertBatchedSkipsRecordsItAlreadyHolds) {
+  // The owner-side apply dedups by (id, key): a replayed batch is
+  // idempotent, and of a mixed batch only the records a bucket does not
+  // hold yet are appended (a held id under a new key is a new record).
+  Network net(32);
+  MLightConfig cfg = smallConfig();
+  cfg.cache.enabled = false;
+  cfg.replication = 1;
+  MLightIndex index(net, cfg);
+  Rng rng(61);
+  std::vector<Record> data;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    data.push_back(rec(rng.uniform(), rng.uniform(), i));
+  }
+  ASSERT_EQ(index.insertBatched(data).acked, data.size());
+  const std::size_t size = index.size();
+  const std::uint64_t digest = index.stateDigest();
+
+  const auto again = index.insertBatched(data);
+  EXPECT_EQ(again.acked, data.size());
+  EXPECT_EQ(again.failed, 0u);
+  EXPECT_EQ(index.size(), size);
+  EXPECT_EQ(index.stateDigest(), digest);
+
+  std::vector<Record> mixed(data.begin(), data.begin() + 100);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    mixed.push_back(rec(rng.uniform(), rng.uniform(), 1000 + i));
+  }
+  mixed.push_back(rec(rng.uniform(), rng.uniform(), data[7].id));
+  const auto third = index.insertBatched(mixed);
+  EXPECT_EQ(third.acked, mixed.size());
+  EXPECT_EQ(third.failed, 0u);
+  EXPECT_EQ(index.size(), size + 101);
+  index.checkInvariants();
+  std::size_t held = 0;
+  index.store().forEach([&](const auto&, const LeafBucket& bucket, auto) {
+    const auto& recs = bucket.records();
+    held += recs.size();
+    for (std::size_t a = 0; a < recs.size(); ++a) {
+      for (std::size_t b = a + 1; b < recs.size(); ++b) {
+        EXPECT_FALSE(recs[a].id == recs[b].id && recs[a].key == recs[b].key)
+            << "duplicate record " << recs[a].id;
+      }
+    }
+  });
+  EXPECT_EQ(held, size + 101);
+}
+
 TEST(MLightIndex, EraseRemovesAndMerges) {
   Network net(32);
   MLightConfig cfg = smallConfig();
@@ -438,6 +487,32 @@ TEST(MLightIndex, RejectsBadConfigAndInputs) {
   threeD.key = Point{0.1, 0.2, 0.3};
   EXPECT_THROW(ok.insert(threeD), std::invalid_argument);
   EXPECT_THROW(ok.rangeQuery(Rect::unit(3)), std::invalid_argument);
+}
+
+TEST(MLightIndex, RejectsLabelsBeyondTheLimit) {
+  // A label is dims + 1 root bits plus maxEdgeDepth edge bits; the
+  // constructor refuses a bound whose deepest label would not fit, or
+  // whose key path is deeper than a double's 52 bits per dimension.
+  Network net(16);
+  MLightConfig cfg;
+  cfg.maxEdgeDepth = 2 * mlight::common::kMaxInterleaveBitsPerDim + 1;
+  EXPECT_THROW(MLightIndex(net, cfg), std::invalid_argument);
+  --cfg.maxEdgeDepth;
+  EXPECT_NO_THROW(MLightIndex(net, cfg));
+  cfg.dims = 5;
+  cfg.maxEdgeDepth = mlight::common::BitString::kMaxBits - cfg.dims;
+  EXPECT_THROW(MLightIndex(net, cfg), std::invalid_argument);
+  // At the limit the index works end to end: identical keys split all
+  // the way down to a 256-bit leaf label.
+  cfg.maxEdgeDepth = mlight::common::BitString::kMaxBits - cfg.dims - 1;
+  cfg.thetaSplit = 2;
+  cfg.thetaMerge = 1;
+  MLightIndex index(net, cfg);
+  const Point key{0.3, 0.7, 0.1, 0.9, 0.5};
+  for (std::uint64_t i = 0; i < 3; ++i) index.insert(Record{key, "", i});
+  index.checkInvariants();
+  EXPECT_EQ(index.pointQuery(key).records.size(), 3u);
+  EXPECT_EQ(index.treeDepth(), cfg.maxEdgeDepth);
 }
 
 TEST(MLightIndex, DegenerateAllSamePointRespectsDepthCap) {

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "common/zorder.h"
 #include "index/oracle.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
@@ -188,6 +189,20 @@ TEST(PhtIndex, DepthCapStopsSplitting) {
   for (std::uint64_t i = 0; i < 50; ++i) index.insert(rec(0.41, 0.41, i));
   index.checkInvariants();
   EXPECT_EQ(index.pointQuery(Point{0.41, 0.41}).records.size(), 50u);
+}
+
+TEST(PhtIndex, RejectsLabelsBeyondTheLimit) {
+  Network net(8);
+  PhtConfig cfg;  // dims = 2: 52 bits per dimension bind first
+  cfg.maxDepth = 2 * mlight::common::kMaxInterleaveBitsPerDim + 1;
+  EXPECT_THROW(PhtIndex(net, cfg), std::invalid_argument);
+  --cfg.maxDepth;
+  EXPECT_NO_THROW(PhtIndex(net, cfg));
+  cfg.dims = 8;  // from m = 5 on, the label limit binds
+  cfg.maxDepth = mlight::common::BitString::kMaxBits + 1;
+  EXPECT_THROW(PhtIndex(net, cfg), std::invalid_argument);
+  cfg.maxDepth = mlight::common::BitString::kMaxBits;
+  EXPECT_NO_THROW(PhtIndex(net, cfg));
 }
 
 TEST(PhtIndex, RejectsBadInputs) {

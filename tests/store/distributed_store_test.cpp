@@ -147,8 +147,9 @@ TEST(DistributedStore, BucketPointersSurviveOtherPlacements) {
     store.placeLocal(label, FakeBucket{i});
     (void)store.ringKey(label, 3);  // memo-only facets share the table
   }
-  // A 300-bit label widens every slot of the directory.
-  store.placeLocal(BitString::repeated(true, 300), FakeBucket{7});
+  // A label at the 256-bit limit widens every slot of the directory.
+  store.placeLocal(BitString::repeated(true, BitString::kMaxBits),
+                   FakeBucket{7});
   for (std::size_t i = 0; i < others.size(); i += 2) {
     ASSERT_TRUE(store.erase(others[i]));
   }

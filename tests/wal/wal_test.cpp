@@ -105,9 +105,9 @@ TEST(Wal, TornTailEndsTheScanAtTheLastCompleteFrame) {
 }
 
 TEST(WalSet, FileLayoutIsAPureFunctionOfDirSeedAndName) {
-  WalSet a("wal", 7);
-  WalSet b("wal", 7);
-  WalSet other("wal", 8);
+  WalSet a(7);
+  WalSet b(7);
+  WalSet other(8);
   EXPECT_EQ(a.filePathFor("node:3"), b.filePathFor("node:3"));
   EXPECT_NE(a.filePathFor("node:3"), other.filePathFor("node:3"));
   EXPECT_NE(a.filePathFor("node:3"), a.filePathFor("node:4"));
@@ -116,7 +116,7 @@ TEST(WalSet, FileLayoutIsAPureFunctionOfDirSeedAndName) {
 }
 
 TEST(WalSet, PeerNamesAreSanitizedIntoSafeFileNames) {
-  WalSet set("wal", 1);
+  WalSet set(1);
   const std::string path = set.filePathFor("peer/0 x!");
   // Everything outside [A-Za-z0-9._-] becomes '_': no path separators
   // or shell metacharacters survive into the file name.
@@ -127,7 +127,7 @@ TEST(WalSet, PeerNamesAreSanitizedIntoSafeFileNames) {
 
 TEST(WalSet, DigestIsStableAcrossSetsAndSensitiveToCommits) {
   const auto build = [](bool commitSecond) {
-    WalSet set("wal", 42);
+    WalSet set(42);
     PeerWal& n0 = set.forPeer("node:0");
     n0.appendCommitted(FrameKind::kPlace, key("10"), payload("a"));
     const std::uint64_t lsn =
@@ -145,7 +145,7 @@ TEST(WalSet, DigestIsStableAcrossSetsAndSensitiveToCommits) {
 }
 
 TEST(WalSet, TotalsAggregateAcrossPeers) {
-  WalSet set("wal", 3);
+  WalSet set(3);
   EXPECT_EQ(set.peerCount(), 0u);
   EXPECT_EQ(set.findPeer("node:0"), nullptr);  // lookup never creates
   set.forPeer("node:0").appendCommitted(FrameKind::kPlace, key("0"),
