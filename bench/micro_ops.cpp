@@ -5,6 +5,7 @@
 // by BENCH_PERF.json.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -284,6 +285,33 @@ void BM_MLightInsertBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_MLightInsertBatch);
+
+// Threshold bulk load of the full NE dataset (θ = 100) into a fresh index
+// on 128 peers: the partition, the one record copy into each leaf and
+// the one put per bucket.  Building and destroying the network and the
+// index are outside the timed region.
+void BM_MLightBulkLoad(benchmark::State& state) {
+  const auto data =
+      workload::northeastDataset(workload::kNortheastSize, 8);
+  core::MLightConfig cfg;
+  cfg.thetaSplit = 100;
+  cfg.thetaMerge = 50;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto net = std::make_unique<dht::Network>(128, 7);
+    auto idx = std::make_unique<core::MLightIndex>(*net, cfg);
+    state.ResumeTiming();
+    idx->bulkLoad(data);
+    state.PauseTiming();
+    benchmark::DoNotOptimize(idx->bucketCount());
+    idx.reset();
+    net.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_MLightBulkLoad);
 
 // Range harvest over one fixed seeded layout: 20k NE records on 128
 // peers, 64 square queries of area state.range(0) x 1e-4.  Area 1 hits a

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace mlight::common {
 
@@ -9,6 +10,63 @@ namespace {
 
 constexpr std::uint32_t rotl(std::uint32_t v, int s) noexcept {
   return std::rotl(v, s);
+}
+
+using Schedule = std::array<std::uint32_t, 16>;
+
+/// Round T of the compression on the rotated roles (a, b, c, d, e): adds
+/// the new working value into `e` and rotates `b`, so the caller names
+/// the next round's roles (e, a, b, c, d) instead of moving five words.
+/// The message schedule rolls through 16 words: word T replaces word
+/// T - 16 in place.  Every branch below is resolved at compile time.
+template <std::size_t T>
+[[gnu::always_inline]] inline void step(Schedule& w, std::uint32_t a,
+                                        std::uint32_t& b, std::uint32_t c,
+                                        std::uint32_t d,
+                                        std::uint32_t& e) noexcept {
+  if constexpr (T >= 16) {
+    w[T & 15] = rotl(w[(T + 13) & 15] ^ w[(T + 8) & 15] ^
+                         w[(T + 2) & 15] ^ w[T & 15],
+                     1);
+  }
+  const std::uint32_t f = [&] {
+    if constexpr (T < 20) {
+      return d ^ (b & (c ^ d));  // (b & c) | (~b & d)
+    } else if constexpr (T >= 40 && T < 60) {
+      return (b & c) | (d & (b | c));  // majority of b, c, d
+    } else {
+      return b ^ c ^ d;
+    }
+  }();
+  constexpr std::uint32_t kK[4] = {0x5A827999u, 0x6ED9EBA1u, 0x8F1BBCDCu,
+                                   0xCA62C1D6u};
+  e += rotl(a, 5) + f + kK[T / 20] + w[T & 15];
+  b = rotl(b, 30);
+}
+
+/// Rounds T .. T + 4; after five rounds the roles are back in place.
+template <std::size_t T>
+[[gnu::always_inline]] inline void fiveRounds(Schedule& w, std::uint32_t& a,
+                                              std::uint32_t& b,
+                                              std::uint32_t& c,
+                                              std::uint32_t& d,
+                                              std::uint32_t& e) noexcept {
+  step<T>(w, a, b, c, d, e);
+  step<T + 1>(w, e, a, b, c, d);
+  step<T + 2>(w, d, e, a, b, c);
+  step<T + 3>(w, c, d, e, a, b);
+  step<T + 4>(w, b, c, d, e, a);
+}
+
+/// All 80 rounds, as sixteen groups of five.
+template <std::size_t... G>
+[[gnu::always_inline]] inline void allRounds(std::index_sequence<G...>,
+                                             Schedule& w, std::uint32_t& a,
+                                             std::uint32_t& b,
+                                             std::uint32_t& c,
+                                             std::uint32_t& d,
+                                             std::uint32_t& e) noexcept {
+  (fiveRounds<5 * G>(w, a, b, c, d, e), ...);
 }
 
 }  // namespace
@@ -75,15 +133,12 @@ Sha1Digest Sha1::finish() noexcept {
 }
 
 void Sha1::processBlock(const std::uint8_t* block) noexcept {
-  std::array<std::uint32_t, 80> w{};
+  Schedule w{};
   for (std::size_t t = 0; t < 16; ++t) {
     w[t] = (static_cast<std::uint32_t>(block[4 * t]) << 24) |
            (static_cast<std::uint32_t>(block[4 * t + 1]) << 16) |
            (static_cast<std::uint32_t>(block[4 * t + 2]) << 8) |
            static_cast<std::uint32_t>(block[4 * t + 3]);
-  }
-  for (std::size_t t = 16; t < 80; ++t) {
-    w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
   }
 
   std::uint32_t a = state_[0];
@@ -92,29 +147,7 @@ void Sha1::processBlock(const std::uint8_t* block) noexcept {
   std::uint32_t d = state_[3];
   std::uint32_t e = state_[4];
 
-  for (std::size_t t = 0; t < 80; ++t) {
-    std::uint32_t f;
-    std::uint32_t k;
-    if (t < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999u;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl(a, 5) + f + e + k + w[t];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  }
+  allRounds(std::make_index_sequence<16>{}, w, a, b, c, d, e);
 
   state_[0] += a;
   state_[1] += b;

@@ -18,31 +18,6 @@
 
 namespace mlight::core {
 
-namespace {
-
-/// Recursive threshold partition for bulk loading: split every cell with
-/// more than theta records (depth-capped), keeping record ownership.
-void thresholdPartition(const mlight::common::BitString& label,
-                        const mlight::common::Rect& region,
-                        std::vector<mlight::index::Record> records,
-                        std::size_t theta, std::size_t dims,
-                        std::size_t maxEdgeDepth,
-                        std::vector<PlanLeaf>& out) {
-  if (records.size() <= theta ||
-      edgeDepth(label, dims) >= maxEdgeDepth) {
-    out.push_back(PlanLeaf{label, std::move(records)});
-    return;
-  }
-  auto [lo, hi] = partitionOnce(label, region, records, dims);
-  const std::size_t dim = splitDimension(edgeDepth(label, dims), dims);
-  thresholdPartition(label.withBack(false), region.halved(dim, false),
-                     std::move(lo), theta, dims, maxEdgeDepth, out);
-  thresholdPartition(label.withBack(true), region.halved(dim, true),
-                     std::move(hi), theta, dims, maxEdgeDepth, out);
-}
-
-}  // namespace
-
 void MLightIndex::bulkLoad(std::span<const Record> records) {
   if (size_ != 0) {
     throw std::logic_error("bulkLoad requires an empty index");
@@ -51,19 +26,15 @@ void MLightIndex::bulkLoad(std::span<const Record> records) {
     mlight::index::requireIndexableKey(r.key, config_.dims, "bulkLoad");
   }
   const Label root = rootLabel(config_.dims);
-  std::vector<PlanLeaf> leaves;
-  if (config_.strategy == SplitStrategy::kThreshold) {
-    thresholdPartition(root, Rect::unit(config_.dims),
-                       std::vector<Record>(records.begin(), records.end()),
-                       config_.thetaSplit, config_.dims,
-                       config_.maxEdgeDepth, leaves);
-  } else {
-    SplitPlan plan =
-        planDataAwareSplit(root, Rect::unit(config_.dims), records,
-                           config_.epsilon, config_.dims,
-                           config_.maxEdgeDepth);
-    leaves = std::move(plan.leaves);
-  }
+  std::vector<PlanLeaf> leaves =
+      (config_.strategy == SplitStrategy::kThreshold
+           ? planThresholdSplit(root, Rect::unit(config_.dims), records,
+                                config_.thetaSplit, config_.dims,
+                                config_.maxEdgeDepth)
+           : planDataAwareSplit(root, Rect::unit(config_.dims), records,
+                                config_.epsilon, config_.dims,
+                                config_.maxEdgeDepth))
+          .leaves;
   if (config_.strategy == SplitStrategy::kDataAware &&
       mlight::common::auditEnabled(mlight::common::AuditLevel::kBoundaries)) {
     std::vector<std::size_t> planLoads;

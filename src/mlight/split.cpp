@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "mlight/kdspace.h"
 #include "mlight/naming.h"
@@ -11,6 +12,66 @@ namespace mlight::core {
 namespace {
 
 double sq(double v) noexcept { return v * v; }
+
+/// Copies the records at `idx`, in that order, into a plan leaf: the one
+/// record copy either strategy makes.
+PlanLeaf gatherLeaf(const BitString& label, std::span<const Record> records,
+                    std::span<const std::size_t> idx) {
+  PlanLeaf leaf{label, {}};
+  leaf.records.reserve(idx.size());
+  for (std::size_t i : idx) leaf.records.push_back(records[i]);
+  return leaf;
+}
+
+/// Recursive core of planThresholdSplit.  Each call owns the index range
+/// [first, last) of `idx`; a split compacts the lower child's indices in
+/// place and stages the upper child's in `scratch`, so both children
+/// stay in input order and no record moves before its leaf is final.
+/// The split tests read `keys`, the input's coordinates packed `dims`
+/// doubles per record, not the 112-byte records themselves.
+struct ThresholdPlanner {
+  std::span<const Record> records;
+  std::span<const double> keys;
+  std::span<std::size_t> idx;
+  std::span<std::size_t> scratch;
+  std::size_t theta;
+  std::size_t dims;
+  std::size_t maxEdgeDepth;
+  std::vector<PlanLeaf>& leaves;
+
+  /// `label` is mutated in place down the recursion, as in Planner.
+  void run(BitString& label, const Rect& region, std::size_t first,
+           std::size_t last) {
+    const std::size_t depth = edgeDepth(label, dims);
+    if (last - first <= theta || depth >= maxEdgeDepth) {
+      leaves.push_back(
+          gatherLeaf(label, records, idx.subspan(first, last - first)));
+      return;
+    }
+    const std::size_t dim = splitDimension(depth, dims);
+    const double mid = region.mid(dim);
+    std::size_t lo = first;
+    std::size_t hi = 0;
+    // Branch-free: each index is written to both sides and only its own
+    // side's cursor advances, since a branch on the data-dependent side
+    // mispredicts often.  idx[lo] is safe to write because lo <= k.
+    for (std::size_t k = first; k < last; ++k) {
+      const std::size_t i = idx[k];
+      const bool upper = keys[i * dims + dim] >= mid;
+      scratch[hi] = i;
+      idx[lo] = i;
+      hi += upper ? 1 : 0;
+      lo += upper ? 0 : 1;
+    }
+    std::copy_n(scratch.begin(), hi,
+                idx.begin() + static_cast<std::ptrdiff_t>(lo));
+    label.pushBack(false);
+    run(label, region.halved(dim, false), first, lo);
+    label.flipBack();
+    run(label, region.halved(dim, true), lo, last);
+    label.popBack();
+  }
+};
 
 /// Recursive core of Algorithm 1 over index subsets (no record copies
 /// until materialization).
@@ -85,11 +146,32 @@ std::pair<std::vector<Record>, std::vector<Record>> partitionOnce(
   return {std::move(lo), std::move(hi)};
 }
 
+SplitPlan planThresholdSplit(const BitString& label, const Rect& region,
+                             std::span<const Record> records,
+                             std::size_t theta, std::size_t dims,
+                             std::size_t maxEdgeDepth) {
+  std::vector<double> keys;
+  keys.reserve(records.size() * dims);
+  for (const Record& r : records) {
+    for (std::size_t d = 0; d < dims; ++d) keys.push_back(r.key[d]);
+  }
+  std::vector<std::size_t> idx(records.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  std::vector<std::size_t> scratch(records.size());
+  SplitPlan plan;
+  ThresholdPlanner planner{records, keys, idx, scratch,
+                           theta, dims, maxEdgeDepth, plan.leaves};
+  BitString path = label;
+  planner.run(path, region, 0, records.size());
+  assert(path == label && "planner must restore its scratch label");
+  return plan;
+}
+
 SplitPlan planDataAwareSplit(const BitString& label, const Rect& region,
                              std::span<const Record> records, double epsilon,
                              std::size_t dims, std::size_t maxEdgeDepth) {
   std::vector<std::size_t> idx(records.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
   const Planner planner{records, epsilon, dims, maxEdgeDepth};
   BitString scratch = label;
   Planner::Node node = planner.run(scratch, region, std::move(idx));
@@ -98,12 +180,8 @@ SplitPlan planDataAwareSplit(const BitString& label, const Rect& region,
   SplitPlan plan;
   plan.cost = node.cost;
   plan.leaves.reserve(node.leaves.size());
-  for (auto& [leafLabel, leafIdx] : node.leaves) {
-    PlanLeaf leaf;
-    leaf.label = leafLabel;
-    leaf.records.reserve(leafIdx.size());
-    for (std::size_t i : leafIdx) leaf.records.push_back(records[i]);
-    plan.leaves.push_back(std::move(leaf));
+  for (const auto& [leafLabel, leafIdx] : node.leaves) {
+    plan.leaves.push_back(gatherLeaf(leafLabel, records, leafIdx));
   }
   return plan;
 }

@@ -51,6 +51,16 @@ std::pair<std::vector<Record>, std::vector<Record>> partitionOnce(
     const BitString& label, const Rect& region,
     std::span<const Record> records, std::size_t dims);
 
+/// Threshold partition (§4.1) for bulk loading: splits every cell holding
+/// more than `theta` records, down to maxEdgeDepth.  The leaves come in
+/// DFS order (lower child first), each with its records in input order.
+/// One stable pass per kd level partitions an index permutation of
+/// `records`; each record is copied once, into its leaf.
+SplitPlan planThresholdSplit(const BitString& label, const Rect& region,
+                             std::span<const Record> records,
+                             std::size_t theta, std::size_t dims,
+                             std::size_t maxEdgeDepth);
+
 /// Algorithm 1: the optimal split subtree for a bucket with the given
 /// label/region/records.  Recursion stops at cells with <= ε records or at
 /// maxEdgeDepth.  Deterministic and purely local.

@@ -1,17 +1,27 @@
 // Tests for bulk loading and for m-LIGHT at m = 1 (LHT).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <ios>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "dht/network.h"
 #include "index/oracle.h"
 #include "mlight/kdspace.h"
 #include "mlight/index.h"
+#include "mlight/naming.h"
+#include "mlight/split.h"
 #include "workload/datasets.h"
 #include "workload/queries.h"
 
 namespace mlight::core {
 namespace {
 
+using mlight::common::BitString;
 using mlight::common::Point;
 using mlight::common::Rect;
 using mlight::common::Rng;
@@ -125,6 +135,132 @@ TEST(BulkLoad, EmptyBatchLeavesSingleRootBucket) {
   index.checkInvariants();
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.bucketCount(), 1u);
+}
+
+// --- Equivalence with the by-value recursive partition ---
+//
+// The threshold bulk load partitions one index permutation of the input
+// and copies each record once, into its leaf.  The reference below is
+// the recursion it replaced, which copied every record at every kd level
+// through partitionOnce.  Both must give the same leaves in the same DFS
+// order, with the same records in the same order; the bulk-loaded index
+// must hold exactly those buckets, and its stateDigest() is pinned to the
+// value captured from the by-value bulk load.
+
+void referencePartition(const BitString& label, const Rect& region,
+                        std::vector<Record> records, std::size_t theta,
+                        std::size_t dims, std::size_t maxEdgeDepth,
+                        std::vector<PlanLeaf>& out) {
+  if (records.size() <= theta || edgeDepth(label, dims) >= maxEdgeDepth) {
+    out.push_back(PlanLeaf{label, std::move(records)});
+    return;
+  }
+  auto [lo, hi] = partitionOnce(label, region, records, dims);
+  const std::size_t dim = splitDimension(edgeDepth(label, dims), dims);
+  referencePartition(label.withBack(false), region.halved(dim, false),
+                     std::move(lo), theta, dims, maxEdgeDepth, out);
+  referencePartition(label.withBack(true), region.halved(dim, true),
+                     std::move(hi), theta, dims, maxEdgeDepth, out);
+}
+
+struct PartitionCase {
+  std::string name;
+  std::vector<Record> data;
+  std::size_t dims;
+  std::size_t theta;
+  std::size_t maxEdgeDepth;
+  std::uint64_t want;
+};
+
+std::vector<PartitionCase> partitionCases() {
+  // In case order: per theta NE then uniform d1..d4; empty, single, crowded.
+  constexpr std::uint64_t kPinned[] = {
+      0x4c1e4e825427d031, 0xe689eae6bd3bcccc, 0x1ef0b363ecb56853,
+      0xe3cf8fe7d3606632, 0xa69f310d7d5935b8, 0x9350e1f829854bbc,
+      0xef46433cb4d73c0c, 0x5de7a0425212c9cb, 0xd79fd3ec9954aef3,
+      0xb509d79217f02965, 0xc29afffbbc805c68, 0x6756c5ea68c52dc8,
+      0x3fae3aa1ac5b8b42, 0x10f53291d963b01b, 0xac2e6608a3bb1d0b,
+      0x0e41a47bda224160, 0xb904f78058aaaa13, 0x49612fd018ed7195,
+  };
+  std::vector<PartitionCase> cases;
+  for (const std::size_t theta : {1, 16, 100}) {
+    cases.push_back({"ne/theta" + std::to_string(theta),
+                     mlight::workload::northeastDataset(3000, 21), 2, theta,
+                     28, 0});
+    for (std::size_t dims = 1; dims <= 4; ++dims) {
+      cases.push_back({"uniform/d" + std::to_string(dims) + "/theta" +
+                           std::to_string(theta),
+                       mlight::workload::uniformDataset(1500, dims, 30 + dims),
+                       dims, theta, 28, 0});
+    }
+  }
+  cases.push_back({"empty", {}, 2, 16, 28, 0});
+  cases.push_back(
+      {"single", mlight::workload::uniformDataset(1, 3, 40), 3, 16, 28, 0});
+  // More than theta records on one key: the cell holding them splits down
+  // to the depth cap and stays over-full there, beside a uniform spread.
+  auto crowded = mlight::workload::uniformDataset(200, 2, 41);
+  for (std::size_t i = 0; i < 40; ++i) {
+    Record r;
+    r.key = Point{0.3, 0.7};
+    r.id = 100000 + i;
+    r.payload = "dup";
+    crowded.push_back(r);
+  }
+  cases.push_back({"identical-keys-at-cap", std::move(crowded), 2, 8, 12, 0});
+  EXPECT_EQ(cases.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < cases.size() && i < std::size(kPinned); ++i) {
+    cases[i].want = kPinned[i];
+  }
+  return cases;
+}
+
+TEST(BulkLoad, MatchesRecursivePartition) {
+  for (const PartitionCase& c : partitionCases()) {
+    SCOPED_TRACE(c.name);
+    const BitString root = rootLabel(c.dims);
+    std::vector<PlanLeaf> want;
+    referencePartition(root, Rect::unit(c.dims), c.data, c.theta, c.dims,
+                       c.maxEdgeDepth, want);
+    const SplitPlan plan =
+        planThresholdSplit(root, Rect::unit(c.dims), c.data, c.theta,
+                           c.dims, c.maxEdgeDepth);
+    if (c.name == "identical-keys-at-cap") {
+      EXPECT_TRUE(std::ranges::any_of(want, [&](const PlanLeaf& leaf) {
+        return leaf.records.size() > c.theta;
+      }));
+    }
+    ASSERT_EQ(plan.leaves.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(plan.leaves[k].label, want[k].label) << "leaf " << k;
+      EXPECT_EQ(plan.leaves[k].records, want[k].records) << "leaf " << k;
+    }
+
+    Network net(64, 5);
+    MLightConfig cfg;
+    cfg.dims = c.dims;
+    cfg.thetaSplit = c.theta;
+    cfg.thetaMerge = c.theta / 2;
+    cfg.maxEdgeDepth = c.maxEdgeDepth;
+    MLightIndex index(net, cfg);
+    index.bulkLoad(c.data);
+    EXPECT_EQ(index.size(), c.data.size());
+    EXPECT_EQ(index.bucketCount(), want.size());
+    for (const PlanLeaf& leaf : want) {
+      const LeafBucket* bucket =
+          index.store().peek(naming(leaf.label, c.dims));
+      ASSERT_NE(bucket, nullptr);
+      EXPECT_EQ(bucket->label, leaf.label);
+      EXPECT_EQ(bucket->records(), leaf.records);
+      std::vector<double> keys;
+      for (const Record& r : leaf.records) {
+        for (std::size_t d = 0; d < c.dims; ++d) keys.push_back(r.key[d]);
+      }
+      EXPECT_TRUE(std::ranges::equal(bucket->keys(), keys));
+    }
+    const std::uint64_t got = index.stateDigest();
+    EXPECT_EQ(got, c.want) << "digest 0x" << std::hex << got;
+  }
 }
 
 // --- LHT: m-LIGHT at m = 1 ---
