@@ -84,10 +84,14 @@ BENCHMARK(BM_Sha1Key);
 
 void BM_DataAwarePlan(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));
-  auto data = workload::clusteredDataset(records, 2, 3, 0.05, 4);
+  // Planned from a bucket's record and key arrays, as the online
+  // data-aware split (dataAwareAdjust) plans.
+  const core::LeafBucket bucket(
+      core::rootLabel(2), workload::clusteredDataset(records, 2, 3, 0.05, 4));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::planDataAwareSplit(
-        core::rootLabel(2), common::Rect::unit(2), data, 70.0, 2, 28));
+    benchmark::DoNotOptimize(core::planSplit(
+        core::SplitStrategy::kDataAware, 70.0, bucket.label,
+        common::Rect::unit(2), bucket.records(), bucket.keys(), 2, 28));
   }
   state.SetComplexityN(static_cast<std::int64_t>(records));
 }

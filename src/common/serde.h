@@ -114,11 +114,17 @@ class Reader {
   /// readBytes into a caller-owned (possibly pooled) buffer, reusing its
   /// capacity instead of allocating a fresh vector per message.
   void readBytesInto(std::vector<std::uint8_t>& out) {
+    const auto blob = readBytesView();
+    out.assign(blob.begin(), blob.end());
+  }
+  /// readBytes without the copy: a view of the blob inside this
+  /// reader's buffer, valid as long as that buffer is.
+  std::span<const std::uint8_t> readBytesView() {
     const std::uint32_t n = readU32();
     require(n);
-    out.assign(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const auto out = bytes_.subspan(pos_, n);
     pos_ += n;
+    return out;
   }
   BitString readBitString() {
     const std::uint32_t nbits = readU32();

@@ -162,7 +162,9 @@ class LeafBucket {
     b.records_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       Record rec = Record::deserialize(r);
-      if (i != 0 && rec.key.dims() != b.dims_) {
+      if (i == 0) {
+        b.keys_.reserve(std::size_t{n} * rec.key.dims());
+      } else if (rec.key.dims() != b.dims_) {
         throw mlight::common::SerdeError("bucket: mixed dimensionality");
       }
       b.append(std::move(rec));

@@ -29,15 +29,11 @@
 #include "index/prefix_locate.h"
 #include "index/region.h"
 #include "mlight/bucket.h"
+#include "mlight/split.h"
 #include "store/distributed_store.h"
 #include "wal/wal.h"
 
 namespace mlight::core {
-
-enum class SplitStrategy {
-  kThreshold,  ///< split when load > θ_split, merge when siblings < θ_merge
-  kDataAware,  ///< Algorithm 1: optimal split subtree targeting load ε
-};
 
 struct MLightConfig {
   std::size_t dims = 2;

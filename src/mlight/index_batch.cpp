@@ -187,15 +187,12 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
               // crossed the network, like every other handler.
               mlight::common::Reader r(d.env.payload);
               r.readBitString();
-              std::vector<std::uint8_t> blob = net_->acquireBuffer();
-              r.readBytesInto(blob);
-              mlight::common::Reader body(blob);
+              mlight::common::Reader body(r.readBytesView());
               const std::uint32_t n = body.readCount(16);
               wireRecs.reserve(n);
               for (std::uint32_t k = 0; k < n; ++k) {
                 wireRecs.push_back(Record::deserialize(body));
               }
-              net_->releaseBuffer(std::move(blob));
             },
             std::move(groupWire).take());
         net_->run();

@@ -25,15 +25,20 @@ void MLightIndex::bulkLoad(std::span<const Record> records) {
   for (const Record& r : records) {
     mlight::index::requireIndexableKey(r.key, config_.dims, "bulkLoad");
   }
+  // The one pass over the input: its keys, packed for the planner.
+  std::vector<double> keys;
+  keys.reserve(records.size() * config_.dims);
+  for (const Record& r : records) {
+    for (std::size_t d = 0; d < config_.dims; ++d) keys.push_back(r.key[d]);
+  }
   const Label root = rootLabel(config_.dims);
   std::vector<PlanLeaf> leaves =
-      (config_.strategy == SplitStrategy::kThreshold
-           ? planThresholdSplit(root, Rect::unit(config_.dims), records,
-                                config_.thetaSplit, config_.dims,
-                                config_.maxEdgeDepth)
-           : planDataAwareSplit(root, Rect::unit(config_.dims), records,
-                                config_.epsilon, config_.dims,
-                                config_.maxEdgeDepth))
+      planSplit(config_.strategy,
+                config_.strategy == SplitStrategy::kThreshold
+                    ? static_cast<double>(config_.thetaSplit)
+                    : config_.epsilon,
+                root, Rect::unit(config_.dims), records, keys, config_.dims,
+                config_.maxEdgeDepth)
           .leaves;
   if (config_.strategy == SplitStrategy::kDataAware &&
       mlight::common::auditEnabled(mlight::common::AuditLevel::kBoundaries)) {
@@ -71,22 +76,21 @@ void MLightIndex::thresholdSplitLoop(Label key) {
     const Label lambda = bucket->label;
     if (edgeDepth(lambda, config_.dims) >= config_.maxEdgeDepth) continue;
 
-    auto [loRecords, hiRecords] =
-        partitionOnce(lambda, labelRegion(lambda, config_.dims),
-                      bucket->records(), config_.dims);
-    const Label child0 = lambda.withBack(false);
-    const Label child1 = lambda.withBack(true);
-    const Label key0 = naming(child0, config_.dims);
-    const Label key1 = naming(child1, config_.dims);
+    // One level of the threshold rule: the two children, lower first.
+    SplitPlan plan = planSplit(
+        SplitStrategy::kThreshold, static_cast<double>(config_.thetaSplit),
+        lambda, labelRegion(lambda, config_.dims), bucket->records(),
+        bucket->keys(), config_.dims, edgeDepth(lambda, config_.dims) + 1);
+    MLIGHT_CHECK(plan.leaves.size() == 2, "a threshold step splits once");
+    const Label key0 = naming(plan.leaves[0].label, config_.dims);
+    const Label key1 = naming(plan.leaves[1].label, config_.dims);
     // Theorem 5 (incremental split): one child keeps the parent's DHT key
     // and never leaves this peer; only the other is re-assigned.
     mlight::common::auditIncrementalSplit(lambda, k, key0, key1);
-    const bool child0Stays = (key0 == k);
-
-    LeafBucket stay(child0Stays ? child0 : child1,
-                    child0Stays ? std::move(loRecords) : std::move(hiRecords));
-    LeafBucket move(child0Stays ? child1 : child0,
-                    child0Stays ? std::move(hiRecords) : std::move(loRecords));
+    PlanLeaf& stayLeaf = plan.leaves[key0 == k ? 0 : 1];
+    PlanLeaf& moveLeaf = plan.leaves[key0 == k ? 1 : 0];
+    LeafBucket stay(std::move(stayLeaf.label), std::move(stayLeaf.records));
+    LeafBucket move(std::move(moveLeaf.label), std::move(moveLeaf.records));
 
     const auto owner = store_.ownerOf(k);
     MLIGHT_CHECK(store_.peek(lambda) == nullptr,
@@ -106,9 +110,10 @@ void MLightIndex::dataAwareAdjust(const Label& key) {
   LeafBucket* bucket = store_.peek(key);
   assert(bucket != nullptr);
   const Label lambda = bucket->label;
-  SplitPlan plan = planDataAwareSplit(
-      lambda, labelRegion(lambda, config_.dims), bucket->records(),
-      config_.epsilon, config_.dims, config_.maxEdgeDepth);
+  SplitPlan plan = planSplit(
+      SplitStrategy::kDataAware, config_.epsilon, lambda,
+      labelRegion(lambda, config_.dims), bucket->records(), bucket->keys(),
+      config_.dims, config_.maxEdgeDepth);
   if (!plan.splits()) return;
 
   const auto owner = store_.ownerOf(key);

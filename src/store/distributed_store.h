@@ -480,16 +480,17 @@ class DistributedStore {
     // The bucket crosses the (simulated) wire: serialize for real, both
     // to keep the byte accounting exact and so the wire format is
     // exercised on every put; the owner stores what comes out of the
-    // decoder at delivery.
-    mlight::common::Writer bucketWire(net_->acquireBuffer());
-    bucket.serialize(bucketWire);
-    MLIGHT_CHECK(bucketWire.size() == bucket.byteSize(),
-                 "byteSize() disagrees with the wire format");
-    const std::vector<CopyTarget> targets = copyTargets(label);
-
+    // decoder at delivery.  The image is written once, straight into the
+    // envelope body, framed like writeBytes (u32 length + bytes).
+    const std::size_t bytes = bucket.byteSize();
     mlight::common::Writer body(net_->acquireBuffer());
     body.writeBitString(label);
-    body.writeBytes(bucketWire.bytes());
+    body.writeU32(static_cast<std::uint32_t>(bytes));
+    const std::size_t imageAt = body.size();
+    bucket.serialize(body);
+    MLIGHT_CHECK(body.size() - imageAt == bytes,
+                 "byteSize() disagrees with the wire format");
+    const std::vector<CopyTarget> targets = copyTargets(label);
 
     mlight::dht::RpcEnvelope env;
     env.kind = mlight::dht::RpcKind::kPut;
@@ -502,9 +503,8 @@ class DistributedStore {
         [this](const mlight::dht::RpcDelivery& d) {
           mlight::common::Reader r(d.env.payload);
           const Label wireLabel = r.readBitString();
-          std::vector<std::uint8_t> bucketBytes = net_->acquireBuffer();
-          r.readBytesInto(bucketBytes);
-          mlight::common::Reader br(bucketBytes);
+          const std::span<const std::uint8_t> image = r.readBytesView();
+          mlight::common::Reader br(image);
           // Resolve the holders on the ring as it is *now*: churn between
           // issue and delivery would otherwise record peers that no
           // longer own the salted keys, sending later replica updates to
@@ -514,20 +514,16 @@ class DistributedStore {
           MLIGHT_CHECK(br.atEnd(), "wire format left trailing bytes");
           // Append-on-apply: the stored image is durably framed at the
           // peer that applied it (the wire bytes just decoded).
-          walAppendPlace(d.route.owner, wireLabel, bucketBytes);
+          walAppendPlace(d.route.owner, wireLabel, image);
           storeEntry(wireLabel, std::move(copies), std::move(decoded));
-          net_->releaseBuffer(std::move(bucketBytes));
         },
         [this](const mlight::dht::RpcEnvelope& deadEnv,
                std::size_t /*attempts*/) {
           mlight::common::Reader r(deadEnv.payload);
           mourn(labels_.insert(r.readBitString()));
         });
-    net_->shipPayload(source, targets[0].holder, bucketWire.size(),
-                      bucket.recordCount());
-    pushToReplicas(source, label, targets, bucketWire.size(),
-                   bucket.recordCount(), &env);
-    net_->releaseBuffer(std::move(bucketWire).take());
+    net_->shipPayload(source, targets[0].holder, bytes, bucket.recordCount());
+    pushToReplicas(source, label, targets, bytes, bucket.recordCount(), &env);
   }
 
   /// Synchronous facade over asyncAccess: issues the RPC and pumps the
@@ -1207,10 +1203,10 @@ class DistributedStore {
   /// Frames a committed kPlace record in the applying peer's WAL (no-op
   /// without an attached WalSet).
   void walAppendPlace(RingId atVnode, const Label& label,
-                      std::span<const std::uint8_t> bucketBytes) {
+                      std::span<const std::uint8_t> image) {
     if (wal_ == nullptr) return;
     wal_->forPeer(net_->physicalNameOf(atVnode))
-        .appendCommitted(mlight::wal::FrameKind::kPlace, label, bucketBytes);
+        .appendCommitted(mlight::wal::FrameKind::kPlace, label, image);
   }
 
   /// Failover bookkeeping shared by the attempts of one logical access:

@@ -79,6 +79,36 @@ TEST(SerdeFuzz, LeafBucketDecoderNeverCrashes) {
   });
 }
 
+// The put handler's path: a view of the length-framed image, then the
+// bucket decoder over that view.
+TEST(SerdeFuzz, BucketImageViewDecoderNeverCrashes) {
+  Rng rng(5);
+  mlight::core::LeafBucket bucket;
+  bucket.label = BitString::fromString("0110");
+  for (int i = 0; i < 4; ++i) bucket.append(sampleRecord(rng));
+  Writer image;
+  bucket.serialize(image);
+  Writer w;
+  w.writeBytes(image.bytes());
+  fuzzDecoder<mlight::core::LeafBucket>(29, w.bytes(), [](Reader& r) {
+    Reader view(r.readBytesView());
+    return mlight::core::LeafBucket::deserialize(view);
+  });
+  // Random bytes inside a well-formed frame reach the bucket decoder.
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> garbage(rng.below(96));
+    for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.below(256));
+    Writer framed;
+    framed.writeBytes(garbage);
+    Reader r(framed.bytes());
+    try {
+      Reader view(r.readBytesView());
+      (void)mlight::core::LeafBucket::deserialize(view);
+    } catch (const SerdeError&) {
+    }
+  }
+}
+
 TEST(SerdeFuzz, BaselineNodeDecodersNeverCrash) {
   // The one node type of PHT and DST/RST, three sampled nodes.
   Rng rng(3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "index/record.h"
 
@@ -182,6 +184,28 @@ TEST(Serde, ReadBytesIntoReusesTheBuffer) {
   EXPECT_TRUE(out.empty());
   EXPECT_GE(out.capacity(), 64u);
   EXPECT_TRUE(r.atEnd());
+}
+
+TEST(Serde, ReadBytesViewAliasesAndBoundsChecks) {
+  Writer w;
+  const std::vector<std::uint8_t> blob{1, 2, 3, 4, 5};
+  w.writeBytes(blob);
+  w.writeBytes({});
+  w.writeBytes(blob);  // ends exactly at the end of the buffer
+  Reader r(w.bytes());
+  const auto first = r.readBytesView();
+  EXPECT_EQ(first.data(), w.bytes().data() + 4);  // no copy
+  EXPECT_TRUE(std::ranges::equal(first, blob));
+  EXPECT_TRUE(r.readBytesView().empty());
+  EXPECT_TRUE(std::ranges::equal(r.readBytesView(), blob));
+  EXPECT_TRUE(r.atEnd());
+
+  // A length one past the bytes left is rejected.
+  Writer bad;
+  bad.writeU32(static_cast<std::uint32_t>(blob.size() + 1));
+  for (std::uint8_t b : blob) bad.writeU8(b);
+  Reader br(bad.bytes());
+  EXPECT_THROW(br.readBytesView(), SerdeError);
 }
 
 }  // namespace

@@ -142,8 +142,9 @@ TEST(BulkLoad, EmptyBatchLeavesSingleRootBucket) {
 // The threshold bulk load partitions one index permutation of the input
 // and copies each record once, into its leaf.  The reference below is
 // the recursion it replaced, which copied every record at every kd level
-// through partitionOnce.  Both must give the same leaves in the same DFS
-// order, with the same records in the same order; the bulk-loaded index
+// through a by-value halving of its own, sharing no code with the
+// planner.  Both must give the same leaves in the same DFS order, with
+// the same records in the same order; the bulk-loaded index
 // must hold exactly those buckets, and its stateDigest() is pinned to the
 // value captured from the by-value bulk load.
 
@@ -155,8 +156,12 @@ void referencePartition(const BitString& label, const Rect& region,
     out.push_back(PlanLeaf{label, std::move(records)});
     return;
   }
-  auto [lo, hi] = partitionOnce(label, region, records, dims);
   const std::size_t dim = splitDimension(edgeDepth(label, dims), dims);
+  std::vector<Record> lo;
+  std::vector<Record> hi;
+  for (const Record& r : records) {
+    (r.key[dim] >= region.mid(dim) ? hi : lo).push_back(r);
+  }
   referencePartition(label.withBack(false), region.halved(dim, false),
                      std::move(lo), theta, dims, maxEdgeDepth, out);
   referencePartition(label.withBack(true), region.halved(dim, true),
@@ -222,9 +227,11 @@ TEST(BulkLoad, MatchesRecursivePartition) {
     std::vector<PlanLeaf> want;
     referencePartition(root, Rect::unit(c.dims), c.data, c.theta, c.dims,
                        c.maxEdgeDepth, want);
-    const SplitPlan plan =
-        planThresholdSplit(root, Rect::unit(c.dims), c.data, c.theta,
-                           c.dims, c.maxEdgeDepth);
+    const LeafBucket input(root, c.data);
+    const SplitPlan plan = planSplit(
+        SplitStrategy::kThreshold, static_cast<double>(c.theta), root,
+        Rect::unit(c.dims), input.records(), input.keys(), c.dims,
+        c.maxEdgeDepth);
     if (c.name == "identical-keys-at-cap") {
       EXPECT_TRUE(std::ranges::any_of(want, [&](const PlanLeaf& leaf) {
         return leaf.records.size() > c.theta;

@@ -7,6 +7,7 @@
 #include "common/bitstring.h"
 #include "common/serde.h"
 #include "dht/network.h"
+#include "wal/wal.h"
 
 namespace mlight::store {
 namespace {
@@ -97,6 +98,36 @@ TEST(DistributedStore, PlaceShipsBytesOnlyAcrossPeers) {
   }
   EXPECT_EQ(fromOther.bytesMoved, 500u);
   EXPECT_EQ(fromOther.recordsMoved, 5u);
+}
+
+// A put carries one serialized image: the owner decodes the bucket it
+// stores from that image and frames the same bytes in its WAL.
+TEST(DistributedStore, PutFramesTheBytesItStores) {
+  Network net(16);
+  DistributedStore<FakeBucket> store(net, "t/");
+  mlight::wal::WalSet wal(3);
+  store.attachWal(&wal);
+  const BitString key = BitString::fromString("0110");
+  const auto owner = store.ownerOf(key);
+  const auto source = net.peers()[0] == owner ? net.peers()[1] : net.peers()[0];
+  const FakeBucket bucket{9, 40, 3};
+  store.place(source, key, bucket);
+
+  const mlight::wal::PeerWal* log = wal.findPeer(net.physicalNameOf(owner));
+  ASSERT_NE(log, nullptr);
+  const auto frames = log->scanCommitted();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].kind, mlight::wal::FrameKind::kPlace);
+  EXPECT_EQ(frames[0].key, key);
+  mlight::common::Writer w;
+  bucket.serialize(w);
+  EXPECT_EQ(frames[0].payload, w.bytes());
+
+  const FakeBucket* stored = store.peek(key);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->value, 9);
+  EXPECT_EQ(stored->records, 3u);
+  EXPECT_EQ(stored->bytes, 40u);
 }
 
 TEST(DistributedStore, PlaceLocalIsFree) {
