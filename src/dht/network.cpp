@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdio>
 #include <limits>
-#include <memory>
 
 #include "common/check.h"
 #include "common/invariants.h"
@@ -254,52 +253,45 @@ std::uint32_t Network::allocDeliverySlot() {
   return slot;
 }
 
-void Network::deliverSlot(std::uint32_t slot) {
-  // Move the slot's contents to locals and free the slot *before* the
-  // handler runs: handlers routinely issue follow-up RPCs, which
-  // allocate slots (possibly reallocating deliverySlots_) and must be
-  // free to reuse this one.
-  std::vector<std::uint8_t> wire = std::move(deliverySlots_[slot].wire);
-  const RouteResult route = deliverySlots_[slot].route;
-  const double departure = deliverySlots_[slot].departure;
-  RpcHandler handler = std::move(deliverySlots_[slot].handler);
-  std::shared_ptr<RpcFlight> flight = std::move(deliverySlots_[slot].flight);
-  freeDeliverySlots_.push_back(slot);
-
-  RpcDelivery d;
-  common::Reader r(wire);
-  d.env.payload = bufferPool_.acquire();  // reused by deserializeFrom
-  d.env.deserializeFrom(r);
+void Network::decodeSlot(std::uint32_t slot, RpcEnvelope& env) {
+  common::Reader r(deliverySlots_[slot].wire);
+  env.deserializeFrom(r);
   if (!r.atEnd()) {
     throw common::SerdeError("rpc: trailing bytes after envelope");
   }
+}
 
-  if (flight != nullptr) {
-    // Fault-injected delivery.  Crash-while-in-flight: if the
-    // addressee's vnode left the ring after departure, nobody is there
-    // to run the handler — drop the delivery and let the timeout retry
-    // against the current ring.
-    if (ringIndexOf(d.env.to) == peers_.size()) {
-      ++ghostDrops_;
-      bufferPool_.release(std::move(d.env.payload));
-      bufferPool_.release(std::move(wire));
-      return;
-    }
-    flight->delivered = true;
-    sched_.cancel(flight->timeoutSeq);
+void Network::deliverSlot(std::uint32_t slot) {
+  RpcDelivery d;
+  d.env.payload = bufferPool_.acquire();  // reused by deserializeFrom
+  decodeSlot(slot, d.env);
+  DeliverySlot& s = deliverySlots_[slot];
+  if (s.guarded && ringIndexOf(d.env.to) == peers_.size()) {
+    // Crash-while-in-flight: the addressee's vnode left the ring after
+    // departure, so nobody is there to run the handler.  Drop the
+    // delivery; the attempt's timeout retries against the current ring.
+    ++ghostDrops_;
+    bufferPool_.release(std::move(d.env.payload));
+    armTimeout(slot);
+    return;
   }
-
-  d.route = route;
-  d.sentAt = departure;
+  d.route = s.route;
+  d.sentAt = s.departure;
   d.deliveredAt = sched_.now();
+  // Free the slot *before* the handler runs: handlers routinely issue
+  // follow-up RPCs, which allocate slots (possibly reallocating
+  // deliverySlots_) and must be free to reuse this one.
+  RpcHandler handler = std::move(s.handler);
+  std::vector<std::uint8_t> wire = std::move(s.wire);
+  s.onFail = nullptr;
+  freeDeliverySlots_.push_back(slot);
+
   timelineMaxRound_ = std::max(timelineMaxRound_, d.env.round);
   if (rpcTrace_) rpcTrace_(d);
   if (handler) handler(d);
   bufferPool_.release(std::move(d.env.payload));
   bufferPool_.release(std::move(wire));
 }
-
-void Network::setFaultModel(const FaultModel& faults) { faults_ = faults; }
 
 namespace {
 
@@ -338,75 +330,90 @@ double Network::rpcTimeoutMs(std::size_t attempt,
   return retryBackoffMs(floor, attempt);
 }
 
-void Network::transmitWithFaults(RingId key, const RouteResult& route,
-                                 std::uint32_t fromIdx, RpcEnvelope env,
-                                 RpcHandler handler, RpcFailFn onFail,
-                                 std::size_t attempt) {
-  // Real wire bytes: the handler works from the deserialized copy, and a
-  // retransmission re-serializes (the envelope really crosses the wire
-  // again, with its re-routed `to`).
+void Network::transmit(RingId key, const RouteResult& route,
+                       std::uint32_t fromIdx, RpcEnvelope env,
+                       RpcHandler handler, RpcFailFn onFail,
+                       std::size_t attempt) {
+  // Real wire bytes, serialized into a pooled buffer: the handler works
+  // from the deserialized copy, and a retransmission re-serializes (the
+  // envelope really crosses the wire again, with its re-routed `to`).
   common::Writer w(bufferPool_.acquire());
   env.serialize(w);
   const double departure = reserveDeparture(fromIdx);
 
-  // Per-attempt fault draws, in a fixed order (loss first, then jitter
-  // only for surviving transmissions) so each attempt's outcome is a
-  // pure function of (fault seed, envelope content, attempt number) —
-  // see attemptRng above for why this survives schedule perturbation.
-  mlight::common::Rng draws = attemptRng(faults_, env, attempt);
-  const bool lost = draws.chance(faults_.lossProbability);
+  const std::uint32_t slot = allocDeliverySlot();
+  DeliverySlot& s = deliverySlots_[slot];
+  s.wire = std::move(w).take();
+  s.route = route;
+  s.departure = departure;
+  s.handler = std::move(handler);
+  s.onFail = std::move(onFail);
+  s.key = key;
+  s.attempt = attempt;
+  // Only a timeout retransmits, so a retry's envelope was guarded at its
+  // first send; it stays guarded even if faults were turned off since.
+  s.guarded = faults_.enabled || attempt > 0;
 
-  auto flight = std::make_shared<RpcFlight>();
-
-  if (!lost) {
-    const double jitter =
-        faults_.jitterMs > 0.0 ? draws.uniform() * faults_.jitterMs : 0.0;
-    // Guarded delivery through a pooled slot, like the fault-free path.
-    // The ghost check and timeout suppression live in deliverSlot
-    // (flight set).
-    const std::uint32_t slot = allocDeliverySlot();
-    DeliverySlot& s = deliverySlots_[slot];
-    s.wire = std::move(w).take();
-    s.route = route;
-    s.departure = departure;
-    s.handler = handler;
-    s.flight = flight;
-    sched_.schedule(departure + route.ms + jitter,
-                    [this, slot]() { deliverSlot(slot); });
-  } else {
-    bufferPool_.release(std::move(w).take());
+  double arrival = departure + route.ms;
+  bool lost = false;
+  if (s.guarded) {
+    // Per-attempt fault draws, in a fixed order (loss first, then jitter
+    // only for surviving transmissions) so each attempt's outcome is a
+    // pure function of (fault seed, envelope content, attempt number) —
+    // see attemptRng above for why this survives schedule perturbation.
+    mlight::common::Rng draws = attemptRng(faults_, env, attempt);
+    lost = draws.chance(faults_.lossProbability);
+    if (!lost && faults_.jitterMs > 0.0) {
+      arrival += draws.uniform() * faults_.jitterMs;
+    }
   }
+  bufferPool_.release(std::move(env.payload));
+  if (lost) {
+    armTimeout(slot);
+  } else {
+    sched_.schedule(arrival, [this, slot] { deliverSlot(slot); });
+  }
+}
 
-  // The timeout executes "at" the sender, like the retransmission it
-  // triggers.
-  flight->timeoutSeq = sched_.schedule(
-      departure + rpcTimeoutMs(attempt, route.ms),
-      [this, key, env = std::move(env), handler = std::move(handler),
-       onFail = std::move(onFail), attempt, flight]() mutable {
-        if (flight->delivered) return;
-        // A sender that left the ring takes its timers with it: there is
-        // nobody left to retransmit (or to route from), so the envelope
-        // dead-letters now.
-        const bool senderLive = ringIndexOf(env.from) < peers_.size();
-        if (!senderLive || attempt + 1 >= faults_.maxAttempts) {
-          deadLetterRing_.record(DeadLetter{env.id, env.kind, env.from,
-                                            env.to, attempt + 1,
-                                            sched_.now()});
-          if (onFail) onFail(env, attempt + 1);
-          return;
-        }
-        // Retransmit: re-route on the *current* ring (the owner may have
-        // changed if the timeout was caused by a crash) — a fresh metered
-        // lookup plus one retry tick.
-        total_.retries += 1;
-        RouteSlots slots{};
-        const RouteResult retryRoute = routeKey(env.from, key, slots);
-        env.to = retryRoute.owner;
-        peerLoads_.note(physicalOfIdx_[slots.owner]);
-        transmitWithFaults(key, retryRoute, slots.from, std::move(env),
-                           std::move(handler), std::move(onFail),
-                           attempt + 1);
-      });
+void Network::armTimeout(std::uint32_t slot) {
+  const DeliverySlot& s = deliverySlots_[slot];
+  sched_.schedule(s.departure + rpcTimeoutMs(s.attempt, s.route.ms),
+                  [this, slot] { onTimeout(slot); });
+}
+
+void Network::onTimeout(std::uint32_t slot) {
+  RpcEnvelope env;
+  env.payload = bufferPool_.acquire();
+  decodeSlot(slot, env);
+  DeliverySlot& s = deliverySlots_[slot];
+  const RingId key = s.key;
+  const std::size_t attempt = s.attempt;
+  RpcHandler handler = std::move(s.handler);
+  RpcFailFn onFail = std::move(s.onFail);
+  bufferPool_.release(std::move(s.wire));
+  freeDeliverySlots_.push_back(slot);
+
+  // A sender that left the ring takes its timers with it: there is
+  // nobody left to retransmit (or to route from), so the envelope
+  // dead-letters now.
+  const bool senderLive = ringIndexOf(env.from) < peers_.size();
+  if (!senderLive || attempt + 1 >= faults_.maxAttempts) {
+    deadLetterRing_.record(DeadLetter{env.id, env.kind, env.from, env.to,
+                                      attempt + 1, sched_.now()});
+    if (onFail) onFail(env, attempt + 1);
+    bufferPool_.release(std::move(env.payload));
+    return;
+  }
+  // Retransmit: re-route on the *current* ring (the owner may have
+  // changed if the timeout was caused by a crash) — a fresh metered
+  // lookup plus one retry tick.
+  total_.retries += 1;
+  RouteSlots slots{};
+  const RouteResult retryRoute = routeKey(env.from, key, slots);
+  env.to = retryRoute.owner;
+  peerLoads_.note(physicalOfIdx_[slots.owner]);
+  transmit(key, retryRoute, slots.from, std::move(env), std::move(handler),
+           std::move(onFail), attempt + 1);
 }
 
 RouteResult Network::sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
@@ -421,33 +428,8 @@ RouteResult Network::sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
   env.id = nextRpcId_++;
   total_.messages += 1;
   peerLoads_.note(physicalOfIdx_[slots.owner]);
-
-  if (faults_.enabled) {
-    transmitWithFaults(key, route, slots.from, std::move(env),
-                       std::move(handler), std::move(onFail), 0);
-    return route;
-  }
-
-  // Fault-free path: exactly one delivery event, no RNG draws — the
-  // timeline is byte-identical to a network without the fault layer.
-  // The wire image serializes into a pooled buffer, the consumed
-  // payload is recycled, and the in-flight state parks in a pooled
-  // delivery slot so the scheduled closure is two words (no per-message
-  // allocation anywhere in the steady state).
-  common::Writer w(bufferPool_.acquire());
-  env.serialize(w);
-  bufferPool_.release(std::move(env.payload));
-
-  const double departure = reserveDeparture(slots.from);
-  const double arrival = departure + route.ms;
-
-  const std::uint32_t slot = allocDeliverySlot();
-  DeliverySlot& s = deliverySlots_[slot];
-  s.wire = std::move(w).take();
-  s.route = route;
-  s.departure = departure;
-  s.handler = std::move(handler);
-  sched_.schedule(arrival, [this, slot]() { deliverSlot(slot); });
+  transmit(key, route, slots.from, std::move(env), std::move(handler),
+           std::move(onFail), 0);
   return route;
 }
 

@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -73,18 +72,19 @@ struct LatencyModel {
 };
 
 /// Seeded fault injection for the RPC layer.  Disabled by default; with
-/// `enabled == false` the send path is byte-for-byte the fault-free one
-/// (no RNG draws, no timeout events), so count metrics *and* the event
-/// timeline are identical to a network without the fault layer — the
-/// replay and bit-identical-metrics contracts depend on this.
+/// `enabled == false` a send makes no RNG draws and schedules exactly one
+/// event, its delivery, so count metrics *and* the event timeline are
+/// identical to a network without the fault layer — the replay and
+/// bit-identical-metrics contracts depend on this.
 ///
 /// With `enabled == true` every transmission attempt may be lost (per
 /// attempt, i.i.d. with probability `lossProbability`), every delivery
 /// gains uniform jitter in [0, jitterMs), and a crash while an envelope
 /// is in flight suppresses the delivery (no ghost handlers).  The
-/// reliable layer on top schedules a timeout per attempt and retransmits
-/// with capped exponential backoff, re-routing on the current ring;
-/// envelopes that exhaust `maxAttempts` become dead letters.
+/// reliable layer on top times out an attempt that was lost or
+/// ghost-dropped and retransmits with capped exponential backoff,
+/// re-routing on the current ring; envelopes that exhaust `maxAttempts`
+/// become dead letters.  A delivered attempt schedules no timeout.
 struct FaultModel {
   bool enabled = false;
   /// Probability a single transmission attempt is lost in flight.
@@ -236,15 +236,16 @@ class Network {
   /// sender even though links are parallel.
   ///
   /// Under fault injection the send becomes reliable-with-retries:
-  /// every attempt draws a loss/jitter outcome, a timeout event guards
-  /// each attempt, and a timed-out envelope is re-routed on the
-  /// *current* ring (fresh metered lookup + one CostMeter::retries) and
-  /// retransmitted with exponential backoff.  After FaultModel::
-  /// maxAttempts the envelope is recorded as a dead letter and `onFail`
-  /// (if any) runs instead of `handler`.  A sender that left the ring
-  /// takes its timers with it: a timeout that fires after env.from's
-  /// vnode is gone dead-letters the envelope at once instead of
-  /// retransmitting.
+  /// every attempt draws a loss/jitter outcome, and an attempt that is
+  /// lost, or ghost-dropped because its addressee left the ring while it
+  /// was in flight, times out at departure + rpcTimeoutMs(attempt,
+  /// route.ms).  A timed-out envelope is re-routed on the *current* ring
+  /// (fresh metered lookup + one CostMeter::retries) and retransmitted
+  /// with exponential backoff.  After FaultModel::maxAttempts the
+  /// envelope is recorded as a dead letter and `onFail` (if any) runs
+  /// instead of `handler`.  A sender that left the ring takes its
+  /// timers with it: a timeout that fires after env.from's vnode is gone
+  /// dead-letters the envelope at once instead of retransmitting.
   RouteResult sendRpc(RingId key, RpcEnvelope env, RpcHandler handler,
                       RpcFailFn onFail = nullptr);
 
@@ -334,9 +335,13 @@ class Network {
   // --- Fault injection -------------------------------------------------
 
   /// Installs (or replaces) the fault model and reseeds the fault RNG.
-  /// Call before issuing traffic; swapping models mid-flight is legal
-  /// but already-scheduled attempts keep their old outcomes.
-  void setFaultModel(const FaultModel& faults);
+  /// Call before issuing traffic.  Swapping models mid-flight is legal:
+  /// attempts already sent keep their loss and jitter outcomes, and an
+  /// envelope first sent with faults on stays guarded (ghost check,
+  /// timeout, retries) until it is delivered or dead-lettered, even if
+  /// the new model is disabled.  Its later attempts draw from the new
+  /// model, and a timeout reads the model installed when it is armed.
+  void setFaultModel(const FaultModel& faults) { faults_ = faults; }
 
   /// Envelopes that exhausted FaultModel::maxAttempts transmissions:
   /// total() is the all-time count the digests and goldens pin, the
@@ -458,33 +463,42 @@ class Network {
   /// linkMs() between two live ring slots.
   double hopMs(std::uint32_t a, std::uint32_t b) const noexcept;
 
-  /// Reliable-send bookkeeping shared by one attempt's delivery and
-  /// timeout events (fault injection only).
-  struct RpcFlight {
-    bool delivered = false;
-    std::uint64_t timeoutSeq = 0;
-  };
-
-  /// In-flight state of one message, parked in a pooled slot so the
-  /// scheduled closure captures only {this, slot} — small enough for
-  /// std::function's inline buffer, which keeps the scheduler's event
-  /// nodes allocation-free (see SimScheduler::schedule).
+  /// One transmission attempt (attempt 0 = the original send), parked in
+  /// a pooled slot from send until it is handled, dead-lettered or
+  /// retransmitted, so every scheduled closure is {this, slot} — small
+  /// enough for std::function's inline buffer, which keeps the
+  /// scheduler's event nodes allocation-free (see SimScheduler::
+  /// schedule).  An attempt is `guarded` (ghost check, timeout) when
+  /// faults were on at its envelope's first send; `onFail`, `key` and
+  /// `attempt` serve its timeout.
   struct DeliverySlot {
     std::vector<std::uint8_t> wire;
     RouteResult route{};
     double departure = 0.0;
     RpcHandler handler;
-    std::shared_ptr<RpcFlight> flight;  // null on the fault-free path
+    RpcFailFn onFail;
+    RingId key{};
+    std::size_t attempt = 0;
+    bool guarded = false;
   };
   std::uint32_t allocDeliverySlot();
-  /// Decodes the slot's wire image and runs its handler at the owner.
+  /// Decodes a slot's wire image into `env`.
+  void decodeSlot(std::uint32_t slot, RpcEnvelope& env);
+  /// Sends one attempt of `env` (already routed to `route`, from ring
+  /// slot `fromIdx`).  An unguarded attempt makes no draws and schedules
+  /// its delivery.  A guarded one draws loss and jitter, and schedules
+  /// its delivery, or, if lost, its timeout.
+  void transmit(RingId key, const RouteResult& route, std::uint32_t fromIdx,
+                RpcEnvelope env, RpcHandler handler, RpcFailFn onFail,
+                std::size_t attempt);
+  /// Schedules the slot's timeout at departure + rpcTimeoutMs.
+  void armTimeout(std::uint32_t slot);
+  /// Runs the slot's handler at the owner; a guarded attempt whose
+  /// addressee left the ring is ghost-dropped and arms its timeout.
   void deliverSlot(std::uint32_t slot);
-  /// One transmission attempt under fault injection (attempt 0 = the
-  /// original send); schedules the guarded delivery plus its timeout.
-  void transmitWithFaults(RingId key, const RouteResult& route,
-                          std::uint32_t fromIdx, RpcEnvelope env,
-                          RpcHandler handler, RpcFailFn onFail,
-                          std::size_t attempt);
+  /// A lost or ghost-dropped attempt's timeout, "at" the sender:
+  /// dead-letters the envelope or re-routes and retransmits it.
+  void onTimeout(std::uint32_t slot);
   /// Timeout for the given attempt: twice the routed path latency plus
   /// worst-case jitter plus kTimeoutBaseMs grace, doubled per attempt
   /// (capped exponential backoff).

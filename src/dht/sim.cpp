@@ -43,7 +43,7 @@ std::uint64_t mixTie(std::uint64_t seed, std::uint64_t seq) noexcept {
 }
 }  // namespace
 
-std::uint64_t SimScheduler::schedule(double at, Fn fn) {
+void SimScheduler::schedule(double at, Fn fn) {
   const std::uint64_t seq = nextSeq_++;
   const std::uint64_t tie =
       shuffleSeed_ == 0 ? seq : mixTie(shuffleSeed_, seq);
@@ -53,34 +53,22 @@ std::uint64_t SimScheduler::schedule(double at, Fn fn) {
   if (heap_.capacity() == 0) heap_.reserve(64);
   heap_.push_back(Event{std::max(at, clock_.now()), tie, seq, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return seq;
 }
 
 bool SimScheduler::runOne() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    // The cancellation set is empty in fault-free runs; skip the
-    // per-event hash probes entirely then (empty() is a size load).
-    if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
-      continue;  // discarded, clock untouched
-    }
-    // A reorderable tie: another live event with the same timestamp is
-    // still pending, so the tie-break genuinely chose between the two.
-    // (An event scheduled *by* an earlier handler at the same timestamp
-    // is causally ordered — it never coexisted with its parent in the
-    // heap — and does not count: shuffling cannot reorder causality.)
-    if (!heap_.empty() && heap_.front().at == ev.at &&
-        (cancelled_.empty() ||
-         cancelled_.find(heap_.front().seq) == cancelled_.end())) {
-      ++tieDeliveries_;
-    }
-    clock_.advanceTo(ev.at);
-    ev.fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  // A reorderable tie: another event with the same timestamp is still
+  // pending, so the tie-break genuinely chose between the two.  (An
+  // event scheduled *by* an earlier handler at the same timestamp is
+  // causally ordered — it never coexisted with its parent in the heap —
+  // and does not count: shuffling cannot reorder causality.)
+  if (!heap_.empty() && heap_.front().at == ev.at) ++tieDeliveries_;
+  clock_.advanceTo(ev.at);
+  ev.fn();
+  return true;
 }
 
 }  // namespace mlight::dht

@@ -12,7 +12,10 @@
 // sequence number is assigned at schedule time.  Two runs that schedule
 // the same callbacks at the same times execute them in the same order,
 // which is what makes whole-workload replay byte-exact (see
-// tests/integration/replay_test.cpp).
+// tests/integration/replay_test.cpp).  No event is ever taken back: an
+// event is scheduled only once it is certain to run, so every scheduled
+// event fires and advances the clock (the fault layer arms an RPC
+// timeout only for an attempt that was lost or ghost-dropped).
 //
 // Schedule perturbation (determinism certification): the contract above
 // also says that *no simulation-visible state may depend on the relative
@@ -31,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 namespace mlight::dht {
@@ -81,36 +83,27 @@ class SimScheduler {
   void setTieShuffleSeed(std::uint64_t seed) noexcept { shuffleSeed_ = seed; }
   std::uint64_t tieShuffleSeed() const noexcept { return shuffleSeed_; }
 
-  /// Deliveries where another live event with the same timestamp was
-  /// still pending — ties the shuffle could genuinely reorder (same-time
+  /// Deliveries where another event with the same timestamp was still
+  /// pending — ties the shuffle could genuinely reorder (same-time
   /// events in a causal chain never coexist in the heap and don't
   /// count).  A perturbation test asserts this is nonzero for its
   /// workload, otherwise shuffling proved nothing.
   std::uint64_t tieDeliveries() const noexcept { return tieDeliveries_; }
 
   /// Schedules `fn` to run at simulated time `at` (clamped to `now`).
-  /// Returns the event's sequence number (global issue order).
+  /// Its sequence number is the global issue order.  There is no way to
+  /// take an event back: schedule only what will run.
   ///
   /// Event nodes live in a reused vector-backed heap, so scheduling is
   /// allocation-free once the heap has grown — *provided the closure
   /// fits std::function's inline buffer* (two pointers on libstdc++).
-  /// Hot paths keep to that budget by parking their per-event state in
-  /// pooled slots and capturing only an owner pointer plus a slot index
-  /// (see Network's delivery slots); cold paths (fault injection) may
-  /// capture freely.
-  std::uint64_t schedule(double at, Fn fn);
+  /// Every closure Network schedules, delivery and timeout alike, is
+  /// {this, slot}: the per-message state lives in a pooled slot.
+  void schedule(double at, Fn fn);
 
   /// Delivers the next event in (time, tie, seq) order, advancing the
   /// clock to its timestamp.  Returns false when the queue is empty.
   bool runOne();
-
-  /// Cancels a still-pending event by its sequence number.  A cancelled
-  /// event is discarded when it surfaces — it neither runs nor advances
-  /// the clock, so cancelling an RPC timeout after an early delivery
-  /// leaves the timeline exactly as if the timeout never existed.
-  /// Precondition: `seq` is pending (the fault layer only cancels
-  /// timeouts it knows have not fired).
-  void cancel(std::uint64_t seq) { cancelled_.insert(seq); }
 
   /// Pumps the queue dry.  Re-entrant: a callback may itself call run()
   /// (the synchronous store facade does) — the inner call drains the
@@ -120,9 +113,7 @@ class SimScheduler {
     }
   }
 
-  std::size_t pending() const noexcept {
-    return heap_.size() - cancelled_.size();
-  }
+  std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Total events ever scheduled (timeline fingerprint for replay tests).
   std::uint64_t scheduledCount() const noexcept { return nextSeq_; }
@@ -150,7 +141,6 @@ class SimScheduler {
 
   SimClock clock_;
   std::vector<Event> heap_;
-  std::unordered_set<std::uint64_t> cancelled_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t shuffleSeed_ = 0;
   std::uint64_t tieDeliveries_ = 0;

@@ -28,21 +28,6 @@ namespace {
 
 using mlight::common::BitString;
 
-TEST(SimScheduler, CancelDiscardsWithoutAdvancingClock) {
-  SimScheduler sched;
-  bool ran = false;
-  const std::uint64_t seq = sched.schedule(100.0, [&] { ran = true; });
-  sched.schedule(5.0, [] {});
-  EXPECT_EQ(sched.pending(), 2u);
-  sched.cancel(seq);
-  EXPECT_EQ(sched.pending(), 1u);
-  sched.run();
-  EXPECT_FALSE(ran);
-  // The cancelled event's timestamp must not pull the clock forward.
-  EXPECT_DOUBLE_EQ(sched.now(), 5.0);
-  EXPECT_EQ(sched.pending(), 0u);
-}
-
 TEST(FaultSeed, ReadsEnvironmentWithFallback) {
   ::unsetenv("MLIGHT_FAULT_SEED");
   EXPECT_EQ(faultSeedFromEnv(77), 77u);
@@ -146,7 +131,7 @@ TEST(FaultInjection, TotalLossBecomesDeadLetter) {
   int failed = 0;
   std::size_t reportedAttempts = 0;
   const RingId key = keyId("faults/blackhole");
-  net.sendRpc(
+  const RouteResult route = net.sendRpc(
       key, makeEnv(net.peers()[0]),
       [&](const RpcDelivery&) { ++delivered; },
       [&](const RpcEnvelope&, std::size_t attempts) {
@@ -160,6 +145,14 @@ TEST(FaultInjection, TotalLossBecomesDeadLetter) {
   EXPECT_EQ(net.deadLetters().total(), 1u);
   ASSERT_EQ(net.deadLetters().snapshot().size(), 1u);
   EXPECT_EQ(net.deadLetters().snapshot()[0].attempts, 4u);
+  // Each attempt departs when its predecessor times out, on the same
+  // route; the envelope dead-letters when the fourth timeout fires.
+  double deadAt = 0.0;
+  for (std::size_t attempt = 0; attempt < 4; ++attempt) {
+    deadAt += retryBackoffMs(2.0 * route.ms + kTimeoutBaseMs, attempt);
+  }
+  EXPECT_DOUBLE_EQ(net.deadLetters().snapshot()[0].at, deadAt);
+  EXPECT_DOUBLE_EQ(net.now(), deadAt);
   EXPECT_EQ(net.deadLetters().size(), 1u);
   EXPECT_EQ(net.deadLetters().dropped(), 0u);
   // 4 attempts = the original send + 3 retries.
@@ -242,9 +235,12 @@ TEST(FaultInjection, CrashInFlightSuppressesGhostDelivery) {
     }
   }
   std::vector<RingId> deliveredAt;
-  net.sendRpc(key, makeEnv(initiator), [&](const RpcDelivery& d) {
-    deliveredAt.push_back(d.route.owner);
-  });
+  double retrySentAt = -1.0;
+  const RouteResult route =
+      net.sendRpc(key, makeEnv(initiator), [&](const RpcDelivery& d) {
+        deliveredAt.push_back(d.route.owner);
+        retrySentAt = d.sentAt;
+      });
   // The envelope is in flight; its addressee dies before the event fires.
   ASSERT_TRUE(net.crashPeer(victim));
   net.run();
@@ -254,6 +250,82 @@ TEST(FaultInjection, CrashInFlightSuppressesGhostDelivery) {
   ASSERT_EQ(deliveredAt.size(), 1u);
   EXPECT_EQ(deliveredAt[0], net.responsible(key));
   EXPECT_NE(deliveredAt[0], victim);
+  EXPECT_EQ(net.deadLetters().total(), 0u);
+  // The ghost-dropped first attempt departed at t = 0; its timeout, and
+  // with it the retry, fires one attempt-0 timeout later.
+  EXPECT_DOUBLE_EQ(retrySentAt,
+                   retryBackoffMs(2.0 * route.ms + kTimeoutBaseMs, 0));
+}
+
+// An attempt that is delivered never times out, so it schedules no
+// timeout: the send leaves one event (the delivery), and the clock stops
+// where the delivery ran.
+TEST(FaultInjection, DeliveredAttemptArmsNoTimeout) {
+  Network net(16);
+  FaultModel faults;
+  faults.enabled = true;  // loss 0, jitter 0: the first attempt arrives
+  net.setFaultModel(faults);
+  double deliveredAt = -1.0;
+  net.sendRpc(keyId("faults/clean"), makeEnv(net.peers()[0]),
+              [&](const RpcDelivery& d) { deliveredAt = d.deliveredAt; });
+  EXPECT_EQ(net.pendingEvents(), 1u);
+  net.run();
+  EXPECT_GE(deliveredAt, 0.0);
+  EXPECT_EQ(net.now(), deliveredAt);
+  EXPECT_EQ(net.pendingEvents(), 0u);
+  EXPECT_EQ(net.ghostDrops(), 0u);
+}
+
+// An envelope first sent with faults on stays guarded through its
+// retries: turning faults off while its timeout is pending must not let
+// the retransmission run a handler at an addressee that crashed while
+// it was in flight.
+TEST(FaultInjection, RetransmissionStaysGuardedAfterFaultsTurnOff) {
+  Network net(16);
+  FaultModel lossy;
+  lossy.enabled = true;
+  lossy.lossProbability = 1.0;  // the first attempt never arrives
+  net.setFaultModel(lossy);
+  const RingId key = keyId("faults/guarded-retry");
+  const RingId victim = net.responsible(key);
+  std::vector<RingId> others;  // live peers other than the addressee
+  for (const RingId p : net.peers()) {
+    if (p != victim) others.push_back(p);
+  }
+  std::vector<RingId> handledAt;
+  const RouteResult route =
+      net.sendRpc(key, makeEnv(others[0]), [&](const RpcDelivery& d) {
+        handledAt.push_back(d.env.to);
+      });
+  net.setFaultModel(FaultModel{});  // faults off; attempt 0 still pending
+
+  // The retry departs when attempt 0 times out and arrives route.ms
+  // later.  A third peer's fire-and-forget messages land one send
+  // overhead apart; the first to land strictly inside that window
+  // crashes the addressee while the retry is in flight.
+  const double retrySent = retryBackoffMs(2.0 * route.ms + kTimeoutBaseMs, 0);
+  const double retryArrives = retrySent + route.ms;
+  const RingId fillerKey = others[1];  // owned by others[1], never the victim
+  bool crashed = false;
+  const auto crashInWindow = [&](const RpcDelivery& d) {
+    if (!crashed && d.deliveredAt > retrySent && d.deliveredAt < retryArrives) {
+      crashed = net.crashPeer(victim);
+    }
+  };
+  const double overhead = net.sendOverheadMs();
+  double lands = 0.0;
+  for (std::size_t i = 0; lands < retryArrives; ++i) {
+    lands = static_cast<double>(i) * overhead +
+            net.sendRpc(fillerKey, makeEnv(others[2]), crashInWindow).ms;
+  }
+  net.run();
+  ASSERT_TRUE(crashed);
+  // The retry was ghost-dropped; its own timeout re-routed it to the
+  // key's new owner, where the handler ran once.
+  EXPECT_EQ(net.ghostDrops(), 1u);
+  ASSERT_EQ(handledAt.size(), 1u);
+  EXPECT_NE(handledAt[0], victim);
+  EXPECT_EQ(handledAt[0], net.responsible(key));
   EXPECT_EQ(net.deadLetters().total(), 0u);
 }
 
