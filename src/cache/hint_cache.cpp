@@ -42,36 +42,35 @@ void LabelHintCache::pushFront(std::uint32_t slot) noexcept {
 }
 
 // Removes `slot` from the LRU, the length counts and the label table,
-// and releases its replica block.
+// and releases its replica route.
 void LabelHintCache::dropSlot(std::uint32_t slot) {
   unlink(slot);
   --lengthCount_[table_.length(slot)];
-  setReplica(slot, {}, {});
+  setRoute(slot, {});
   table_.erase(slot);
 }
 
-void LabelHintCache::setReplica(std::uint32_t slot,
-                                std::vector<std::uint32_t>&& salts,
-                                std::vector<std::uint32_t>&& loads) {
-  std::uint32_t& ref = table_[slot].replica;
-  if (salts.empty() && loads.empty()) {
+void LabelHintCache::setRoute(
+    std::uint32_t slot, std::vector<mlight::common::ReplicaCopy>&& route) {
+  std::uint32_t& ref = table_[slot].route;
+  if (route.empty()) {
     if (ref != 0) {
-      replicas_[ref - 1] = ReplicaBlock{};
-      freeReplicas_.push_back(ref - 1);
+      routes_[ref - 1] = std::move(route);  // empty: frees the old buffer
+      freeRoutes_.push_back(ref - 1);
       ref = 0;
     }
     return;
   }
   if (ref == 0) {
-    if (freeReplicas_.empty()) {
-      replicas_.emplace_back();
-      ref = static_cast<std::uint32_t>(replicas_.size());
+    if (freeRoutes_.empty()) {
+      routes_.emplace_back();
+      ref = static_cast<std::uint32_t>(routes_.size());
     } else {
-      ref = freeReplicas_.back() + 1;
-      freeReplicas_.pop_back();
+      ref = freeRoutes_.back() + 1;
+      freeRoutes_.pop_back();
     }
   }
-  replicas_[ref - 1] = ReplicaBlock{std::move(salts), std::move(loads)};
+  routes_[ref - 1] = std::move(route);
 }
 
 const LabelHint* LabelHintCache::findCovering(const Label& fullPath) {
@@ -101,26 +100,20 @@ const LabelHint* LabelHintCache::findCovering(const Label& fullPath) {
                                std::min<std::size_t>(64, len - done));
     }
     hit_.depth = s.depth;
-    if (s.replica == 0) {
-      hit_.replicaSalts.clear();
-      hit_.replicaLoads.clear();
-    } else {
-      hit_.replicaSalts = replicas_[s.replica - 1].salts;
-      hit_.replicaLoads = replicas_[s.replica - 1].loads;
-    }
+    hit_.route = {};
+    if (s.route != 0) hit_.route = routes_[s.route - 1];
     return &hit_;
   }
   return nullptr;
 }
 
 bool LabelHintCache::learn(const Label& leaf, std::uint32_t depth,
-                           std::vector<std::uint32_t> replicaSalts,
-                           std::vector<std::uint32_t> replicaLoads) {
+                           std::vector<mlight::common::ReplicaCopy> route) {
   if (capacity_ == 0) return false;
   const std::uint32_t known = table_.find(leaf);
   if (known != mlight::common::kNoLabelSlot) {
     table_[known].depth = depth;
-    setReplica(known, std::move(replicaSalts), std::move(replicaLoads));
+    setRoute(known, std::move(route));
     unlink(known);
     pushFront(known);
     return false;
@@ -129,7 +122,7 @@ bool LabelHintCache::learn(const Label& leaf, std::uint32_t depth,
   if (evicted) dropSlot(tail_);
   const std::uint32_t slot = table_.insert(leaf);
   table_[slot].depth = depth;
-  setReplica(slot, std::move(replicaSalts), std::move(replicaLoads));
+  setRoute(slot, std::move(route));
   pushFront(slot);
   const std::size_t len = leaf.size();
   if (len >= lengthCount_.size()) lengthCount_.resize(len + 1, 0);
@@ -144,11 +137,11 @@ void LabelHintCache::forget(const Label& leaf) {
 
 std::size_t LabelHintCache::memoryBytes() const noexcept {
   std::size_t n = table_.memoryBytes() +
-                  replicas_.capacity() * sizeof(ReplicaBlock) +
-                  freeReplicas_.capacity() * sizeof(std::uint32_t) +
+                  routes_.capacity() * sizeof(routes_[0]) +
+                  freeRoutes_.capacity() * sizeof(std::uint32_t) +
                   lengthCount_.capacity() * sizeof(std::uint32_t);
-  for (const ReplicaBlock& b : replicas_) {
-    n += (b.salts.capacity() + b.loads.capacity()) * sizeof(std::uint32_t);
+  for (const auto& route : routes_) {
+    n += route.capacity() * sizeof(mlight::common::ReplicaCopy);
   }
   return n;
 }
@@ -166,14 +159,14 @@ void LabelHintCache::digestState(mlight::common::Digest& d) const {
       d.feed(words[i]);
     }
     d.feed(slot.depth);
-    if (slot.replica == 0) {
+    if (slot.route == 0) {
       d.feed(std::size_t{0});
       continue;
     }
-    const ReplicaBlock& b = replicas_[slot.replica - 1];
-    d.feed(b.salts.size());
-    for (const std::uint32_t salt : b.salts) d.feed(salt);
-    for (const std::uint32_t load : b.loads) d.feed(load);
+    const auto& route = routes_[slot.route - 1];
+    d.feed(route.size());
+    for (const mlight::common::ReplicaCopy& c : route) d.feed(c.salt);
+    for (const mlight::common::ReplicaCopy& c : route) d.feed(c.load);
   }
 }
 

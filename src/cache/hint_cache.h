@@ -11,79 +11,42 @@
 //
 // Design rules:
 //  * hints are advisory, never authoritative — staleness is detected at
-//    the probed owner (the bucket found there is off the point's path,
-//    or no bucket is stored under the key any more) and repaired in
-//    place by the regular search seeded from the hint's depth.  There is
-//    no invalidation protocol to get wrong under churn; a stale hint
-//    costs O(log Δdepth) extra probes, never a wrong answer;
+//    the initiator from the bucket the hint's probe returns (it is off
+//    the point's path, or no bucket is stored under the key any more)
+//    and repaired in place by the regular search seeded from the hint's
+//    depth.  There is no invalidation protocol to get wrong under churn;
+//    a stale hint costs O(log Δdepth) extra probes, never a wrong answer;
 //  * the cache is bounded (LRU, per-dimension capacity) so a client
 //    scanning the whole space cannot grow memory without limit;
-//  * hints serialize through the shared serde layer: the hint-probe RPC
-//    carries the tested hint on the wire so the owner-side verdict works
-//    from the wire copy like every other handler.
+//  * hints are client-side state only: a hint probe carries just its DHT
+//    key, like a plain get, because no owner reads anything else.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bitstring.h"
 #include "common/digest.h"
 #include "common/label_table.h"
-#include "common/serde.h"
+#include "common/replica_copy.h"
 
 namespace mlight::cache {
 
 /// One cached resolution: the leaf label last seen covering a cell plus
 /// the local tree depth observed with it.  `depth` is the index's own
 /// depth notion (edge depth for m-LIGHT labels, prefix length for PHT
-/// tries) — the cache never interprets it, it only stores and ships it.
+/// tries) — the cache never interprets it, it only stores it.
 struct LabelHint {
   mlight::common::BitString leaf;
   std::uint32_t depth = 0;
-  /// Read-replica routing info for the leaf (query-load balancing,
-  /// docs/COST_MODEL.md "Query-load balancing"): the DHT placement salts
-  /// of every copy-holder, parallel to a coarse load signal per holder
-  /// observed when the hint was learned.  Empty for unboosted leaves —
-  /// and the wire image of an empty set is byte-identical to the
-  /// pre-replica hint format, so balancing-off traffic is unchanged.
-  std::vector<std::uint32_t> replicaSalts;
-  std::vector<std::uint32_t> replicaLoads;
-
-  std::size_t wireSize() const noexcept {
-    return 4 + 8 * ((leaf.size() + 63) / 64) + 4 +
-           (replicaSalts.empty() ? 0 : 4 + 8 * replicaSalts.size());
-  }
-  void serialize(mlight::common::Writer& w) const {
-    w.writeBitString(leaf);
-    w.writeU32(depth);
-    if (!replicaSalts.empty()) {
-      w.writeU32(static_cast<std::uint32_t>(replicaSalts.size()));
-      for (std::size_t i = 0; i < replicaSalts.size(); ++i) {
-        w.writeU32(replicaSalts[i]);
-        w.writeU32(i < replicaLoads.size() ? replicaLoads[i] : 0);
-      }
-    }
-  }
-  /// The replica block is optional-by-presence: a hint is always the
-  /// last field of its enclosing frame, so "more bytes remain" means the
-  /// block was written.
-  static LabelHint deserialize(mlight::common::Reader& r) {
-    LabelHint h;
-    h.leaf = r.readBitString();
-    h.depth = r.readU32();
-    if (!r.atEnd()) {
-      const std::uint32_t n = r.readCount(8);
-      h.replicaSalts.reserve(n);
-      h.replicaLoads.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        h.replicaSalts.push_back(r.readU32());
-        h.replicaLoads.push_back(r.readU32());
-      }
-    }
-    return h;
-  }
+  /// Replica route of the leaf (query-load balancing, docs/COST_MODEL.md
+  /// "Query-load balancing"): one {salt, load} pair per copy-holder,
+  /// loads as observed when the hint was learned.  Empty for unboosted
+  /// leaves.  A view into the cache, valid as long as the hint pointer.
+  std::span<const mlight::common::ReplicaCopy> route;
 };
 
 /// Reads the MLIGHT_CACHE environment variable: "0" / "off" / "false"
@@ -121,11 +84,11 @@ struct CachePolicy {
 ///  * table_ (common::LabelTable, the same label directory the store
 ///    uses) maps each cached label to a dense slot and holds its words,
 ///    its length and a Slot payload: u32 LRU links (prev/next, with
-///    head_ the most recently used), depth and a replica block
+///    head_ the most recently used), depth and a replica route
 ///    reference.  Nothing iterates the table: digestState walks the LRU
 ///    links, so hash order never reaches a digest;
-///  * replica salts/loads live in a side vector of blocks (with a free
-///    list) that only hints for boosted leaves reference.
+///  * replica routes live in a side vector (with a free list) that only
+///    hints for boosted leaves reference, one {salt, load} array each.
 class LabelHintCache {
  public:
   using Label = mlight::common::BitString;
@@ -139,29 +102,24 @@ class LabelHintCache {
   /// Deepest cached hint covering `fullPath` (nullptr on miss).  Touches
   /// the hint's LRU position.  The pointer refers to a per-cache copy
   /// that the next findCovering/learn/forget call may overwrite —
-  /// callers copy the hint before repairing.
+  /// callers copy what they need before repairing.
   const LabelHint* findCovering(const Label& fullPath);
 
   /// Records (or refreshes) the hint for `leaf`; evicts the
-  /// least-recently-used hint when full.  `replicaSalts`/`replicaLoads`
-  /// attach read-replica routing info (empty = none; a refresh
-  /// overwrites the stored set, so demoted leaves shed their replica
-  /// block on the next learn).  Returns true when an LRU victim was
-  /// evicted to make room — callers meter that through
+  /// least-recently-used hint when full.  `route` attaches the leaf's
+  /// replica route (empty = none; a refresh overwrites the stored route,
+  /// so demoted leaves shed it on the next learn).  Returns true when an
+  /// LRU victim was evicted to make room — callers meter that through
   /// dht::Network::noteHintEviction so cache pressure shows up in
   /// CostMeter::hintEvictions.
   bool learn(const Label& leaf, std::uint32_t depth,
-             std::vector<std::uint32_t> replicaSalts = {},
-             std::vector<std::uint32_t> replicaLoads = {});
+             std::vector<mlight::common::ReplicaCopy> route = {});
 
   /// Drops the hint for `leaf`, if cached.  Called on stale detection:
   /// a repaired lookup must forget the old leaf before learning the new
   /// one, or a dead deeper label would keep shadowing the live shallower
   /// one in findCovering after a merge.
   void forget(const Label& leaf);
-
-  /// Test hook: inject a hint verbatim (poisoned-hint negative tests).
-  void poison(const Label& leaf, std::uint32_t depth) { learn(leaf, depth); }
 
   /// Bytes held by the cache's arrays (vector capacities, not sizes) —
   /// a read-only gauge next to size(), not a cost meter.
@@ -180,19 +138,15 @@ class LabelHintCache {
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
     std::uint32_t depth = 0;
-    std::uint32_t replica = 0;  ///< replicas_ index + 1; 0 = no block
-  };
-  struct ReplicaBlock {
-    std::vector<std::uint32_t> salts;
-    std::vector<std::uint32_t> loads;
+    std::uint32_t route = 0;  ///< routes_ index + 1; 0 = no route
   };
 
   std::size_t capacity_;
   mlight::common::LabelTable<Slot> table_;
   std::uint32_t head_ = kNil;  ///< most recently used
   std::uint32_t tail_ = kNil;  ///< least recently used
-  std::vector<ReplicaBlock> replicas_;
-  std::vector<std::uint32_t> freeReplicas_;
+  std::vector<std::vector<mlight::common::ReplicaCopy>> routes_;
+  std::vector<std::uint32_t> freeRoutes_;
   /// lengthCount_[len] = number of cached hints with a len-bit label.
   std::vector<std::uint32_t> lengthCount_;
   /// findCovering's result, refilled on every hit.
@@ -201,8 +155,8 @@ class LabelHintCache {
   void unlink(std::uint32_t slot) noexcept;
   void pushFront(std::uint32_t slot) noexcept;
   void dropSlot(std::uint32_t slot);
-  void setReplica(std::uint32_t slot, std::vector<std::uint32_t>&& salts,
-                  std::vector<std::uint32_t>&& loads);
+  void setRoute(std::uint32_t slot,
+                std::vector<mlight::common::ReplicaCopy>&& route);
 };
 
 /// Per-peer hint caches: hints belong to the *initiating* peer of the

@@ -40,6 +40,15 @@ class Writer {
     bytes_.clear();
   }
 
+  /// Adopts `tail` keeping its bytes, so a frame is written straight
+  /// behind the frames already in its final buffer (take() hands the
+  /// grown buffer back).
+  static Writer appendingTo(std::vector<std::uint8_t>&& tail) noexcept {
+    Writer w;
+    w.bytes_ = std::move(tail);
+    return w;
+  }
+
   void writeU8(std::uint8_t v) { bytes_.push_back(v); }
   void writeU32(std::uint32_t v) { writeLe(v); }
   void writeU64(std::uint64_t v) { writeLe(v); }

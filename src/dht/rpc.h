@@ -28,11 +28,12 @@ enum class RpcKind : std::uint8_t {
   kPut = 2,    ///< Store a serialized bucket at the owner.
   kVisit = 3,  ///< Run arbitrary logic at the owner (read-modify-write).
   kResponse = 4,
-  /// Direct probe of a cached label hint: the body carries the probe key
-  /// plus the hint under test; the owner-side verdict (leaf here / stale)
-  /// comes back with the repair depth.  Travels and meters exactly like
-  /// kGet — one DHT-lookup — but is its own verb so traces and dead
-  /// letters distinguish hint traffic from search probes.
+  /// Direct probe of a cached label hint: the body is the probe key
+  /// alone, and the owner answers with the bucket stored under it, like
+  /// kGet; the initiator decides from that bucket whether the hint is
+  /// live or stale.  Travels and meters exactly like kGet — one
+  /// DHT-lookup — but is its own verb so traces and dead letters
+  /// distinguish hint traffic from search probes.
   kHintProbe = 5,
   /// Store a batch of records into the bucket at the owner: the body
   /// carries the target key plus the serialized record group (assembled

@@ -30,13 +30,14 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "cache/hint_cache.h"
 #include "common/bitstring.h"
 #include "common/invariants.h"
-#include "common/serde.h"
+#include "common/replica_copy.h"
 #include "dht/id.h"
 #include "dht/network.h"
 #include "dht/rpc.h"
@@ -110,22 +111,20 @@ class PrefixLocate {
       // Cold cell: the plain search, plus learning its answer below.
       result = search(initiator, full, std::move(window), roundBase, {});
     } else {
-      // Copy before any repair: learn/forget invalidate the pointer.
-      const mlight::cache::LabelHint used = *cached;
       // A caller-capped window (the range query's NULL-at-LCA fallback)
       // already proves the leaf is shallow; clamp a deeper hint to it —
       // any on-path probe depth is sound, so the clamped probe still
-      // verifies or refutes the hint.
-      const std::size_t t0 = std::min<std::size_t>(used.depth, window.hi);
+      // verifies or refutes the hint.  The probe carries only its key;
+      // the verdict is taken here, from the bucket it returns.
+      const std::size_t t0 = std::min<std::size_t>(cached->depth, window.hi);
+      const std::size_t salt =
+          t0 == cached->depth ? leastLoadedSalt(cached->route) : 0;
+      // Copied before any repair: learn/forget invalidate the pointer.
+      const Label usedLeaf = cached->leaf;
       const Label probeKey = shape_.probeKey(full, t0);
-      // The hint crosses the wire with the probe so the owner-side
-      // verdict works from the wire copy, like every other handler.
-      mlight::common::Writer hintWire(net_.acquireBuffer());
-      used.serialize(hintWire);
-      const auto probed = store_.accessAndFind(
-          mlight::dht::RpcKind::kHintProbe, initiator, probeKey, roundBase,
-          std::move(hintWire).take(),
-          t0 == used.depth ? leastLoadedSalt(used) : 0);
+      const auto probed =
+          store_.accessAndFind(mlight::dht::RpcKind::kHintProbe, initiator,
+                               probeKey, roundBase, {}, salt);
       if (probed.failed) {
         result.failed = true;
         return result;
@@ -147,14 +146,14 @@ class PrefixLocate {
         result.key = probeKey;
         result.leaf = *leaf;
         result.owner = probed.owner;
-        if (result.leaf != used.leaf) cache.forget(used.leaf);
+        if (result.leaf != usedLeaf) cache.forget(usedLeaf);
       } else {
         // Stale hint: split/merge moved the leaf.  Forget it and repair
         // in place — the search continues inside the window the failed
         // probe already cut, so a hint that drifted by Δdepth levels
         // costs O(log Δdepth) extra probes, never a wrong answer.
         net_.noteStaleHint();
-        cache.forget(used.leaf);
+        cache.forget(usedLeaf);
         if (probed.bucket == nullptr) {
           // The tree got shallower here (merge): the standard NULL cut.
           window.hi = shape_.nullCut(probeKey, t0);
@@ -173,13 +172,12 @@ class PrefixLocate {
       }
     }
     if (result.failed) return result;
-    // Learn the answer, with the replica routing info the reply
-    // piggybacks (read at this quiescent point — every probe's facade
-    // pumped the loop dry), so the next read of this leaf self-balances
-    // toward the then-coldest copy.
-    auto info = store_.replicaReadInfo(result.key);
+    // Learn the answer, with the replica route the reply piggybacks
+    // (read at this quiescent point — every probe's facade pumped the
+    // loop dry), so the next read of this leaf self-balances toward the
+    // then-coldest copy.
     if (cache.learn(result.leaf, shape_.hintDepth(result.leaf),
-                    std::move(info.salts), std::move(info.loads))) {
+                    store_.replicaReadInfo(result.key))) {
       net_.noteHintEviction();
     }
     if (mlight::common::auditEnabled(mlight::common::AuditLevel::kParanoid)) {
@@ -295,21 +293,20 @@ class PrefixLocate {
   }
 
   /// Least-loaded replica routing (query-load balancing): a hint learned
-  /// for a boosted leaf carries the replica set plus the loads observed
+  /// for a boosted leaf carries its replica route with the loads observed
   /// at learn time — probe the copy with the smallest load, ties broken
   /// toward the lowest replica index (strict < keeps the first minimum).
   /// Callers use it only when the probe key is the hint's own key: under
   /// a caller-capped window the probe targets an ancestor, whose copy set
   /// the hint knows nothing about.
-  static std::size_t leastLoadedSalt(const mlight::cache::LabelHint& hint) {
+  static std::size_t leastLoadedSalt(
+      std::span<const mlight::common::ReplicaCopy> route) {
     std::size_t salt = 0;
     std::uint32_t bestLoad = ~std::uint32_t{0};
-    for (std::size_t i = 0; i < hint.replicaSalts.size(); ++i) {
-      const std::uint32_t load =
-          i < hint.replicaLoads.size() ? hint.replicaLoads[i] : 0;
-      if (load < bestLoad) {
-        bestLoad = load;
-        salt = hint.replicaSalts[i];
+    for (const mlight::common::ReplicaCopy& copy : route) {
+      if (copy.load < bestLoad) {
+        bestLoad = copy.load;
+        salt = copy.salt;
       }
     }
     return salt;

@@ -45,6 +45,7 @@
 #include "common/digest.h"
 #include "common/invariants.h"
 #include "common/label_table.h"
+#include "common/replica_copy.h"
 #include "common/serde.h"
 #include "dht/network.h"
 #include "wal/wal.h"
@@ -245,30 +246,28 @@ class DistributedStore {
     return skippedReadRoutes_;
   }
 
-  /// Read-replica routing info of `label` for hint piggybacking: the
-  /// placement salt and a coarse load signal per copy-holder.  Empty
-  /// unless the label is currently boosted — unboosted hints must stay
-  /// byte-identical on the wire to the pre-balancing format.
-  struct ReplicaReadInfo {
-    std::vector<std::uint32_t> salts;
-    std::vector<std::uint32_t> loads;
-  };
-  ReplicaReadInfo replicaReadInfo(const Label& label) const {
-    ReplicaReadInfo out;
-    if (!loadBalance_.enabled || boosted_.empty()) return out;
+  /// Replica route of `label` for hint piggybacking: one {salt, load}
+  /// pair per copy-holder, in copy-target order, the load a coarse signal
+  /// of the holder's traffic.  Empty unless the label is currently
+  /// boosted.
+  std::vector<mlight::common::ReplicaCopy> replicaReadInfo(
+      const Label& label) const {
+    std::vector<mlight::common::ReplicaCopy> route;
+    if (!loadBalance_.enabled || boosted_.empty()) return route;
     const std::uint32_t slot = labels_.find(label);
-    if (slot == kNoSlot || labels_[slot].boost == kNotBoosted) return out;
+    if (slot == kNoSlot || labels_[slot].boost == kNotBoosted) return route;
     const Entry* entry = labels_[slot].entry.get();
-    if (entry == nullptr) return out;
+    if (entry == nullptr) return route;
     const auto& loads = net_->peerLoads();
+    route.reserve(entry->copies.size());
     for (const CopyTarget& t : entry->copies) {
-      out.salts.push_back(static_cast<std::uint32_t>(t.salt));
       const std::uint64_t load =
           loads.countOf(net_->physicalOf(t.holder, t.slotHint));
-      out.loads.push_back(static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(load, 0xFFFFFFFFu)));
+      route.push_back({static_cast<std::uint32_t>(t.salt),
+                       static_cast<std::uint32_t>(
+                           std::min<std::uint64_t>(load, 0xFFFFFFFFu))});
     }
-    return out;
+    return route;
   }
 
   /// Leaves currently holding boosted (read-hot) copy sets.
@@ -418,26 +417,26 @@ class DistributedStore {
       std::function<void(Bucket*, const mlight::dht::RpcDelivery&)>;
 
   /// Pure reads: kGet (search probes, range cascades) and kHintProbe
-  /// (lookup-cache verdicts).  Reads may start at any copy and feed the
-  /// owner-side heat counters; every other kind may mutate the bucket
-  /// (kVisit read-modify-write, kBatchPut group append) and starts at
-  /// the primary.
+  /// (a cached hint's direct probe).  Reads may start at any copy and
+  /// feed the owner-side heat counters; every other kind may mutate the
+  /// bucket (kVisit read-modify-write, kBatchPut group append) and
+  /// starts at the primary.
   static constexpr bool isRead(mlight::dht::RpcKind kind) noexcept {
     return kind == mlight::dht::RpcKind::kGet ||
            kind == mlight::dht::RpcKind::kHintProbe;
   }
 
   /// The one access verb: routes a `kind` envelope carrying `label`,
-  /// followed by `extra` opaque bytes (a kHintProbe's serialized hint, a
-  /// kBatchPut's record group; re-read them from `d.env.payload` past the
-  /// leading label), and runs `fn` at the holder that answers with the
-  /// bucket stored there.  `round` is the RPC chain depth — handlers
-  /// issuing follow-ups pass their delivery's round + 1.  The kind only
-  /// tells traces and dead letters the verbs apart, and picks the
-  /// starting copy (see isRead).
+  /// followed by `extra` opaque bytes (a kBatchPut's record group,
+  /// re-read from `d.env.payload` past the leading label; every other
+  /// kind carries the label alone), and runs `fn` at the holder that
+  /// answers with the bucket stored there.  `round` is the RPC chain
+  /// depth — handlers issuing follow-ups pass their delivery's round + 1.
+  /// The kind only tells traces and dead letters the verbs apart, and
+  /// picks the starting copy (see isRead).
   ///
   /// A read starts at copy `salt` when one is given (the initiator's
-  /// hint carries a boosted leaf's replica set), else at the store's
+  /// hint remembers a boosted leaf's replica route), else at the store's
   /// frozen read route for the label (the primary unless balancing
   /// boosted it).  A salt that stopped being a copy (demotion, churn) is
   /// caught by the owner-side holds-copy check and fails over — never a
@@ -1219,9 +1218,10 @@ class DistributedStore {
   struct AccessState {
     mlight::dht::RpcKind kind{};
     Label label;
-    /// Opaque bytes appended after the label (hint, record group); empty
-    /// for plain get/visit.  Kept in the state so failover retransmits
-    /// carry the same wire body as the original attempt.
+    /// Opaque bytes appended after the label (a kBatchPut's record
+    /// group); empty for every other kind.  Kept in the state so
+    /// failover retransmits carry the same wire body as the original
+    /// attempt.
     std::vector<std::uint8_t> extra;
     VisitFn fn;
     std::vector<RingId> tried;

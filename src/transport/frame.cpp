@@ -12,22 +12,15 @@
 namespace mlight::transport {
 
 void encodeFrame(const dht::RpcEnvelope& env, std::vector<std::uint8_t>& out) {
-  common::Writer w;
+  common::Writer w = common::Writer::appendingTo(std::move(out));
+  w.writeU32(static_cast<std::uint32_t>(env.wireSize()));
   env.serialize(w);
-  const std::vector<std::uint8_t>& body = w.bytes();
-  const auto len = static_cast<std::uint32_t>(body.size());
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  out.insert(out.end(), body.begin(), body.end());
+  out = std::move(w).take();
 }
 
-bool FrameReader::peekLength(std::uint32_t& len) const noexcept {
+bool FrameReader::peekLength(std::uint32_t& len) const {
   if (buffered() < kFrameHeaderBytes) return false;
-  len = 0;
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    len |= static_cast<std::uint32_t>(buf_[head_ + i]) << (8 * i);
-  }
+  len = common::Reader({buf_.data() + head_, kFrameHeaderBytes}).readU32();
   return true;
 }
 

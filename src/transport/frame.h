@@ -62,7 +62,7 @@ class FrameReader {
 
  private:
   /// Length announced by the buffered header, if one is available.
-  bool peekLength(std::uint32_t& len) const noexcept;
+  bool peekLength(std::uint32_t& len) const;
 
   std::size_t maxFrameBytes_;
   bool poisoned_ = false;

@@ -14,18 +14,10 @@ constexpr std::size_t kCommitMarkOffset = 4;
 // Length prefix + commit mark.
 constexpr std::size_t kFrameHeaderBytes = 5;
 
-void appendU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xffU));
-  out.push_back(static_cast<std::uint8_t>((v >> 8U) & 0xffU));
-  out.push_back(static_cast<std::uint8_t>((v >> 16U) & 0xffU));
-  out.push_back(static_cast<std::uint8_t>((v >> 24U) & 0xffU));
-}
-
-std::uint32_t readU32At(const std::vector<std::uint8_t>& in, std::size_t at) {
-  return static_cast<std::uint32_t>(in[at]) |
-         (static_cast<std::uint32_t>(in[at + 1]) << 8U) |
-         (static_cast<std::uint32_t>(in[at + 2]) << 16U) |
-         (static_cast<std::uint32_t>(in[at + 3]) << 24U);
+// Body length announced by the frame starting at `at` (its header must
+// be in the image).
+std::uint32_t bodyLenAt(std::span<const std::uint8_t> image, std::size_t at) {
+  return mlight::common::Reader(image.subspan(at)).readU32();
 }
 
 }  // namespace
@@ -35,17 +27,22 @@ std::uint64_t PeerWal::append(FrameKind kind,
                               std::span<const std::uint8_t> payload) {
   const std::uint64_t lsn = nextLsn_++;
 
-  mlight::common::Writer body;
-  body.writeU64(lsn);
-  body.writeU8(static_cast<std::uint8_t>(kind));
-  body.writeBitString(key);
-  body.writeBytes(payload);
-  const std::vector<std::uint8_t> bodyBytes = std::move(body).take();
-
+  // The frame is written in place behind the last one; its body length
+  // is known up front: lsn, kind, the key's length and words, the
+  // payload's length and bytes.
+  const std::size_t bodyLen =
+      8 + 1 + 4 + 8 * key.words().size() + 4 + payload.size();
   const std::size_t frameStart = image_.size();
-  appendU32(image_, static_cast<std::uint32_t>(bodyBytes.size()));
-  image_.push_back(0);  // commit mark: open
-  image_.insert(image_.end(), bodyBytes.begin(), bodyBytes.end());
+  auto frame = mlight::common::Writer::appendingTo(std::move(image_));
+  frame.writeU32(static_cast<std::uint32_t>(bodyLen));
+  frame.writeU8(0);  // commit mark: open
+  frame.writeU64(lsn);
+  frame.writeU8(static_cast<std::uint8_t>(kind));
+  frame.writeBitString(key);
+  frame.writeBytes(payload);
+  image_ = std::move(frame).take();
+  MLIGHT_CHECK(image_.size() == frameStart + kFrameHeaderBytes + bodyLen,
+               "PeerWal::append: frame body length mismatch");
   frames_.emplace_back(lsn, frameStart);
   return lsn;
 }
@@ -64,7 +61,7 @@ std::vector<Frame> PeerWal::scan() const {
   std::vector<Frame> out;
   std::size_t at = 0;
   while (image_.size() - at >= kFrameHeaderBytes) {
-    const std::uint32_t bodyLen = readU32At(image_, at);
+    const std::uint32_t bodyLen = bodyLenAt(image_, at);
     if (image_.size() - at - kFrameHeaderBytes < bodyLen) break;  // torn tail
     const std::uint8_t mark = image_[at + kCommitMarkOffset];
     mlight::common::Reader body(
@@ -109,7 +106,7 @@ void PeerWal::truncate(std::size_t bytes) {
   std::erase_if(frames_, [&](const auto& entry) {
     const std::size_t off = entry.second;
     if (image_.size() - off < kFrameHeaderBytes) return true;
-    return image_.size() - off - kFrameHeaderBytes < readU32At(image_, off);
+    return image_.size() - off - kFrameHeaderBytes < bodyLenAt(image_, off);
   });
 }
 

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cache/hint_cache.h"
 #include "common/invariants.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "common/zorder.h"
 #include "dht/network.h"
 #include "dht/rpc.h"
@@ -261,7 +263,7 @@ TEST(CachedLookup, PoisonedHintIsRepairedMeteredAndHarmless) {
 
   // Poison far below the real leaf (the tree is nowhere near the depth
   // cap): the direct probe cannot come back a covering leaf.
-  cache.poison(full.prefix(3 + 18), 18);
+  cache.learn(full.prefix(3 + 18), 18);
   const auto res = index.lookup(p);
   EXPECT_EQ(res.stats.cost.staleHints, 1u);
   EXPECT_EQ(res.stats.cost.cacheHits, 0u);
@@ -277,6 +279,25 @@ TEST(CachedLookup, PoisonedHintIsRepairedMeteredAndHarmless) {
   ASSERT_EQ(query.records.size(), 1u);
   EXPECT_EQ(query.records[0].id, data[0].id);
   EXPECT_EQ(common::auditCounters().failed, 0u);
+}
+
+/// Every delivered kHintProbe payload, checked to be exactly the wire
+/// image of its leading key; returns the keys in delivery order.
+std::vector<BitString> hintProbeKeys(dht::Network& net,
+                                     const std::function<void()>& run) {
+  std::vector<BitString> keys;
+  net.setRpcTrace([&](const dht::RpcDelivery& d) {
+    if (d.env.kind != dht::RpcKind::kHintProbe) return;
+    common::Reader r(d.env.payload);
+    keys.push_back(r.readBitString());
+    common::Writer image;
+    image.writeBitString(keys.back());
+    EXPECT_EQ(d.env.payload, image.bytes())
+        << "probe of " << keys.back().toString();
+  });
+  run();
+  net.setRpcTrace({});
+  return keys;
 }
 
 // --- PHT baseline --------------------------------------------------------
@@ -303,6 +324,43 @@ TEST(CachedLookup, PhtRepeatQueryResolvesInOneProbe) {
   EXPECT_EQ(res.records[0].id, data[0].id);
 }
 
+TEST(CachedLookup, HintProbeCarriesOnlyItsKey) {
+  // The hint is client-side state: its probe ships the DHT key alone,
+  // like a kGet, whatever the hint remembers.  m-LIGHT first.
+  {
+    dht::Network net(1, 5);
+    core::MLightIndex index(net, cachedConfig());
+    const auto data = uniformRecords(64, 7);
+    for (const auto& r : data) index.insert(r);
+    for (const auto& r : data) index.lookup(r.key);  // a live hint each
+
+    std::vector<BitString> leaves;
+    const auto keys = hintProbeKeys(net, [&] {
+      for (const auto& r : data) leaves.push_back(index.lookup(r.key).leaf);
+    });
+    ASSERT_EQ(keys.size(), data.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(keys[i], core::naming(leaves[i], 2));
+    }
+  }
+  // PHT: a hint probes the leaf's own label, a prefix of the point.
+  dht::Network net(1, 6);
+  const pht::PhtConfig cfg = cachedPhtConfig();
+  pht::PhtIndex index(net, cfg);
+  const auto data = uniformRecords(64, 11);
+  for (const auto& r : data) index.insert(r);
+  for (const auto& r : data) index.pointQuery(r.key);
+
+  const auto keys = hintProbeKeys(net, [&] {
+    for (const auto& r : data) index.pointQuery(r.key);
+  });
+  ASSERT_EQ(keys.size(), data.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(
+        keys[i].isPrefixOf(common::interleave(data[i].key, cfg.maxDepth)));
+  }
+}
+
 TEST(CachedLookup, PhtPoisonedDeepHintIsStaleAndRepaired) {
   ScopedLevel paranoid(AuditLevel::kParanoid);
   common::resetAuditCounters();
@@ -316,8 +374,8 @@ TEST(CachedLookup, PhtPoisonedDeepHintIsStaleAndRepaired) {
   // A prefix of p's own path deeper than its leaf cannot exist in the
   // trie (leaves have no descendants): the probe is a guaranteed NULL.
   const BitString full = common::interleave(p, cfg.maxDepth);
-  index.hintCaches().forPeer(net.peers()[0].value).poison(full.prefix(20),
-                                                          20);
+  index.hintCaches().forPeer(net.peers()[0].value).learn(full.prefix(20),
+                                                         20);
   const auto res = index.pointQuery(p);
   EXPECT_EQ(res.stats.cost.staleHints, 1u);
   ASSERT_EQ(res.records.size(), 1u);

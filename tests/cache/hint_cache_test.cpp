@@ -17,7 +17,7 @@
 #include "common/digest.h"
 #include "common/invariants.h"
 #include "common/rng.h"
-#include "common/serde.h"
+#include "common/replica_copy.h"
 
 namespace mlight::cache {
 namespace {
@@ -110,16 +110,24 @@ TEST(LabelHintCache, ForgetUnshadowsShallowerHint) {
 
 // --- arena vs. list model ------------------------------------------------
 
+using mlight::common::ReplicaCopy;
+
 // The node-based LabelHintCache this arena replaced (a std::list in LRU
-// order plus a BitString-keyed map), kept as the oracle: the arena must agree with it on every hit, size, eviction and
-// digest.
+// order plus a BitString-keyed map), kept as the oracle: the arena must
+// agree with it on every hit, size, eviction and digest.
+struct ModelHint {
+  BitString leaf;
+  std::uint32_t depth = 0;
+  std::vector<ReplicaCopy> route;
+};
+
 class ReferenceHintCache {
  public:
   explicit ReferenceHintCache(std::size_t capacity) : capacity_(capacity) {}
 
   std::size_t size() const noexcept { return lru_.size(); }
 
-  const LabelHint* findCovering(const BitString& fullPath) {
+  const ModelHint* findCovering(const BitString& fullPath) {
     const std::size_t maxLen =
         std::min(fullPath.size() + 1, lengthCount_.size());
     for (std::size_t len = maxLen; len-- > 0;) {
@@ -133,27 +141,24 @@ class ReferenceHintCache {
   }
 
   bool learn(const BitString& leaf, std::uint32_t depth,
-             std::vector<std::uint32_t> replicaSalts,
-             std::vector<std::uint32_t> replicaLoads) {
+             std::vector<ReplicaCopy> route) {
     if (capacity_ == 0) return false;
     auto it = byLeaf_.find(leaf);
     if (it != byLeaf_.end()) {
       it->second->depth = depth;
-      it->second->replicaSalts = std::move(replicaSalts);
-      it->second->replicaLoads = std::move(replicaLoads);
+      it->second->route = std::move(route);
       lru_.splice(lru_.begin(), lru_, it->second);
       return false;
     }
     bool evicted = false;
     if (lru_.size() >= capacity_) {
-      const LabelHint& victim = lru_.back();
+      const ModelHint& victim = lru_.back();
       --lengthCount_[victim.leaf.size()];
       byLeaf_.erase(victim.leaf);
       lru_.pop_back();
       evicted = true;
     }
-    lru_.push_front(LabelHint{leaf, depth, std::move(replicaSalts),
-                              std::move(replicaLoads)});
+    lru_.push_front(ModelHint{leaf, depth, std::move(route)});
     byLeaf_.emplace(leaf, lru_.begin());
     if (leaf.size() >= lengthCount_.size()) {
       lengthCount_.resize(leaf.size() + 1, 0);
@@ -172,19 +177,19 @@ class ReferenceHintCache {
 
   void digestState(mlight::common::Digest& d) const {
     d.feed(lru_.size());
-    for (const LabelHint& h : lru_) {
+    for (const ModelHint& h : lru_) {
       d.feed(h.leaf);
       d.feed(h.depth);
-      d.feed(h.replicaSalts.size());
-      for (const std::uint32_t s : h.replicaSalts) d.feed(s);
-      for (const std::uint32_t l : h.replicaLoads) d.feed(l);
+      d.feed(h.route.size());
+      for (const ReplicaCopy& c : h.route) d.feed(c.salt);
+      for (const ReplicaCopy& c : h.route) d.feed(c.load);
     }
   }
 
  private:
   std::size_t capacity_;
-  std::list<LabelHint> lru_;
-  std::map<BitString, std::list<LabelHint>::iterator> byLeaf_;
+  std::list<ModelHint> lru_;
+  std::map<BitString, std::list<ModelHint>::iterator> byLeaf_;
   std::vector<std::uint32_t> lengthCount_;
 };
 
@@ -195,13 +200,12 @@ std::uint64_t digestOf(const Cache& cache) {
   return d.value();
 }
 
-void expectSameHit(const LabelHint* got, const LabelHint* want) {
+void expectSameHit(const LabelHint* got, const ModelHint* want) {
   ASSERT_EQ(got == nullptr, want == nullptr);
   if (got == nullptr) return;
   EXPECT_EQ(got->leaf, want->leaf);
   EXPECT_EQ(got->depth, want->depth);
-  EXPECT_EQ(got->replicaSalts, want->replicaSalts);
-  EXPECT_EQ(got->replicaLoads, want->replicaLoads);
+  EXPECT_TRUE(std::ranges::equal(got->route, want->route));
 }
 
 // Seeded random learn / refresh / forget / findCovering sequences over
@@ -242,19 +246,16 @@ TEST(LabelHintCache, MatchesListModel) {
               kind < 3 || learned.empty() ? randomLabel()
                                           : learned[rng.below(learned.size())];
           const auto depth = static_cast<std::uint32_t>(rng.below(100));
-          std::vector<std::uint32_t> salts;
-          std::vector<std::uint32_t> loads;
+          std::vector<ReplicaCopy> route;
           if (rng.chance(0.3)) {
             const std::size_t n = 1 + rng.below(4);
             for (std::size_t i = 0; i < n; ++i) {
-              salts.push_back(static_cast<std::uint32_t>(rng.below(16)));
-              if (!rng.chance(0.1)) {
-                loads.push_back(static_cast<std::uint32_t>(rng.next()));
-              }
+              const auto salt = static_cast<std::uint32_t>(rng.below(16));
+              route.push_back({salt, static_cast<std::uint32_t>(rng.next())});
             }
           }
-          const bool gotEvict = arena.learn(leaf, depth, salts, loads);
-          const bool wantEvict = model.learn(leaf, depth, salts, loads);
+          const bool gotEvict = arena.learn(leaf, depth, route);
+          const bool wantEvict = model.learn(leaf, depth, route);
           EXPECT_EQ(gotEvict, wantEvict);
           learned.push_back(leaf);
         } else if (kind < 6) {
@@ -285,7 +286,7 @@ TEST(LabelHintCache, CompactFootprint) {
     l.appendWordBits(rng.next(), 57);
     labels.push_back(l);
     if (i % 1024 == 0) {
-      cache.learn(l, 28, {1, 2, 3, 4}, {0, 5, 9, 2});
+      cache.learn(l, 28, {{1, 0}, {2, 5}, {3, 9}, {4, 2}});
     } else {
       cache.learn(l, 28);
     }
@@ -302,19 +303,15 @@ TEST(LabelHintCache, CompactFootprint) {
   }
 }
 
-// --- LabelHint serde -----------------------------------------------------
-
-TEST(LabelHint, SerdeRoundTrip) {
-  LabelHint h;
-  h.leaf = bits("001011010111");
-  h.depth = 9;
-  mlight::common::Writer w;
-  h.serialize(w);
-  const std::vector<std::uint8_t> bytes = std::move(w).take();
-  mlight::common::Reader r(bytes);
-  const LabelHint back = LabelHint::deserialize(r);
-  EXPECT_EQ(back.leaf, h.leaf);
-  EXPECT_EQ(back.depth, h.depth);
+// The digest's byte stream (count, then per hint its leaf, depth, pair
+// count, every salt, every load) is what every pinned stateDigest() of a
+// cache-on run hashes: pinned to the values of the two-vector layout.
+TEST(LabelHintCache, DigestOfBoostedHintIsPinned) {
+  LabelHintCache cache(2, onPolicy());
+  cache.learn(bits("0010110"), 5, {{0, 12}, {3, 0}, {7, 5}});
+  EXPECT_EQ(digestOf(cache), 0x8b7a03d83cea4a3cULL);
+  cache.learn(bits("01"), 1);
+  EXPECT_EQ(digestOf(cache), 0x492511db44e7e7deULL);
 }
 
 // --- HintCacheSet --------------------------------------------------------

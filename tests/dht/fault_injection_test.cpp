@@ -655,15 +655,17 @@ TEST(Failover, LossySplitPutsFailLoudlyNeverAbort) {
   const ScopedLevel level(mlight::common::AuditLevel::kBoundaries);
   EXPECT_GT(lossyMLightRun(9, 3000), 0u);
   // Pinned with the cache off and on: an unanswered search probe and an
-  // unanswered hint probe must both give up the same way.
+  // unanswered hint probe must both give up the same way.  The cache-on
+  // pin moves whenever a hint probe's body does: each attempt's loss draw
+  // hashes the envelope payload.
   const LossyPhtOutcome plain = lossyPhtRun(9, 2000, false);
   EXPECT_GT(plain.lostBuckets, 0u);
   EXPECT_EQ(plain.lookups, 12957u);
   EXPECT_EQ(plain.digest, 0xdae45cf8c81e2786ull);
   const LossyPhtOutcome cached = lossyPhtRun(9, 2000, true);
   EXPECT_GT(cached.lostBuckets, 0u);
-  EXPECT_EQ(cached.lookups, 11658u);
-  EXPECT_EQ(cached.digest, 0x1b6aa344ab109529ull);
+  EXPECT_EQ(cached.lookups, 11670u);
+  EXPECT_EQ(cached.digest, 0x4377ab89df634072ull);
   const std::uint64_t envSeed = faultSeedFromEnv(1);
   lossyMLightRun(envSeed, 3000);
   lossyPhtRun(envSeed, 2000);

@@ -312,20 +312,20 @@ TEST(DistributedStore, AccessKindsPickTheirStartingCopy) {
   store.refreshReadRouting();
   // The frozen route: the least-loaded copy, first minimum wins.  The
   // primary served the promoting reads, so a replica wins.
-  const auto info = store.replicaReadInfo(hot);
-  ASSERT_EQ(info.salts.size(), 3u);
+  const auto route = store.replicaReadInfo(hot);
+  ASSERT_EQ(route.size(), 3u);
   std::size_t frozen = 0;
   std::size_t other = 0;
   std::uint32_t best = ~std::uint32_t{0};
-  for (std::size_t i = 0; i < info.salts.size(); ++i) {
-    if (info.loads[i] < best) {
-      best = info.loads[i];
-      frozen = info.salts[i];
+  for (const auto& copy : route) {
+    if (copy.load < best) {
+      best = copy.load;
+      frozen = copy.salt;
     }
   }
   ASSERT_NE(frozen, 0u);
-  for (const std::uint32_t salt : info.salts) {
-    if (salt != 0 && salt != frozen) other = salt;
+  for (const auto& copy : route) {
+    if (copy.salt != 0 && copy.salt != frozen) other = copy.salt;
   }
   ASSERT_NE(other, 0u);
   const RingId primary = store.ownerOf(hot);
