@@ -253,28 +253,19 @@ std::uint32_t Network::allocDeliverySlot() {
   return slot;
 }
 
-void Network::decodeSlot(std::uint32_t slot, RpcEnvelope& env) {
-  common::Reader r(deliverySlots_[slot].wire);
-  env.deserializeFrom(r);
-  if (!r.atEnd()) {
-    throw common::SerdeError("rpc: trailing bytes after envelope");
-  }
-}
-
 void Network::deliverSlot(std::uint32_t slot) {
-  RpcDelivery d;
-  d.env.payload = bufferPool_.acquire();  // reused by deserializeFrom
-  decodeSlot(slot, d.env);
   DeliverySlot& s = deliverySlots_[slot];
-  if (s.guarded && ringIndexOf(d.env.to) == peers_.size()) {
+  if (s.guarded && ringIndexOf(s.env.to) == peers_.size()) {
     // Crash-while-in-flight: the addressee's vnode left the ring after
     // departure, so nobody is there to run the handler.  Drop the
-    // delivery; the attempt's timeout retries against the current ring.
+    // delivery; the envelope waits in its slot for the attempt's
+    // timeout, which retries against the current ring.
     ++ghostDrops_;
-    bufferPool_.release(std::move(d.env.payload));
     armTimeout(slot);
     return;
   }
+  RpcDelivery d;
+  d.env = std::move(s.env);
   d.route = s.route;
   d.sentAt = s.departure;
   d.deliveredAt = sched_.now();
@@ -282,7 +273,6 @@ void Network::deliverSlot(std::uint32_t slot) {
   // follow-up RPCs, which allocate slots (possibly reallocating
   // deliverySlots_) and must be free to reuse this one.
   RpcHandler handler = std::move(s.handler);
-  std::vector<std::uint8_t> wire = std::move(s.wire);
   s.onFail = nullptr;
   freeDeliverySlots_.push_back(slot);
 
@@ -290,7 +280,6 @@ void Network::deliverSlot(std::uint32_t slot) {
   if (rpcTrace_) rpcTrace_(d);
   if (handler) handler(d);
   bufferPool_.release(std::move(d.env.payload));
-  bufferPool_.release(std::move(wire));
 }
 
 namespace {
@@ -334,29 +323,13 @@ void Network::transmit(RingId key, const RouteResult& route,
                        std::uint32_t fromIdx, RpcEnvelope env,
                        RpcHandler handler, RpcFailFn onFail,
                        std::size_t attempt) {
-  // Real wire bytes, serialized into a pooled buffer: the handler works
-  // from the deserialized copy, and a retransmission re-serializes (the
-  // envelope really crosses the wire again, with its re-routed `to`).
-  common::Writer w(bufferPool_.acquire());
-  env.serialize(w);
   const double departure = reserveDeparture(fromIdx);
-
-  const std::uint32_t slot = allocDeliverySlot();
-  DeliverySlot& s = deliverySlots_[slot];
-  s.wire = std::move(w).take();
-  s.route = route;
-  s.departure = departure;
-  s.handler = std::move(handler);
-  s.onFail = std::move(onFail);
-  s.key = key;
-  s.attempt = attempt;
   // Only a timeout retransmits, so a retry's envelope was guarded at its
   // first send; it stays guarded even if faults were turned off since.
-  s.guarded = faults_.enabled || attempt > 0;
-
+  const bool guarded = faults_.enabled || attempt > 0;
   double arrival = departure + route.ms;
   bool lost = false;
-  if (s.guarded) {
+  if (guarded) {
     // Per-attempt fault draws, in a fixed order (loss first, then jitter
     // only for surviving transmissions) so each attempt's outcome is a
     // pure function of (fault seed, envelope content, attempt number) —
@@ -367,7 +340,17 @@ void Network::transmit(RingId key, const RouteResult& route,
       arrival += draws.uniform() * faults_.jitterMs;
     }
   }
-  bufferPool_.release(std::move(env.payload));
+
+  const std::uint32_t slot = allocDeliverySlot();
+  DeliverySlot& s = deliverySlots_[slot];
+  s.env = std::move(env);
+  s.route = route;
+  s.departure = departure;
+  s.handler = std::move(handler);
+  s.onFail = std::move(onFail);
+  s.key = key;
+  s.attempt = attempt;
+  s.guarded = guarded;
   if (lost) {
     armTimeout(slot);
   } else {
@@ -382,15 +365,12 @@ void Network::armTimeout(std::uint32_t slot) {
 }
 
 void Network::onTimeout(std::uint32_t slot) {
-  RpcEnvelope env;
-  env.payload = bufferPool_.acquire();
-  decodeSlot(slot, env);
   DeliverySlot& s = deliverySlots_[slot];
+  RpcEnvelope env = std::move(s.env);
   const RingId key = s.key;
   const std::size_t attempt = s.attempt;
   RpcHandler handler = std::move(s.handler);
   RpcFailFn onFail = std::move(s.onFail);
-  bufferPool_.release(std::move(s.wire));
   freeDeliverySlots_.push_back(slot);
 
   // A sender that left the ring takes its timers with it: there is

@@ -47,8 +47,10 @@ struct RouteResult {
 };
 
 /// What an RPC handler receives when its envelope arrives at the owner.
-/// `env` is the wire copy — serialized at the sender, deserialized at
-/// delivery — so handlers cannot accidentally share initiator state.
+/// `env` is the envelope the sender handed to sendRpc, moved along with
+/// every attempt (a retry only re-addresses `to`); the sender gave it
+/// up, so handlers cannot share initiator state.  Its bytes meter as
+/// RpcEnvelope::wireSize.
 struct RpcDelivery {
   RpcEnvelope env;
   RouteResult route;      ///< How the envelope was routed.
@@ -216,8 +218,8 @@ class Network {
   // sendRpc() is the async counterpart of lookup(): it routes the
   // envelope to the owner of `key` (metering one DHT-lookup, its hops,
   // and one message — all at issue time, so meter scopes see costs in
-  // program order), pushes the serialized envelope through the sender's
-  // send queue, and schedules `handler` to run "at" the owner when the
+  // program order), pushes the envelope through the sender's send
+  // queue, and schedules `handler` to run "at" the owner when the
   // message arrives.  Count metrics are therefore identical to an
   // equivalent sequence of lookup() calls; only the *timeline* differs.
 
@@ -311,8 +313,9 @@ class Network {
 
   // --- Pooled message buffers ------------------------------------------
   //
-  // Per-message transient vectors (wire images, envelope payloads,
-  // store bucket bodies) cycle through one BufferPool per Network.
+  // Per-message transient vectors (envelope payloads, store bucket
+  // bodies) cycle through one BufferPool per Network: a delivered
+  // payload returns to it once its handler is done.
   // Host-side only: buffers are cleared on acquire, so pooling is
   // invisible to the simulation (see the pooling on/off replay test).
 
@@ -468,11 +471,14 @@ class Network {
   /// retransmitted, so every scheduled closure is {this, slot} — small
   /// enough for std::function's inline buffer, which keeps the
   /// scheduler's event nodes allocation-free (see SimScheduler::
-  /// schedule).  An attempt is `guarded` (ghost check, timeout) when
-  /// faults were on at its envelope's first send; `onFail`, `key` and
-  /// `attempt` serve its timeout.
+  /// schedule).  The slot holds the envelope itself: delivery moves it
+  /// to the handler, and a lost or ghost-dropped attempt keeps it until
+  /// its timeout moves it out to dead-letter or retransmit.  An attempt
+  /// is `guarded` (ghost check, timeout) when faults were on at its
+  /// envelope's first send; `onFail`, `key` and `attempt` serve its
+  /// timeout.
   struct DeliverySlot {
-    std::vector<std::uint8_t> wire;
+    RpcEnvelope env;
     RouteResult route{};
     double departure = 0.0;
     RpcHandler handler;
@@ -482,11 +488,10 @@ class Network {
     bool guarded = false;
   };
   std::uint32_t allocDeliverySlot();
-  /// Decodes a slot's wire image into `env`.
-  void decodeSlot(std::uint32_t slot, RpcEnvelope& env);
   /// Sends one attempt of `env` (already routed to `route`, from ring
-  /// slot `fromIdx`).  An unguarded attempt makes no draws and schedules
-  /// its delivery.  A guarded one draws loss and jitter, and schedules
+  /// slot `fromIdx`) by moving it into a slot.  An unguarded attempt
+  /// makes no draws and schedules its delivery.  A guarded one first
+  /// draws loss and jitter from the envelope's content, then schedules
   /// its delivery, or, if lost, its timeout.
   void transmit(RingId key, const RouteResult& route, std::uint32_t fromIdx,
                 RpcEnvelope env, RpcHandler handler, RpcFailFn onFail,

@@ -2,10 +2,11 @@
 //
 // Every remote bucket access an index performs — locate probes, range
 // forwarding, replica pushes — travels as one of these envelopes.  The
-// envelope crosses the simulated wire through the serde layer, so the
-// header bytes metered by CostMeter are the bytes a deployed node would
-// actually put on the network, and the receiving handler works from the
-// deserialized copy (never from initiator-side state).
+// simulated network hands the envelope itself from sender to handler
+// (the sender moves it in, so the handler never sees initiator-side
+// state); the serde form below is what the TCP transport frames onto
+// real sockets (transport::encodeFrame / FrameReader), and wireSize()
+// is its exact length.
 //
 // `round` is the RPC chain depth: a handler that issues a follow-up RPC
 // stamps it `round + 1`.  The maximum round delivered during an
@@ -59,9 +60,9 @@ struct RpcEnvelope {
 
   void serialize(common::Writer& w) const;
   static RpcEnvelope deserialize(common::Reader& r);
-  /// deserialize into *this, reusing the existing payload capacity (the
-  /// pooled-delivery path: one buffer cycles through every message
-  /// instead of a fresh vector per envelope).
+  /// deserialize into *this, reusing the existing payload capacity —
+  /// the frame reader's path, which decodes every inbound frame into
+  /// one envelope instead of a fresh vector per message.
   void deserializeFrom(common::Reader& r);
 };
 
@@ -152,12 +153,12 @@ class DeadLetterRing {
 };
 
 /// Free list of byte buffers for the per-message hot path.  Every RPC
-/// needs two transient vectors (the serialized wire image and the
-/// deserialized payload); recycling them through this pool makes the
-/// steady-state message cycle allocation-free.  Purely a host-side
-/// optimization: buffers are cleared on acquire and carry no simulated
-/// state, so pooling cannot perturb the timeline (pinned by the replay
-/// pooling on/off test).
+/// needs one transient vector, its payload: senders build it in an
+/// acquired buffer and the network releases it once the handler is
+/// done, so the steady-state message cycle is allocation-free.  Purely
+/// a host-side optimization: buffers are cleared on acquire and carry
+/// no simulated state, so pooling cannot perturb the timeline (pinned
+/// by the replay pooling on/off test).
 class BufferPool {
  public:
   /// An empty buffer, recycled when available (capacity retained).
@@ -186,8 +187,8 @@ class BufferPool {
   std::size_t pooledCount() const noexcept { return free_.size(); }
 
  private:
-  /// Cap on parked buffers: bounds worst-case retained memory under a
-  /// burst (fan-outs park one wire buffer per in-flight message).
+  /// Cap on parked buffers: bounds worst-case retained memory after a
+  /// burst (a fan-out returns one payload per message it delivered).
   static constexpr std::size_t kMaxPooled = 256;
 
   bool enabled_ = true;

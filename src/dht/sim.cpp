@@ -1,5 +1,6 @@
 #include "dht/sim.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <string>
@@ -32,9 +33,8 @@ std::uint64_t schedShuffleSeedFromEnv(std::uint64_t fallback) {
 }
 
 namespace {
-/// splitmix64 finalizer: a bijective mix of (seed, seq), so shuffled tie
-/// keys are distinct whenever sequence numbers are — the `seq` fallback
-/// in the comparator never actually fires.
+/// splitmix64 finalizer: for a fixed seed a bijection of seq, so shuffled
+/// tie keys are distinct whenever sequence numbers are.
 std::uint64_t mixTie(std::uint64_t seed, std::uint64_t seq) noexcept {
   std::uint64_t z = seq + seed * 0x9E3779B97F4A7C15ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -51,7 +51,7 @@ void SimScheduler::schedule(double at, Fn fn) {
   // schedules a handful of events, and the heap never shrinks, so one
   // up-front block makes steady-state scheduling allocation-free.
   if (heap_.capacity() == 0) heap_.reserve(64);
-  heap_.push_back(Event{std::max(at, clock_.now()), tie, seq, std::move(fn)});
+  heap_.push_back(Event{std::max(at, now_), tie, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -66,7 +66,7 @@ bool SimScheduler::runOne() {
   // causally ordered — it never coexisted with its parent in the heap —
   // and does not count: shuffling cannot reorder causality.)
   if (!heap_.empty() && heap_.front().at == ev.at) ++tieDeliveries_;
-  clock_.advanceTo(ev.at);
+  now_ = ev.at;
   ev.fn();
   return true;
 }

@@ -8,10 +8,10 @@
 // emerges from execution.  Indexes pump the loop to completion via the
 // synchronous facade.
 //
-// Determinism contract: events fire in (time, sequence) order, where the
-// sequence number is assigned at schedule time.  Two runs that schedule
-// the same callbacks at the same times execute them in the same order,
-// which is what makes whole-workload replay byte-exact (see
+// Determinism contract: events fire in (time, tie) order, where the tie
+// is the sequence number assigned at schedule time.  Two runs that
+// schedule the same callbacks at the same times execute them in the same
+// order, which is what makes whole-workload replay byte-exact (see
 // tests/integration/replay_test.cpp).  No event is ever taken back: an
 // event is scheduled only once it is certain to run, so every scheduled
 // event fires and advances the clock (the fault layer arms an RPC
@@ -21,33 +21,21 @@
 // also says that *no simulation-visible state may depend on the relative
 // order of same-time events* — only the (commutative) union of their
 // effects.  MLIGHT_SCHED_SHUFFLE_SEED (or setTieShuffleSeed) replaces
-// the same-time tie-break with a seeded pseudo-random permutation of the
-// sequence numbers: the timeline stays a deterministic pure function of
-// (workload, shuffle seed), but same-time ties deliver in a different —
-// still fixed — order.  State digests (common/digest.h) must be
+// the tie with a seeded bijection of the sequence number, so ties stay
+// distinct: the timeline stays a deterministic pure function of
+// (workload, shuffle seed), but same-time events deliver in a different
+// — still fixed — order.  State digests (common/digest.h) must be
 // bit-identical across shuffle seeds; tests/determinism/ enforces it.
 // Seed 0 (the default) disables the shuffle and is byte-identical to a
 // build without this mechanism.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 namespace mlight::dht {
-
-/// Monotonic simulated clock (milliseconds).  Time only moves forward:
-/// delivering an event stamped earlier than `now` runs it at `now`.
-class SimClock {
- public:
-  double now() const noexcept { return now_; }
-  void advanceTo(double t) noexcept { now_ = std::max(now_, t); }
-
- private:
-  double now_ = 0.0;
-};
 
 /// Reads the environment variable `name` as a strict decimal uint64,
 /// falling back to `fallback` when unset/empty.  Only an exact digit
@@ -64,8 +52,9 @@ std::uint64_t strictDecimalEnv(const char* name, std::uint64_t fallback);
 /// every scheduler in a test binary without touching code.
 std::uint64_t schedShuffleSeedFromEnv(std::uint64_t fallback = 0);
 
-/// Single-threaded priority event queue + clock: one (time, tie, seq)
-/// min-heap.
+/// Single-threaded priority event queue + clock: one (time, tie)
+/// min-heap.  The clock (milliseconds) only moves forward: schedule()
+/// clamps a past timestamp to now, and the heap pops its minimum.
 class SimScheduler {
  public:
   using Fn = std::function<void()>;
@@ -75,7 +64,7 @@ class SimScheduler {
   SimScheduler(const SimScheduler&) = delete;
   SimScheduler& operator=(const SimScheduler&) = delete;
 
-  double now() const noexcept { return clock_.now(); }
+  double now() const noexcept { return now_; }
 
   /// Installs the same-time tie-break shuffle seed (0 = off, the
   /// default order: ties fire in schedule order).  Only affects events
@@ -101,8 +90,8 @@ class SimScheduler {
   /// {this, slot}: the per-message state lives in a pooled slot.
   void schedule(double at, Fn fn);
 
-  /// Delivers the next event in (time, tie, seq) order, advancing the
-  /// clock to its timestamp.  Returns false when the queue is empty.
+  /// Delivers the next event in (time, tie) order, advancing the clock
+  /// to its timestamp.  Returns false when the queue is empty.
   bool runOne();
 
   /// Pumps the queue dry.  Re-entrant: a callback may itself call run()
@@ -119,27 +108,25 @@ class SimScheduler {
   std::uint64_t scheduledCount() const noexcept { return nextSeq_; }
 
  private:
+  /// 48 bytes on libstdc++: the unit every heap sift moves.
   struct Event {
     double at = 0.0;
-    /// Tie-break key among same-time events: equal to `seq` when the
-    /// shuffle is off, a seeded permutation of it when on.
+    /// Tie-break key among same-time events: the sequence number when
+    /// the shuffle is off, a seeded bijection of it when on — distinct
+    /// either way, so (at, tie) orders events totally.
     std::uint64_t tie = 0;
-    std::uint64_t seq = 0;
     Fn fn;
   };
   /// std::push_heap keeps the *greatest* element on top, so "greater"
-  /// here means "fires later": min-(time, tie, seq) ends up at the
-  /// front.  `seq` backs up `tie` so the order is total even if the
-  /// shuffle hash ever collided.
+  /// here means "fires later": min-(time, tie) ends up at the front.
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
-      if (a.tie != b.tie) return a.tie > b.tie;
-      return a.seq > b.seq;
+      return a.tie > b.tie;
     }
   };
 
-  SimClock clock_;
+  double now_ = 0.0;
   std::vector<Event> heap_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t shuffleSeed_ = 0;

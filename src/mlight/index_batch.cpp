@@ -182,9 +182,9 @@ MLightIndex::BatchResult MLightIndex::insertBatched(
               present = bucket != nullptr;
               answeredBy = d.route.owner;
               if (bucket == nullptr) return;
-              // Decode the group from the wire copy (past the leading
-              // label) — the apply below works from what actually
-              // crossed the network, like every other handler.
+              // Decode the group from the delivered payload (past the
+              // leading label) — the apply below works from the bytes
+              // the envelope carried, like every other handler.
               mlight::common::Reader r(d.env.payload);
               r.readBitString();
               mlight::common::Reader body(r.readBytesView());

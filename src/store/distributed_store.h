@@ -404,7 +404,7 @@ class DistributedStore {
   // (costing one DHT-lookup + one message at issue time, exactly where
   // the old synchronous code metered its lookup), and the continuation
   // executes "at" the owning peer when the message arrives, working from
-  // the wire copy of the request.  The synchronous methods below are
+  // the delivered envelope's payload.  The synchronous methods below are
   // thin drivers that issue the RPC and pump the event loop dry.
   //
   // The owner side has two handlers: one for every access kind
@@ -1289,7 +1289,7 @@ class DistributedStore {
   }
 
   /// The owner-side access handler: the label travels in the envelope;
-  /// the handler re-reads it from the wire and resolves the bucket in
+  /// the handler re-reads it from the payload and resolves the bucket in
   /// owner-side state at delivery time (see asyncAccess for failover).
   void onAccessDelivered(std::uint32_t at, const mlight::dht::RpcDelivery& d) {
     MLIGHT_CHECK(accessStates_[at].live, "delivery of a resolved access");

@@ -24,7 +24,7 @@ namespace {
 
 /// Monotonic wall milliseconds — the real-transport clock.  The retry
 /// deadlines below mirror the simulator's formula exactly, just against
-/// this clock instead of SimClock.
+/// this clock instead of the simulated one (SimScheduler::now).
 double wallMs() {
   // DET-ALLOW(real transport timeouts measure wall time by definition)
   const auto now = std::chrono::steady_clock::now();

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/digest.h"
 #include "common/serde.h"
 #include "dht/network.h"
 #include "dht/rpc.h"
@@ -67,6 +68,38 @@ TEST(SimScheduler, TieShufflePermutesSameTimeEvents) {
     anyDiffer = anyDiffer || shuffled != fifo;
   }
   EXPECT_TRUE(anyDiffer);
+}
+
+// The shuffled fire order of a wide same-time batch, pinned by digest:
+// events order by (time, tie) alone, and the shuffled tie is a bijection
+// of the sequence number, so no two events ever compare equal and the
+// order is the same on every build.  A later batch fires only after the
+// whole first one.
+TEST(SimScheduler, ShuffledTieOrderIsPinned) {
+  constexpr int kFirst = 4096;
+  constexpr int kSecond = 1024;
+  SimScheduler sched;
+  sched.setTieShuffleSeed(12345);
+  std::vector<int> order;
+  for (int i = 0; i < kFirst; ++i) {
+    sched.schedule(1.0, [&order, i] { order.push_back(i); });
+  }
+  for (int i = kFirst; i < kFirst + kSecond; ++i) {
+    sched.schedule(2.0, [&order, i] { order.push_back(i); });
+  }
+  sched.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kFirst + kSecond));
+  std::vector<int> fired(order.begin(), order.begin() + kFirst);
+  std::sort(fired.begin(), fired.end());
+  for (int i = 0; i < kFirst; ++i) ASSERT_EQ(fired[i], i);
+  fired.assign(order.begin() + kFirst, order.end());
+  std::sort(fired.begin(), fired.end());
+  for (int i = 0; i < kSecond; ++i) ASSERT_EQ(fired[i], kFirst + i);
+  common::Digest d;
+  for (const int i : order) d.feed(static_cast<std::uint64_t>(i));
+  EXPECT_EQ(d.value(), 0xeefc3b45050d254dull);
+  EXPECT_EQ(sched.tieDeliveries(),
+            static_cast<std::uint64_t>(kFirst - 1 + kSecond - 1));
 }
 
 TEST(SimScheduler, PastTimestampsClampToNow) {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitstring.h"
@@ -110,8 +111,20 @@ TEST(FaultInjection, LossyLinkRetriesUntilDelivered) {
   int delivered = 0;
   for (int i = 0; i < 50; ++i) {
     const RingId key = keyId("faults/lossy-" + std::to_string(i));
-    net.sendRpc(key, makeEnv(net.peers()[i % 16]),
-                [&](const RpcDelivery&) { ++delivered; });
+    RpcEnvelope env = makeEnv(net.peers()[i % 16], /*round=*/1 + i % 3);
+    env.kind = i % 2 == 0 ? RpcKind::kGet : RpcKind::kVisit;
+    env.payload.push_back(static_cast<std::uint8_t>(i));
+    const RpcEnvelope sent = env;
+    // Whichever attempt gets through, the handler sees the envelope as
+    // it was sent, addressed to the owner it was routed to.
+    net.sendRpc(key, std::move(env), [&, sent](const RpcDelivery& d) {
+      ++delivered;
+      EXPECT_EQ(d.env.kind, sent.kind);
+      EXPECT_EQ(d.env.from, sent.from);
+      EXPECT_EQ(d.env.round, sent.round);
+      EXPECT_EQ(d.env.payload, sent.payload);
+      EXPECT_EQ(d.env.to, d.route.owner);
+    });
   }
   net.run();
   EXPECT_EQ(delivered, 50);
@@ -130,18 +143,25 @@ TEST(FaultInjection, TotalLossBecomesDeadLetter) {
   int delivered = 0;
   int failed = 0;
   std::size_t reportedAttempts = 0;
+  RpcEnvelope failedEnv;
   const RingId key = keyId("faults/blackhole");
   const RouteResult route = net.sendRpc(
       key, makeEnv(net.peers()[0]),
       [&](const RpcDelivery&) { ++delivered; },
-      [&](const RpcEnvelope&, std::size_t attempts) {
+      [&](const RpcEnvelope& env, std::size_t attempts) {
         ++failed;
         reportedAttempts = attempts;
+        failedEnv = env;
       });
   net.run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(reportedAttempts, 4u);
+  // The dead letter is the envelope that was sent: the network's first
+  // id, the original payload, the last attempt's owner.
+  EXPECT_EQ(failedEnv.id, 0u);
+  EXPECT_EQ(failedEnv.payload, makeEnv(net.peers()[0]).payload);
+  EXPECT_EQ(failedEnv.to, route.owner);
   EXPECT_EQ(net.deadLetters().total(), 1u);
   ASSERT_EQ(net.deadLetters().snapshot().size(), 1u);
   EXPECT_EQ(net.deadLetters().snapshot()[0].attempts, 4u);
@@ -236,10 +256,12 @@ TEST(FaultInjection, CrashInFlightSuppressesGhostDelivery) {
   }
   std::vector<RingId> deliveredAt;
   double retrySentAt = -1.0;
+  RpcEnvelope retried;
   const RouteResult route =
       net.sendRpc(key, makeEnv(initiator), [&](const RpcDelivery& d) {
         deliveredAt.push_back(d.route.owner);
         retrySentAt = d.sentAt;
+        retried = d.env;
       });
   // The envelope is in flight; its addressee dies before the event fires.
   ASSERT_TRUE(net.crashPeer(victim));
@@ -251,6 +273,12 @@ TEST(FaultInjection, CrashInFlightSuppressesGhostDelivery) {
   EXPECT_EQ(deliveredAt[0], net.responsible(key));
   EXPECT_NE(deliveredAt[0], victim);
   EXPECT_EQ(net.deadLetters().total(), 0u);
+  // The retry is the first attempt's envelope (the network's first id,
+  // the same payload), re-addressed to the new owner.
+  EXPECT_EQ(retried.id, 0u);
+  EXPECT_EQ(retried.from, initiator);
+  EXPECT_EQ(retried.payload, makeEnv(initiator).payload);
+  EXPECT_EQ(retried.to, net.responsible(key));
   // The ghost-dropped first attempt departed at t = 0; its timeout, and
   // with it the retry, fires one attempt-0 timeout later.
   EXPECT_DOUBLE_EQ(retrySentAt,

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/digest.h"
 #include "dht/network.h"
 #include "mlight/index.h"
 #include "workload/datasets.h"
@@ -46,37 +47,75 @@ struct RunResult {
   CostMeter total;
   double finalNow = 0.0;
   std::size_t pooledBuffers = 0;  ///< parked buffers after the run
+  std::uint64_t deadLetters = 0;
+  std::uint64_t ghostDrops = 0;
+  /// Every delivered envelope in full (payload bytes included) with its
+  /// timestamps, in delivery order, then every dead letter.
+  std::uint64_t streamDigest = 0;
 };
 
-RunResult runWorkload(std::uint64_t seed, bool withFaults = false,
-                      std::uint64_t faultSeed = 1,
-                      bool installDisabledModel = false,
-                      bool bufferPooling = true,
-                      bool cacheEnabled = false) {
+/// How runWorkload drives its network.  A lossy run also crashes a
+/// peer in the middle of a range query (replication 2 absorbs it).
+struct RunOptions {
+  bool withFaults = false;
+  std::uint64_t faultSeed = 1;
+  bool installDisabledModel = false;
+  bool bufferPooling = true;
+  bool cacheEnabled = false;
+  /// Pins the same-time order to issue order (immune to
+  /// MLIGHT_SCHED_SHUFFLE_SEED), for values pinned across builds.
+  bool unshuffled = false;
+};
+
+RunResult runWorkload(std::uint64_t seed, const RunOptions& opt = {}) {
+  const bool withFaults = opt.withFaults;
   Network net(48, seed);
-  net.setBufferPooling(bufferPooling);
+  net.setBufferPooling(opt.bufferPooling);
+  if (opt.unshuffled) net.setScheduleShuffleSeed(0);
   if (withFaults) {
     dht::FaultModel faults;
     faults.enabled = true;
     faults.lossProbability = 0.01;
     faults.jitterMs = 5.0;
     faults.maxAttempts = 8;
-    faults.seed = faultSeed;
+    faults.seed = opt.faultSeed;
     net.setFaultModel(faults);
-  } else if (installDisabledModel) {
+  } else if (opt.installDisabledModel) {
     net.setFaultModel(dht::FaultModel{});  // enabled == false
   }
   RunResult out;
+  common::Digest stream;
+  // Deliveries left until a lossy run crashes a peer mid-operation
+  // (0 = no crash pending).
+  int crashAfter = 0;
   net.setRpcTrace([&](const RpcDelivery& d) {
+    if (crashAfter > 0 && --crashAfter == 0) {
+      // Crash a bystander while a range query's fan-out is in flight:
+      // the attempt addressed to it ghost-drops and is re-routed.
+      std::size_t v = 20;
+      while (net.physicalOf(net.peers()[v]) == net.physicalOf(d.env.to) ||
+             net.physicalOf(net.peers()[v]) == net.physicalOf(d.env.from)) {
+        ++v;
+      }
+      net.crashPeer(net.peers()[v]);
+    }
     out.trace.push_back({d.env.id, static_cast<std::uint8_t>(d.env.kind),
                          d.env.from.value, d.env.to.value, d.env.round,
                          d.env.payload.size(), d.sentAt, d.deliveredAt});
+    stream.feed(d.env.id);
+    stream.feed(static_cast<std::uint64_t>(d.env.kind));
+    stream.feed(d.env.from.value);
+    stream.feed(d.env.to.value);
+    stream.feed(d.env.round);
+    stream.feedBytes(d.env.payload);
+    stream.feed(d.sentAt);
+    stream.feed(d.deliveredAt);
   });
 
   core::MLightConfig config;
   config.thetaSplit = 16;
   config.thetaMerge = 8;
-  config.cache.enabled = cacheEnabled;  // explicit: immune to MLIGHT_CACHE
+  config.cache.enabled = opt.cacheEnabled;  // explicit: immune to MLIGHT_CACHE
   if (withFaults) config.replication = 2;  // retries may still dead-letter
   core::MLightIndex index(net, config);
 
@@ -100,6 +139,7 @@ RunResult runWorkload(std::uint64_t seed, bool withFaults = false,
   net.removePeer(net.peers()[7]);
   for (std::size_t i = 450; i < data.size(); ++i) index.insert(data[i]);
   net.addPeer("replay-joiner-b");
+  if (withFaults) crashAfter = 5;
   query(queries[3]);
   query(queries[4]);
   for (std::size_t i = 0; i < 40; ++i) {
@@ -110,6 +150,18 @@ RunResult runWorkload(std::uint64_t seed, bool withFaults = false,
   out.total = net.totalCost();
   out.finalNow = net.now();
   out.pooledBuffers = net.pooledBufferCount();
+  const dht::DeadLetterRing& dead = net.deadLetters();
+  out.deadLetters = dead.total();
+  out.ghostDrops = net.ghostDrops();
+  for (const dht::DeadLetter& dl : dead.snapshot()) {
+    stream.feed(dl.rpcId);
+    stream.feed(static_cast<std::uint64_t>(dl.kind));
+    stream.feed(dl.from.value);
+    stream.feed(dl.lastTarget.value);
+    stream.feed(static_cast<std::uint64_t>(dl.attempts));
+    stream.feed(dl.at);
+  }
+  out.streamDigest = stream.value();
   net.setRpcTrace({});
   return out;
 }
@@ -136,10 +188,7 @@ void expectIdenticalRuns(const RunResult& a, const RunResult& b) {
 
 TEST(Replay, BufferPoolingIsTimelineInvisible) {
   const RunResult pooled = runWorkload(2009);
-  const RunResult unpooled = runWorkload(2009, /*withFaults=*/false,
-                                         /*faultSeed=*/1,
-                                         /*installDisabledModel=*/false,
-                                         /*bufferPooling=*/false);
+  const RunResult unpooled = runWorkload(2009, {.bufferPooling = false});
   // The pooled run must actually have recycled buffers (otherwise this
   // test compares pooling with itself), the unpooled run must not.
   EXPECT_GT(pooled.pooledBuffers, 0u);
@@ -150,12 +199,10 @@ TEST(Replay, BufferPoolingIsTimelineInvisible) {
 TEST(Replay, BufferPoolingIsTimelineInvisibleUnderFaults) {
   // The fault path shares deliver() with the fault-free path; loss,
   // jitter, retries, and failover must be untouched by pooling too.
-  const RunResult pooled = runWorkload(2009, /*withFaults=*/true,
-                                       /*faultSeed=*/7);
-  const RunResult unpooled = runWorkload(2009, /*withFaults=*/true,
-                                         /*faultSeed=*/7,
-                                         /*installDisabledModel=*/false,
-                                         /*bufferPooling=*/false);
+  const RunResult pooled =
+      runWorkload(2009, {.withFaults = true, .faultSeed = 7});
+  const RunResult unpooled = runWorkload(
+      2009, {.withFaults = true, .faultSeed = 7, .bufferPooling = false});
   expectIdenticalRuns(pooled, unpooled);
 }
 
@@ -193,8 +240,10 @@ TEST(Replay, FaultInjectedRunIsByteExactUnderTheSameSeeds) {
   // delivery times replay byte-exactly.  The fault seed comes from
   // MLIGHT_FAULT_SEED when set (the CI fault matrix pins it).
   const std::uint64_t faultSeed = dht::faultSeedFromEnv(1234);
-  const RunResult a = runWorkload(2009, /*withFaults=*/true, faultSeed);
-  const RunResult b = runWorkload(2009, /*withFaults=*/true, faultSeed);
+  const RunResult a =
+      runWorkload(2009, {.withFaults = true, .faultSeed = faultSeed});
+  const RunResult b =
+      runWorkload(2009, {.withFaults = true, .faultSeed = faultSeed});
 
   ASSERT_FALSE(a.trace.empty());
   EXPECT_EQ(a.trace, b.trace);
@@ -210,7 +259,8 @@ TEST(Replay, FaultInjectedRunIsByteExactUnderTheSameSeeds) {
 
   // A different fault seed reshuffles losses: the timeline must move
   // (otherwise the fault RNG is not actually feeding the schedule).
-  const RunResult c = runWorkload(2009, /*withFaults=*/true, faultSeed + 1);
+  const RunResult c =
+      runWorkload(2009, {.withFaults = true, .faultSeed = faultSeed + 1});
   EXPECT_NE(a.trace, c.trace);
 }
 
@@ -219,14 +269,10 @@ TEST(Replay, CacheEnabledRunIsByteExactUnderTheSameFaultSeed) {
   // nondeterminism: a cache-enabled workload under fault injection is
   // still a pure function of (network seed, fault seed).
   const std::uint64_t faultSeed = dht::faultSeedFromEnv(1234);
-  const RunResult a = runWorkload(2009, /*withFaults=*/true, faultSeed,
-                                  /*installDisabledModel=*/false,
-                                  /*bufferPooling=*/true,
-                                  /*cacheEnabled=*/true);
-  const RunResult b = runWorkload(2009, /*withFaults=*/true, faultSeed,
-                                  /*installDisabledModel=*/false,
-                                  /*bufferPooling=*/true,
-                                  /*cacheEnabled=*/true);
+  const RunOptions cached{
+      .withFaults = true, .faultSeed = faultSeed, .cacheEnabled = true};
+  const RunResult a = runWorkload(2009, cached);
+  const RunResult b = runWorkload(2009, cached);
   ASSERT_FALSE(a.trace.empty());
   // The workload's cached locates must actually consult hints —
   // otherwise this replays the uncached path against itself.
@@ -244,11 +290,7 @@ TEST(Replay, CacheChangesTrafficButNeverAnswers) {
   // Cache on vs off over the identical workload: fewer/different probes
   // on the wire, byte-identical query results.
   const RunResult off = runWorkload(2009);
-  const RunResult on = runWorkload(2009, /*withFaults=*/false,
-                                   /*faultSeed=*/1,
-                                   /*installDisabledModel=*/false,
-                                   /*bufferPooling=*/true,
-                                   /*cacheEnabled=*/true);
+  const RunResult on = runWorkload(2009, {.cacheEnabled = true});
   EXPECT_EQ(off.total.cacheHits, 0u);
   EXPECT_EQ(off.total.staleHints, 0u);
   EXPECT_GT(on.total.cacheHits + on.total.staleHints, 0u);
@@ -261,13 +303,29 @@ TEST(Replay, FaultFreeModelMatchesNoModelBitExactly) {
   // installing a model at all — the bit-identical count/timeline
   // contract with the pre-fault event core.
   const RunResult a = runWorkload(2009);
-  const RunResult b = runWorkload(2009, /*withFaults=*/false,
-                                  /*faultSeed=*/1,
-                                  /*installDisabledModel=*/true);
+  const RunResult b = runWorkload(2009, {.installDisabledModel = true});
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_DOUBLE_EQ(a.finalNow, b.finalNow);
   EXPECT_EQ(a.total.retries, 0u);
   EXPECT_EQ(b.total.retries, 0u);
+}
+
+// The delivered stream itself, pinned across builds: every envelope's
+// id, kind, endpoints, round, full payload bytes and timestamps, in
+// delivery order, then every dead letter.  The other replay tests
+// compare two runs of one build (and payload sizes only); this one fails
+// if a change to the message path alters a single byte a handler reads.
+TEST(Replay, DeliveredStreamIsPinned) {
+  const RunResult clean = runWorkload(2009, {.unshuffled = true});
+  EXPECT_EQ(clean.deadLetters, 0u);
+  EXPECT_EQ(clean.streamDigest, 0x35a97d63b85b925bull);
+
+  const RunResult lossy = runWorkload(
+      2009, {.withFaults = true, .faultSeed = 7, .unshuffled = true});
+  EXPECT_GT(lossy.total.retries, 0u);
+  EXPECT_GT(lossy.ghostDrops, 0u);
+  ASSERT_LE(lossy.deadLetters, dht::DeadLetterRing::kDefaultCapacity);
+  EXPECT_EQ(lossy.streamDigest, 0xbf80f0d337767b8aull);
 }
 
 }  // namespace
